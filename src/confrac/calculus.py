@@ -11,6 +11,7 @@ finite differences.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -113,7 +114,9 @@ class ConformableFn:
     """Evaluatable real function of t, optionally with exact derivatives.
 
     Built from an expression tree the function is symbolic: classical and
-    conformable derivatives of any order are constructed exactly and cached.
+    conformable derivatives of any order are constructed exactly and cached,
+    and each derivative level is compiled when it is first evaluated at
+    t > 0.
     Built from a plain callable it may carry explicit classical-derivative
     callables and a declared smoothness order; beyond those, central finite
     differences are used (iterated conformable derivatives capped at n = 3).
@@ -124,7 +127,7 @@ class ConformableFn:
     """
 
     __slots__ = ("_eval", "expr", "derivatives", "smoothness", "name",
-                 "_frac_chain", "_frac_compiled", "_ddt_compiled")
+                 "_frac_chain", "_frac_compiled", "_ddt_compiled", "_chain_lock")
 
     def __init__(self, evaluator: Callable[[float, float], float], *,
                  expr: Optional[ex.Expr] = None,
@@ -137,8 +140,10 @@ class ConformableFn:
         self.smoothness = smoothness
         self.name = name
         self._frac_chain = [expr] if expr is not None else None
+        # compiled levels, aligned with _frac_chain; None until first needed
         self._frac_compiled = [evaluator] if expr is not None else None
         self._ddt_compiled = None
+        self._chain_lock = threading.Lock() if expr is not None else None
 
     @classmethod
     def from_expr(cls, source: Union[str, ex.Expr], name: Optional[str] = None) -> "ConformableFn":
@@ -176,14 +181,20 @@ class ConformableFn:
         if self.expr is None:
             raise SmoothnessError("function has no expression tree")
         chain = self._frac_chain
-        while len(chain) <= n:
-            chain.append(_conformable_step(chain[-1]))
-            self._frac_compiled.append(ex.compile_expr(chain[-1]))
+        if len(chain) <= n:
+            with self._chain_lock:
+                while len(chain) <= n:
+                    chain.append(_conformable_step(chain[-1]))
+                    self._frac_compiled.append(None)
         return chain[n]
 
     def _frac_eval(self, n: int) -> Callable[[float, float], float]:
-        self.frac_expr(n)
-        return self._frac_compiled[n]
+        """Compiled evaluator of the n-th conformable derivative."""
+        tree = self.frac_expr(n)
+        fn = self._frac_compiled[n]
+        if fn is None:
+            fn = self._frac_compiled[n] = ex.compile_expr(tree)
+        return fn
 
     def __repr__(self):
         return f"ConformableFn({self.name or ('<callable>' if self.expr is None else ex.to_text(self.expr))})"
@@ -192,33 +203,51 @@ class ConformableFn:
 _T_POW_1MA = ex.Pow(ex.T, ex.Sub(ex.Num(1.0), ex.ALPHA))
 
 
-def _needs_push(e: ex.Expr) -> bool:
+def _needs_push(e: ex.Expr, memo: dict) -> bool:
     """True if a t-dependent sum sits under products/quotients/negations."""
     if isinstance(e, (ex.Add, ex.Sub)):
-        return ex.contains_t(e)
-    if isinstance(e, ex.Neg):
-        return _needs_push(e.operand)
-    if isinstance(e, (ex.Mul, ex.Div)):
-        return _needs_push(e.left) or _needs_push(e.right)
-    return False
+        return e.contains_t
+    found = memo.get(e)
+    if found is None:
+        if isinstance(e, ex.Neg):
+            found = _needs_push(e.operand, memo)
+        elif isinstance(e, (ex.Mul, ex.Div)):
+            found = _needs_push(e.left, memo) or _needs_push(e.right, memo)
+        else:
+            found = False
+        memo[e] = found
+    return found
 
 
 def _distribute(factor: ex.Expr, e: ex.Expr) -> ex.Expr:
-    """factor * e with the product pushed down to the terms of t-dependent sums."""
-    if isinstance(e, ex.Add):
-        return ex._add(_distribute(factor, e.left), _distribute(factor, e.right))
-    if isinstance(e, ex.Sub):
-        return ex._sub(_distribute(factor, e.left), _distribute(factor, e.right))
-    if isinstance(e, ex.Neg):
-        return ex._neg(_distribute(factor, e.operand))
-    if isinstance(e, ex.Div):
-        return ex._div(_distribute(factor, e.left), e.right)
-    if isinstance(e, ex.Mul):
-        if _needs_push(e.left):
-            return ex._mul(_distribute(factor, e.left), e.right)
-        if _needs_push(e.right):
-            return ex._mul(e.left, _distribute(factor, e.right))
-    return ex._mul(factor, e)
+    """factor * e with the product pushed down to the terms of t-dependent sums.
+
+    Shared subtrees of e are distributed over once per call."""
+    pushes: dict = {}
+    done: dict = {}
+
+    def push(e: ex.Expr) -> ex.Expr:
+        out = done.get(e)
+        if out is not None:
+            return out
+        if isinstance(e, ex.Add):
+            out = ex._add(push(e.left), push(e.right))
+        elif isinstance(e, ex.Sub):
+            out = ex._sub(push(e.left), push(e.right))
+        elif isinstance(e, ex.Neg):
+            out = ex._neg(push(e.operand))
+        elif isinstance(e, ex.Div):
+            out = ex._div(push(e.left), e.right)
+        elif isinstance(e, ex.Mul) and _needs_push(e.left, pushes):
+            out = ex._mul(push(e.left), e.right)
+        elif isinstance(e, ex.Mul) and _needs_push(e.right, pushes):
+            out = ex._mul(e.left, push(e.right))
+        else:
+            out = ex._mul(factor, e)
+        done[e] = out
+        return out
+
+    return push(e)
 
 
 def _conformable_step(tree: ex.Expr) -> ex.Expr:
@@ -349,7 +378,6 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
     if n == 0:
         return f.value(t, a)
     if f.is_symbolic:
-        fn = f._frac_eval(n)
         if t == 0.0:
             # alpha-specialized tree: t-independent zero coefficients fold
             # away, so regular-at-0 formulas evaluate exactly
@@ -360,8 +388,9 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
                     return v
             except EvalDomainError:
                 pass
+            fn = f._frac_eval(n)
             return _limit_at_zero(lambda s: fn(s, a))
-        return fn(t, a)
+        return f._frac_eval(n)(t, a)
     return _frac_deriv_n_numeric(f, a, n, t)
 
 
@@ -406,12 +435,15 @@ def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
         return f
     if f.is_symbolic:
         tree = f.frac_expr(n)
-        fast = f._frac_eval(n)
+        fast = None
 
         def evaluator(t: float, alpha: float = 1.0) -> float:
+            nonlocal fast
             if t == 0.0:
                 # route through the regularized limit-aware path
                 return frac_deriv_n(f, alpha, n, 0.0)
+            if fast is None:
+                fast = f._frac_eval(n)
             return fast(t, alpha)
 
         return ConformableFn(evaluator, expr=tree,

@@ -17,20 +17,31 @@ Grammar (whitespace-insensitive)::
     IDENT  := sin | cos | exp | ln | sqrt | abs
 
 ``^`` is right-associative and binds tighter than unary minus: ``-t^2``
-means ``-(t^2)`` and ``t^2^3`` means ``t^(2^3)``.
+means ``-(t^2)`` and ``t^2^3`` means ``t^(2^3)``.  Nesting (parentheses,
+call arguments, unary minus and ``^`` exponents, counted together) may go
+MAX_NESTING = 100 levels deep; deeper input is a syntax error.
+
+Nodes are hash-consed: equal subtrees are one shared object, so a
+derivative tree is a DAG whose size is its number of distinct subtrees,
+the per-node passes (d/dt, t-power normalization, alpha substitution,
+evaluation, compilation) visit each distinct subtree once, and structural
+equality is identity.
 
 Canonical form: numeric literals are non-negative (a negative constant is
 represented as a negation node, exactly as the parser produces it), so
-``parse(to_text(e)) == e`` structurally for every tree built through this
-module's constructors.
+``parse(to_text(e)) is e`` for every tree built through this module's
+constructors that stays within the nesting limit and holds no ``-0.0``
+literal (printed as ``0``).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import threading
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .errors import EvalDomainError, ExprSyntaxError
 
@@ -39,61 +50,146 @@ __all__ = [
     "T", "ALPHA", "FUNCTIONS", "EvalEnv",
     "parse", "to_text", "evaluate", "evaluate_at", "diff_classical",
     "compile_expr", "contains_t", "normalize_t_powers", "substitute_alpha",
+    "MAX_NESTING",
 ]
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Expr:
+    """Base class of the expression nodes.
+
+    Nodes are hash-consed: constructing a node whose class, literal and
+    children match a live node returns that node.  Structural equality is
+    therefore identity (``==`` and ``hash`` cost O(1)), and every tree is a
+    DAG in which equal subtrees are one shared object.  Nodes are immutable;
+    ``contains_t`` is computed at construction, and a node remembers its
+    classical derivative and its t-power normal form once computed.
+    """
+
+    __slots__ = ("contains_t", "_diff", "_norm", "__weakref__")
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"expression nodes are immutable (field {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"expression nodes are immutable (field {name!r})")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str  # "t" or "alpha"
+# The intern table maps a node's key to a weak reference to the node.  Keys
+# hold child id()s rather than the children: a memoised derivative contains
+# its node (d/dt exp(u) = exp(u) u'), and a key holding the child objects
+# would keep such cycles reachable from this module forever.  An id cannot
+# be reused while its entry is live, because the node keeps its children.
+_TABLE: dict = {}
+# re-entrant: a garbage collection inside the locked region may run _forget
+_TABLE_LOCK = threading.RLock()
+_SET = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+def _forget(entry, _table=_TABLE, _lock=_TABLE_LOCK):
+    with _lock:
+        if _table.get(entry.key) is entry:
+            del _table[entry.key]
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+def _node(cls, key: tuple, contains_t: bool, *fields) -> Expr:
+    """The live node registered under key, or a new one with these fields.
+
+    The first lookup needs no lock (a dict read is atomic); the miss path
+    looks again under the lock, so two threads never register equal nodes.
+    """
+    entry = _TABLE.get(key)
+    node = entry() if entry is not None else None
+    if node is not None:
+        return node
+    with _TABLE_LOCK:
+        entry = _TABLE.get(key)
+        node = entry() if entry is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                _SET(node, name, value)
+            _SET(node, "contains_t", contains_t)
+            _SET(node, "_diff", None)
+            _SET(node, "_norm", None)
+            entry = _Entry(node, _forget)
+            entry.key = key
+            _TABLE[key] = entry
+    return node
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Num(Expr):
+    __slots__ = _fields = ("value",)
+
+    def __new__(cls, value: float):
+        # the sign term keeps -0.0 and 0.0 apart; the type keeps 1 and 1.0
+        return _node(cls, (cls, type(value), value, math.copysign(1.0, value)),
+                     False, value)
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Sym(Expr):
+    __slots__ = _fields = ("name",)  # "t" or "alpha"
+
+    def __new__(cls, name: str):
+        return _node(cls, (cls, name), name == "t", name)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: "Expr"
+class Neg(Expr):
+    __slots__ = _fields = ("operand",)
+
+    def __new__(cls, operand: Expr):
+        return _node(cls, (cls, id(operand)), operand.contains_t, operand)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expr"
+class _Binary(Expr):
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: Expr, right: Expr):
+        return _node(cls, (cls, id(left), id(right)),
+                     left.contains_t or right.contains_t, left, right)
 
 
-Expr = Union[Num, Sym, Neg, Add, Sub, Mul, Div, Pow, Call]
+class Add(_Binary):
+    __slots__ = ()
+
+
+class Sub(_Binary):
+    __slots__ = ()
+
+
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+
+class Pow(Expr):
+    __slots__ = _fields = ("base", "exponent")
+
+    def __new__(cls, base: Expr, exponent: Expr):
+        return _node(cls, (cls, id(base), id(exponent)),
+                     base.contains_t or exponent.contains_t, base, exponent)
+
+
+class Call(Expr):
+    __slots__ = _fields = ("func", "arg")
+
+    def __new__(cls, func: str, arg: Expr):
+        return _node(cls, (cls, func, id(arg)), arg.contains_t, func, arg)
+
 
 T = Sym("t")
 ALPHA = Sym("alpha")
@@ -145,11 +241,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def descend(self, off: int) -> None:
+        """Enter one nesting level; the caller leaves it after parsing."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", off)
+        self.depth += 1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -189,15 +295,19 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            return Neg(self.unary())
+            self.descend(self.advance()[2])
+            operand = self.unary()
+            self.depth -= 1
+            return Neg(operand)
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
         if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            return Pow(base, self.unary())
+            self.descend(self.advance()[2])
+            exponent = self.unary()
+            self.depth -= 1
+            return Pow(base, exponent)
         return base
 
     def atom(self) -> Expr:
@@ -217,18 +327,20 @@ class _Parser:
                 raise ExprSyntaxError(f"unknown identifier {text!r}", off)
             if text not in FUNCTIONS:
                 raise ExprSyntaxError(f"unknown function {text!r}", off)
-            self.advance()
+            self.descend(self.advance()[2])
             arg = self.expr()
             if self.peek()[:2] != ("op", ")"):
                 self.fail("expected ')'")
             self.advance()
+            self.depth -= 1
             return Call(text, arg)
         if kind == "op" and text == "(":
-            self.advance()
+            self.descend(self.advance()[2])
             e = self.expr()
             if self.peek()[:2] != ("op", ")"):
                 self.fail("expected ')'")
             self.advance()
+            self.depth -= 1
             return e
         if kind == "end":
             self.fail("unexpected end of input")
@@ -236,7 +348,12 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text into a tree.  Raises ExprSyntaxError with offset."""
+    """Parse expression text into a tree.  Raises ExprSyntaxError with offset.
+
+    Nesting (parentheses, call arguments, unary minus, ``^`` exponents) is
+    limited to MAX_NESTING levels, so deep input fails with a syntax error
+    instead of exhausting the interpreter stack.
+    """
     return _Parser(text).parse()
 
 
@@ -318,29 +435,41 @@ def _call_value(func: str, x: float) -> float:
 
 
 def evaluate(e: Expr, env: EvalEnv) -> float:
-    """Tree-walking reference evaluator."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Sym):
-        return env.t if e.name == "t" else env.alpha
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, env)
-    if isinstance(e, Add):
-        return evaluate(e.left, env) + evaluate(e.right, env)
-    if isinstance(e, Sub):
-        return evaluate(e.left, env) - evaluate(e.right, env)
-    if isinstance(e, Mul):
-        return evaluate(e.left, env) * evaluate(e.right, env)
-    if isinstance(e, Div):
-        denom = evaluate(e.right, env)
-        if denom == 0.0:
-            raise EvalDomainError("division by zero")
-        return evaluate(e.left, env) / denom
-    if isinstance(e, Pow):
-        return _pow_value(evaluate(e.base, env), evaluate(e.exponent, env))
-    if isinstance(e, Call):
-        return _call_value(e.func, evaluate(e.arg, env))
-    raise TypeError(f"not an expression node: {e!r}")
+    """Tree-walking reference evaluator; a shared subtree is evaluated once."""
+    t, alpha = env.t, env.alpha
+    memo: dict = {}
+
+    def walk(e: Expr) -> float:
+        if isinstance(e, Num):
+            return e.value
+        if isinstance(e, Sym):
+            return t if e.name == "t" else alpha
+        v = memo.get(e)
+        if v is not None:
+            return v
+        if isinstance(e, Neg):
+            v = -walk(e.operand)
+        elif isinstance(e, Add):
+            v = walk(e.left) + walk(e.right)
+        elif isinstance(e, Sub):
+            v = walk(e.left) - walk(e.right)
+        elif isinstance(e, Mul):
+            v = walk(e.left) * walk(e.right)
+        elif isinstance(e, Div):
+            denom = walk(e.right)
+            if denom == 0.0:
+                raise EvalDomainError("division by zero")
+            v = walk(e.left) / denom
+        elif isinstance(e, Pow):
+            v = _pow_value(walk(e.base), walk(e.exponent))
+        elif isinstance(e, Call):
+            v = _call_value(e.func, walk(e.arg))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        memo[e] = v
+        return v
+
+    return walk(e)
 
 
 def evaluate_at(e: Expr, t: float, alpha: float = 1.0) -> float:
@@ -349,39 +478,76 @@ def evaluate_at(e: Expr, t: float, alpha: float = 1.0) -> float:
 
 # Compiled fast path.  Semantics match evaluate(): math.pow is used so a
 # negative base with fractional exponent raises instead of going complex.
-_EVAL_GLOBALS = {"__builtins__": {}, "math": math, "abs": abs}
+_EVAL_GLOBALS = {"__builtins__": {}, "pow": math.pow, "sin": math.sin,
+                 "cos": math.cos, "exp": math.exp, "log": math.log,
+                 "sqrt": math.sqrt, "abs": abs}
+_PY_FUNC = {"ln": "log"}
+_PY_OP = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def _pycode(e: Expr) -> str:
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Sym):
-        return e.name
+def _children(e: Expr) -> tuple:
+    if isinstance(e, _Binary):
+        return e.left, e.right
     if isinstance(e, Neg):
-        return f"(-{_pycode(e.operand)})"
-    if isinstance(e, Add):
-        return f"({_pycode(e.left)}+{_pycode(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_pycode(e.left)}-{_pycode(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_pycode(e.left)}*{_pycode(e.right)})"
-    if isinstance(e, Div):
-        return f"({_pycode(e.left)}/{_pycode(e.right)})"
+        return (e.operand,)
     if isinstance(e, Pow):
-        return f"math.pow({_pycode(e.base)},{_pycode(e.exponent)})"
+        return e.base, e.exponent
     if isinstance(e, Call):
-        fn = {"ln": "math.log", "abs": "abs"}.get(e.func, f"math.{e.func}")
-        return f"{fn}({_pycode(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+        return (e.arg,)
+    return ()
+
+
+def _pysource(root: Expr) -> str:
+    """Python expression for root in which each shared subexpression is
+    computed once: its first occurrence binds ``vK := ...`` and later ones
+    read ``vK``.  Python evaluates operands left to right, so the binding
+    always runs before the reads, and every floating-point operation is the
+    one the tree spells out."""
+    parents: dict = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node in parents:
+            parents[node] += 1
+        elif not isinstance(node, (Num, Sym)):
+            parents[node] = 1
+            stack.extend(_children(node))
+    names: dict = {}
+
+    def emit(e: Expr) -> str:
+        if isinstance(e, Num):
+            return repr(e.value)
+        if isinstance(e, Sym):
+            return e.name
+        name = names.get(e)
+        if name is not None:
+            return name
+        if isinstance(e, _Binary):
+            code = f"({emit(e.left)}{_PY_OP[type(e)]}{emit(e.right)})"
+        elif isinstance(e, Neg):
+            code = f"(-{emit(e.operand)})"
+        elif isinstance(e, Pow):
+            code = f"pow({emit(e.base)},{emit(e.exponent)})"
+        elif isinstance(e, Call) and e.func in FUNCTIONS:
+            code = f"{_PY_FUNC.get(e.func, e.func)}({emit(e.arg)})"
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        if parents[e] == 1:
+            return code
+        name = names[e] = f"v{len(names)}"
+        return f"({name}:={code})"
+
+    return emit(root)
 
 
 def compile_expr(e: Expr) -> Callable[[float, float], float]:
     """Compile a tree to a fast (t, alpha) -> float callable."""
-    code = compile(_pycode(e), "<expr>", "eval")
+    fn = eval(compile(f"lambda t, alpha: {_pysource(e)}", "<expr>", "eval"),
+              _EVAL_GLOBALS)
 
-    def fn(t: float, alpha: float = 1.0, _code=code) -> float:
+    def evaluator(t: float, alpha: float = 1.0) -> float:
         try:
-            return float(eval(_code, _EVAL_GLOBALS, {"t": t, "alpha": alpha}))
+            return float(fn(t, alpha))
         except ZeroDivisionError:
             raise EvalDomainError("division by zero") from None
         except ValueError as exc:
@@ -389,26 +555,14 @@ def compile_expr(e: Expr) -> Callable[[float, float], float]:
         except OverflowError as exc:
             raise EvalDomainError(f"overflow: {exc}") from None
 
-    return fn
+    return evaluator
 
 
 # ---------------------------------------------------------------------------
 # symbolic differentiation
 
 def contains_t(e: Expr) -> bool:
-    if isinstance(e, Sym):
-        return e.name == "t"
-    if isinstance(e, Num):
-        return False
-    if isinstance(e, Neg):
-        return contains_t(e.operand)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return contains_t(e.left) or contains_t(e.right)
-    if isinstance(e, Pow):
-        return contains_t(e.base) or contains_t(e.exponent)
-    if isinstance(e, Call):
-        return contains_t(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    return e.contains_t
 
 
 # Folding constructors.  They keep derivative trees small (0/1 identities,
@@ -542,26 +696,31 @@ def normalize_t_powers(e: Expr) -> Expr:
     (t^c)^d becomes t^(c*d); both are identities on t > 0 and under the
     0^0 = 1 convention at t = 0.  Iterated conformable derivatives produce
     exactly such products, and collecting them keeps the formulas regular
-    at t = 0 whenever the net exponent is non-negative.
+    at t = 0 whenever the net exponent is non-negative.  The result is
+    remembered on each node, so shared subtrees are normalized once.
     """
     if isinstance(e, (Num, Sym)):
         return e
+    out = e._norm
+    if out is not None:
+        return out
     if isinstance(e, Neg):
-        return _neg(normalize_t_powers(e.operand))
-    if isinstance(e, Add):
-        return _add(normalize_t_powers(e.left), normalize_t_powers(e.right))
-    if isinstance(e, Sub):
-        return _sub(normalize_t_powers(e.left), normalize_t_powers(e.right))
-    if isinstance(e, Call):
-        return Call(e.func, normalize_t_powers(e.arg))
-    if isinstance(e, Pow):
+        out = _neg(normalize_t_powers(e.operand))
+    elif isinstance(e, Add):
+        out = _add(normalize_t_powers(e.left), normalize_t_powers(e.right))
+    elif isinstance(e, Sub):
+        out = _sub(normalize_t_powers(e.left), normalize_t_powers(e.right))
+    elif isinstance(e, Call):
+        out = Call(e.func, normalize_t_powers(e.arg))
+    elif isinstance(e, Pow):
         base = normalize_t_powers(e.base)
         exponent = normalize_t_powers(e.exponent)
-        if (isinstance(base, Pow) and base.base == T
-                and not contains_t(base.exponent) and not contains_t(exponent)):
-            return _pow(T, _mul(base.exponent, exponent))
-        return _pow(base, exponent)
-    if isinstance(e, (Mul, Div)):
+        if (isinstance(base, Pow) and base.base is T
+                and not base.exponent.contains_t and not exponent.contains_t):
+            out = _pow(T, _mul(base.exponent, exponent))
+        else:
+            out = _pow(base, exponent)
+    elif isinstance(e, (Mul, Div)):
         numerator: list[Expr] = []
         denominator: list[Expr] = []
         negative = False
@@ -585,10 +744,10 @@ def normalize_t_powers(e: Expr) -> Expr:
         plain_den: list[Expr] = []
         for factors, inverted in ((numerator, False), (denominator, True)):
             for factor in factors:
-                if factor == T:
+                if factor is T:
                     contrib = _ONE
-                elif (isinstance(factor, Pow) and factor.base == T
-                      and not contains_t(factor.exponent)):
+                elif (isinstance(factor, Pow) and factor.base is T
+                      and not factor.exponent.contains_t):
                     contrib = factor.exponent
                 else:
                     (plain_den if inverted else plain_num).append(factor)
@@ -606,8 +765,11 @@ def normalize_t_powers(e: Expr) -> Expr:
             result = _ONE
         for factor in plain_den:
             result = _div(result, factor)
-        return _neg(result) if negative else result
-    raise TypeError(f"not an expression node: {e!r}")
+        out = _neg(result) if negative else result
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    _SET(e, "_norm", out)
+    return out
 
 
 def substitute_alpha(e: Expr, a: float) -> Expr:
@@ -618,79 +780,102 @@ def substitute_alpha(e: Expr, a: float) -> Expr:
     function), which keeps specialized derivative formulas regular at t = 0
     whenever the underlying function is.
     """
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Sym):
-        return lit(a) if e.name == "alpha" else e
-    if isinstance(e, Neg):
-        return _neg(substitute_alpha(e.operand, a))
-    if isinstance(e, Add):
-        return _add(substitute_alpha(e.left, a), substitute_alpha(e.right, a))
-    if isinstance(e, Sub):
-        return _sub(substitute_alpha(e.left, a), substitute_alpha(e.right, a))
-    if isinstance(e, Mul):
-        return _mul(substitute_alpha(e.left, a), substitute_alpha(e.right, a))
-    if isinstance(e, Div):
-        return _div(substitute_alpha(e.left, a), substitute_alpha(e.right, a))
-    if isinstance(e, Pow):
-        return _pow(substitute_alpha(e.base, a), substitute_alpha(e.exponent, a))
-    if isinstance(e, Call):
-        return Call(e.func, substitute_alpha(e.arg, a))
-    raise TypeError(f"not an expression node: {e!r}")
+    memo: dict = {}
+
+    def sub(e: Expr) -> Expr:
+        if isinstance(e, Num):
+            return e
+        if isinstance(e, Sym):
+            return lit(a) if e.name == "alpha" else e
+        out = memo.get(e)
+        if out is not None:
+            return out
+        if isinstance(e, Neg):
+            out = _neg(sub(e.operand))
+        elif isinstance(e, Add):
+            out = _add(sub(e.left), sub(e.right))
+        elif isinstance(e, Sub):
+            out = _sub(sub(e.left), sub(e.right))
+        elif isinstance(e, Mul):
+            out = _mul(sub(e.left), sub(e.right))
+        elif isinstance(e, Div):
+            out = _div(sub(e.left), sub(e.right))
+        elif isinstance(e, Pow):
+            out = _pow(sub(e.base), sub(e.exponent))
+        elif isinstance(e, Call):
+            out = Call(e.func, sub(e.arg))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        memo[e] = out
+        return out
+
+    return sub(e)
 
 
 def diff_classical(e: Expr) -> Expr:
     """Exact symbolic d/dt.  The symbol ``alpha`` is treated as a constant.
 
     For ``abs`` the convention d|u|/dt = (u/|u|) u' is used, which leaves the
-    derivative undefined (domain error at evaluation) where u = 0.
+    derivative undefined (domain error at evaluation) where u = 0.  The
+    result is remembered on each node, so shared subtrees are differentiated
+    once.
     """
+    d = e._diff
+    if d is not None:
+        return d
     if isinstance(e, Num):
-        return _ZERO
-    if isinstance(e, Sym):
-        return _ONE if e.name == "t" else _ZERO
-    if isinstance(e, Neg):
-        return _neg(diff_classical(e.operand))
-    if isinstance(e, Add):
-        return _add(diff_classical(e.left), diff_classical(e.right))
-    if isinstance(e, Sub):
-        return _sub(diff_classical(e.left), diff_classical(e.right))
-    if isinstance(e, Mul):
-        if not contains_t(e.left):
-            return _mul(e.left, diff_classical(e.right))
-        if not contains_t(e.right):
-            return _mul(diff_classical(e.left), e.right)
-        return _add(_mul(diff_classical(e.left), e.right),
-                    _mul(e.left, diff_classical(e.right)))
-    if isinstance(e, Div):
-        if not contains_t(e.right):
-            return _div(diff_classical(e.left), e.right)
-        num = _sub(_mul(diff_classical(e.left), e.right),
-                   _mul(e.left, diff_classical(e.right)))
-        return _div(num, _pow(e.right, Num(2.0)))
-    if isinstance(e, Pow):
+        d = _ZERO
+    elif isinstance(e, Sym):
+        d = _ONE if e.name == "t" else _ZERO
+    elif isinstance(e, Neg):
+        d = _neg(diff_classical(e.operand))
+    elif isinstance(e, Add):
+        d = _add(diff_classical(e.left), diff_classical(e.right))
+    elif isinstance(e, Sub):
+        d = _sub(diff_classical(e.left), diff_classical(e.right))
+    elif isinstance(e, Mul):
+        if not e.left.contains_t:
+            d = _mul(e.left, diff_classical(e.right))
+        elif not e.right.contains_t:
+            d = _mul(diff_classical(e.left), e.right)
+        else:
+            d = _add(_mul(diff_classical(e.left), e.right),
+                     _mul(e.left, diff_classical(e.right)))
+    elif isinstance(e, Div):
+        if not e.right.contains_t:
+            d = _div(diff_classical(e.left), e.right)
+        else:
+            num = _sub(_mul(diff_classical(e.left), e.right),
+                       _mul(e.left, diff_classical(e.right)))
+            d = _div(num, _pow(e.right, Num(2.0)))
+    elif isinstance(e, Pow):
         base, ex = e.base, e.exponent
-        if not contains_t(ex):
+        if not ex.contains_t:
             # d/dt b^c = c b^(c-1) b'
-            return _mul(_mul(ex, _pow(base, _sub(ex, _ONE))), diff_classical(base))
-        if not contains_t(base):
+            d = _mul(_mul(ex, _pow(base, _sub(ex, _ONE))), diff_classical(base))
+        elif not base.contains_t:
             # d/dt c^u = c^u ln(c) u'
-            return _mul(_mul(e, Call("ln", base)), diff_classical(ex))
-        return _mul(e, _add(_mul(diff_classical(ex), Call("ln", base)),
-                            _div(_mul(ex, diff_classical(base)), base)))
-    if isinstance(e, Call):
+            d = _mul(_mul(e, Call("ln", base)), diff_classical(ex))
+        else:
+            d = _mul(e, _add(_mul(diff_classical(ex), Call("ln", base)),
+                             _div(_mul(ex, diff_classical(base)), base)))
+    elif isinstance(e, Call) and e.func in FUNCTIONS:
         u = e.arg
         du = diff_classical(u)
         if e.func == "sin":
-            return _mul(Call("cos", u), du)
-        if e.func == "cos":
-            return _neg(_mul(Call("sin", u), du))
-        if e.func == "exp":
-            return _mul(e, du)
-        if e.func == "ln":
-            return _div(du, u)
-        if e.func == "sqrt":
-            return _div(du, _mul(Num(2.0), e))
-        if e.func == "abs":
-            return _mul(_div(u, e), du)
-    raise TypeError(f"not an expression node: {e!r}")
+            d = _mul(Call("cos", u), du)
+        elif e.func == "cos":
+            d = _neg(_mul(Call("sin", u), du))
+        elif e.func == "exp":
+            d = _mul(e, du)
+        elif e.func == "ln":
+            d = _div(du, u)
+        elif e.func == "sqrt":
+            d = _div(du, _mul(Num(2.0), e))
+        else:
+            d = _mul(_div(u, e), du)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    _SET(e, "_diff", d)
+    return d
+

@@ -140,6 +140,17 @@ class TestFracDerivN:
         for t in (0.5, 1.5):
             assert d2.value(t, 0.5) == pytest.approx(frac_deriv_n(f, 0.5, 2, t), rel=1e-13)
 
+    def test_levels_compile_on_first_evaluation_away_from_zero(self):
+        f = ConformableFn.from_expr("exp(t)*cos(t)")
+        # regular at 0: every level is evaluated from its specialized tree
+        assert frac_deriv_n(f, 1.0, 4, 0.0) == pytest.approx(-4.0, rel=1e-12)
+        assert f._frac_compiled[1:] == [None] * 4
+        frac_deriv_n(f, 0.5, 2, 1.0)
+        d3 = frac_deriv_fn(f, 3)
+        assert [c is not None for c in f._frac_compiled] == [True, False, True, False, False]
+        d3.value(0.7, 0.5)
+        assert f._frac_compiled[3] is not None and f._frac_compiled[4] is None
+
 
 class TestFracIntegral:
     def test_constant_closed_form(self):

@@ -39,6 +39,13 @@ class TestDeriv:
         assert code == EXIT_USAGE
         assert "offset 3" in err
 
+    def test_deeply_nested_expression_is_a_usage_error(self):
+        deep = "(" * 2000 + "t" + ")" * 2000
+        code, out, err = invoke(["deriv", "--expr", deep, "--alpha", "0.5", "--at", "1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "nesting" in err and "offset 100" in err
+
     def test_limit_divergence_is_numeric_failure(self):
         code, _, err = invoke(["deriv", "--expr", "sqrt(t)", "--alpha", "1", "--at", "0"])
         assert code == EXIT_NUMERIC

@@ -1,9 +1,15 @@
+import copy
+import gc
 import math
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
 from confrac import expr as ex
+from confrac.calculus import ConformableFn
 from confrac.errors import EvalDomainError, ExprSyntaxError
 
 from conftest import central_fd, random_safe_tree, random_tree
@@ -59,6 +65,119 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
             ex.parse("t t")
+
+    # each repetition of the opener enters one nesting level
+    NESTERS = [("(", ")"), ("sin(", ")"), ("-", ""), ("t^", "")]
+
+    @pytest.mark.parametrize("opener, closer", NESTERS)
+    def test_nesting_up_to_the_limit_parses(self, opener, closer):
+        depth = ex.MAX_NESTING
+        text = opener * depth + "t" + closer * depth
+        assert ex.parse(ex.to_text(ex.parse(text))) is ex.parse(text)
+
+    @pytest.mark.parametrize("opener, closer", NESTERS)
+    def test_nesting_past_the_limit_is_a_syntax_error(self, opener, closer):
+        depth = ex.MAX_NESTING + 1
+        text = opener * depth + "t" + closer * depth
+        with pytest.raises(ExprSyntaxError, match="nesting") as err:
+            ex.parse(text)
+        # offset of the operator that opens level MAX_NESTING + 1
+        assert err.value.offset == len(opener) * depth - 1
+
+    def test_deep_nesting_does_not_exhaust_the_stack(self):
+        with pytest.raises(ExprSyntaxError) as err:
+            ex.parse("(" * 2000 + "t" + ")" * 2000)
+        assert err.value.offset == ex.MAX_NESTING
+
+    def test_nesting_counts_all_kinds_together(self):
+        # 50 levels of "-(" are 100 levels of nesting
+        ok = "-(" * 50 + "t" + ")" * 50
+        ex.parse(ok)
+        with pytest.raises(ExprSyntaxError, match="nesting"):
+            ex.parse("(" + ok + ")")
+
+
+class TestInterning:
+    def test_equal_trees_are_one_object(self):
+        built = ex.Add(ex.Call("sin", ex.T), ex.Pow(ex.T, ex.Num(2.0)))
+        assert ex.parse("sin(t) + t^2") is built
+        assert ex.parse("sin(t)+t^2") is ex.parse(" sin( t )+t ^2")
+
+    def test_roundtrip_returns_the_same_object(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            tree = random_tree(rng)
+            assert ex.parse(ex.to_text(tree)) is tree
+            d = ex.diff_classical(random_safe_tree(rng))
+            assert ex.parse(ex.to_text(d)) is d
+
+    def test_signed_zero_literals_stay_apart(self):
+        assert ex.Num(-0.0) is not ex.Num(0.0)
+        assert ex.Num(0.0) is ex.Num(0.0)
+        assert math.copysign(1.0, ex.compile_expr(ex.Num(-0.0))(1.0)) == -1.0
+        assert math.copysign(1.0, ex.compile_expr(ex.Num(0.0))(1.0)) == 1.0
+
+    def test_contains_t_is_computed_at_construction(self):
+        assert ex.parse("sin(alpha)*2+t").contains_t
+        assert not ex.parse("sin(alpha)*2+pi").contains_t
+        assert ex.contains_t(ex.T) and not ex.contains_t(ex.ALPHA)
+
+    def test_nodes_are_immutable(self):
+        node = ex.parse("t+1")
+        with pytest.raises(AttributeError):
+            node.left = ex.ALPHA
+        with pytest.raises(AttributeError):
+            del node.right
+
+    def test_copies_and_pickles_are_the_same_object(self):
+        tree = ex.parse("exp(-t)*cos(t^alpha/alpha)")
+        assert copy.copy(tree) is tree
+        assert copy.deepcopy(tree) is tree
+        assert pickle.loads(pickle.dumps(tree)) is tree
+
+    def test_threads_building_one_chain_get_the_same_objects(self):
+        text = "exp(-t)*cos(t^alpha/alpha)/(1+t)"
+        shared = ConformableFn.from_expr(text)
+        workers = 4
+        barrier = threading.Barrier(workers)
+        chains = [None] * workers
+        tops = [None] * workers
+
+        def build(slot):
+            own = ConformableFn.from_expr(text)
+            barrier.wait(timeout=60)
+            chains[slot] = [own.frac_expr(n) for n in range(5)]
+            tops[slot] = shared.frac_expr(4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,)) for k in range(workers)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for chain in chains[1:]:
+            assert all(a is b for a, b in zip(chain, chains[0]))
+        assert all(top is chains[0][4] for top in tops)
+        # no level was appended twice
+        assert len(shared._frac_chain) == 5
+        assert [shared.frac_expr(n) for n in range(5)] == chains[0]
+
+    def test_dropped_functions_release_their_nodes(self):
+        # a node's remembered derivative refers back to the node, so the
+        # intern table must not keep such cycles reachable
+        gc.collect()
+        before = len(ex._TABLE)
+        for k in range(500):
+            f = ConformableFn.from_expr(f"exp({1.0 + k / 1024!r}*t)*sin(t)")
+            f.frac_expr(3)
+        del f
+        gc.collect()
+        assert len(ex._TABLE) - before < 250
 
 
 class TestPrint:
@@ -123,6 +242,11 @@ class TestEvaluate:
             ex.EvalEnv(1.0, alpha=1.5)
         with pytest.raises(ValueError):
             ex.EvalEnv(math.inf)
+
+    def test_compile_rejects_unknown_function_names(self):
+        # the name is emitted into generated source, so only known ones pass
+        with pytest.raises(TypeError):
+            ex.compile_expr(ex.Call("().__class__", ex.T))
 
     def test_compiled_matches_tree_walk(self):
         rng = random.Random(99)
