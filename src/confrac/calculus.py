@@ -219,6 +219,7 @@ def _needs_push(e: ex.Expr, memo: dict) -> bool:
     return found
 
 
+@ex._depth_guarded
 def _distribute(factor: ex.Expr, e: ex.Expr) -> ex.Expr:
     """factor * e with the product pushed down to the terms of t-dependent sums.
 

@@ -4,7 +4,8 @@ Subcommands: deriv, integrate, taylor, solve, ell, check, sweep.  Reports
 can be emitted as human-readable text, JSON (sorted keys, 12 significant
 digits) or CSV (fixed header, one row per report).  Exit codes: 0 success /
 inequality holds, 1 inequality violated, 2 hypothesis check failed,
-3 usage or parse error, 4 numeric failure.
+3 usage or parse error, 4 numeric failure, an expression too deep to
+compile, or any other internal fault.
 """
 
 from __future__ import annotations
@@ -553,6 +554,11 @@ def run(argv, stdout=None, stderr=None) -> int:
         return EXIT_NUMERIC
     except ConfracError as exc:
         print(f"confrac: error: {exc}", file=err)
+        return EXIT_NUMERIC
+    except Exception as exc:
+        # last resort: an internal fault must not pass for a verdict (1, 2)
+        # or escape as a traceback; SystemExit and KeyboardInterrupt pass
+        print(f"confrac: internal error: {type(exc).__name__}: {exc}", file=err)
         return EXIT_NUMERIC
 
 

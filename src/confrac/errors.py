@@ -13,6 +13,11 @@ class ExprSyntaxError(ConfracError):
         self.offset = offset
 
 
+class ExprDepthError(ConfracError):
+    """An expression tree is too deep to compile or to walk recursively
+    (for instance a long flat chain such as t+t+...+t)."""
+
+
 class EvalDomainError(ConfracError):
     """Evaluation left the real domain (ln of non-positive, division by zero, ...)."""
 

@@ -19,7 +19,10 @@ Grammar (whitespace-insensitive)::
 ``^`` is right-associative and binds tighter than unary minus: ``-t^2``
 means ``-(t^2)`` and ``t^2^3`` means ``t^(2^3)``.  Nesting (parentheses,
 call arguments, unary minus and ``^`` exponents, counted together) may go
-MAX_NESTING = 100 levels deep; deeper input is a syntax error.
+MAX_NESTING = 100 levels deep; deeper input is a syntax error.  A long flat
+chain such as ``t+t+...+t`` nests one level but builds a tree as deep as
+the chain; a tree too deep for Python's compiler or for the recursive passes
+raises ExprDepthError.
 
 Nodes are hash-consed: equal subtrees are one shared object, so a
 derivative tree is a DAG whose size is its number of distinct subtrees,
@@ -36,6 +39,7 @@ literal (printed as ``0``).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import threading
@@ -43,7 +47,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import EvalDomainError, ExprSyntaxError
+from .errors import EvalDomainError, ExprDepthError, ExprSyntaxError
 
 __all__ = [
     "Expr", "Num", "Sym", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
@@ -358,6 +362,23 @@ def parse(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# depth guard
+
+def _depth_guarded(fn):
+    """Raise ExprDepthError instead of RecursionError when a recursive pass
+    meets a tree deeper than the interpreter stack allows.  Applied to entry
+    points whose recursion runs through a private function or closure, so
+    it costs one frame per call rather than one per level."""
+    @functools.wraps(fn)
+    def guarded(*args):
+        try:
+            return fn(*args)
+        except RecursionError:
+            raise ExprDepthError(f"expression tree too deep for {fn.__name__}") from None
+    return guarded
+
+
+# ---------------------------------------------------------------------------
 # printing
 
 _PREC = {Add: 10, Sub: 10, Mul: 20, Div: 20, Neg: 30, Pow: 40}
@@ -374,12 +395,17 @@ def _fmt_num(v: float) -> str:
 
 
 def _wrap(e: Expr, needs_parens: bool) -> str:
-    s = to_text(e)
+    s = _text(e)
     return f"({s})" if needs_parens else s
 
 
+@_depth_guarded
 def to_text(e: Expr) -> str:
     """Canonical text such that parse(to_text(e)) reproduces the tree."""
+    return _text(e)
+
+
+def _text(e: Expr) -> str:
     if isinstance(e, Num):
         return _fmt_num(e.value)
     if isinstance(e, Sym):
@@ -395,7 +421,7 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Pow):
         return _wrap(e.base, _prec(e.base) <= 40) + "^" + _wrap(e.exponent, _prec(e.exponent) < 40)
     if isinstance(e, Call):
-        return f"{e.func}({to_text(e.arg)})"
+        return f"{e.func}({_text(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -434,6 +460,7 @@ def _call_value(func: str, x: float) -> float:
     raise EvalDomainError(f"unknown function {func!r}")
 
 
+@_depth_guarded
 def evaluate(e: Expr, env: EvalEnv) -> float:
     """Tree-walking reference evaluator; a shared subtree is evaluated once."""
     t, alpha = env.t, env.alpha
@@ -540,10 +567,17 @@ def _pysource(root: Expr) -> str:
     return emit(root)
 
 
+@_depth_guarded
 def compile_expr(e: Expr) -> Callable[[float, float], float]:
-    """Compile a tree to a fast (t, alpha) -> float callable."""
-    fn = eval(compile(f"lambda t, alpha: {_pysource(e)}", "<expr>", "eval"),
-              _EVAL_GLOBALS)
+    """Compile a tree to a fast (t, alpha) -> float callable.
+
+    Raises ExprDepthError when the tree nests deeper than Python's parser
+    accepts (about 200 levels, e.g. a 200-term flat sum)."""
+    try:
+        code = compile(f"lambda t, alpha: {_pysource(e)}", "<expr>", "eval")
+    except SyntaxError as exc:
+        raise ExprDepthError(f"expression too deep to compile: {exc.msg}") from None
+    fn = eval(code, _EVAL_GLOBALS)
 
     def evaluator(t: float, alpha: float = 1.0) -> float:
         try:
@@ -689,6 +723,7 @@ def _pow(base: Expr, ex: Expr) -> Expr:
     return Pow(base, ex)
 
 
+@_depth_guarded
 def normalize_t_powers(e: Expr) -> Expr:
     """Collect powers of t across products into a single power factor.
 
@@ -699,22 +734,26 @@ def normalize_t_powers(e: Expr) -> Expr:
     at t = 0 whenever the net exponent is non-negative.  The result is
     remembered on each node, so shared subtrees are normalized once.
     """
+    return _normalize(e)
+
+
+def _normalize(e: Expr) -> Expr:
     if isinstance(e, (Num, Sym)):
         return e
     out = e._norm
     if out is not None:
         return out
     if isinstance(e, Neg):
-        out = _neg(normalize_t_powers(e.operand))
+        out = _neg(_normalize(e.operand))
     elif isinstance(e, Add):
-        out = _add(normalize_t_powers(e.left), normalize_t_powers(e.right))
+        out = _add(_normalize(e.left), _normalize(e.right))
     elif isinstance(e, Sub):
-        out = _sub(normalize_t_powers(e.left), normalize_t_powers(e.right))
+        out = _sub(_normalize(e.left), _normalize(e.right))
     elif isinstance(e, Call):
-        out = Call(e.func, normalize_t_powers(e.arg))
+        out = Call(e.func, _normalize(e.arg))
     elif isinstance(e, Pow):
-        base = normalize_t_powers(e.base)
-        exponent = normalize_t_powers(e.exponent)
+        base = _normalize(e.base)
+        exponent = _normalize(e.exponent)
         if (isinstance(base, Pow) and base.base is T
                 and not base.exponent.contains_t and not exponent.contains_t):
             out = _pow(T, _mul(base.exponent, exponent))
@@ -738,7 +777,7 @@ def normalize_t_powers(e: Expr) -> Expr:
                 stack.append((node.operand, inverted))
             else:
                 (denominator if inverted else numerator).append(
-                    normalize_t_powers(node))
+                    _normalize(node))
         t_exponent = None
         plain_num: list[Expr] = []
         plain_den: list[Expr] = []
@@ -772,6 +811,7 @@ def normalize_t_powers(e: Expr) -> Expr:
     return out
 
 
+@_depth_guarded
 def substitute_alpha(e: Expr, a: float) -> Expr:
     """Replace the alpha symbol by a literal, folding constant subtrees.
 
@@ -812,6 +852,7 @@ def substitute_alpha(e: Expr, a: float) -> Expr:
     return sub(e)
 
 
+@_depth_guarded
 def diff_classical(e: Expr) -> Expr:
     """Exact symbolic d/dt.  The symbol ``alpha`` is treated as a constant.
 
@@ -820,6 +861,10 @@ def diff_classical(e: Expr) -> Expr:
     result is remembered on each node, so shared subtrees are differentiated
     once.
     """
+    return _d_dt(e)
+
+
+def _d_dt(e: Expr) -> Expr:
     d = e._diff
     if d is not None:
         return d
@@ -828,40 +873,40 @@ def diff_classical(e: Expr) -> Expr:
     elif isinstance(e, Sym):
         d = _ONE if e.name == "t" else _ZERO
     elif isinstance(e, Neg):
-        d = _neg(diff_classical(e.operand))
+        d = _neg(_d_dt(e.operand))
     elif isinstance(e, Add):
-        d = _add(diff_classical(e.left), diff_classical(e.right))
+        d = _add(_d_dt(e.left), _d_dt(e.right))
     elif isinstance(e, Sub):
-        d = _sub(diff_classical(e.left), diff_classical(e.right))
+        d = _sub(_d_dt(e.left), _d_dt(e.right))
     elif isinstance(e, Mul):
         if not e.left.contains_t:
-            d = _mul(e.left, diff_classical(e.right))
+            d = _mul(e.left, _d_dt(e.right))
         elif not e.right.contains_t:
-            d = _mul(diff_classical(e.left), e.right)
+            d = _mul(_d_dt(e.left), e.right)
         else:
-            d = _add(_mul(diff_classical(e.left), e.right),
-                     _mul(e.left, diff_classical(e.right)))
+            d = _add(_mul(_d_dt(e.left), e.right),
+                     _mul(e.left, _d_dt(e.right)))
     elif isinstance(e, Div):
         if not e.right.contains_t:
-            d = _div(diff_classical(e.left), e.right)
+            d = _div(_d_dt(e.left), e.right)
         else:
-            num = _sub(_mul(diff_classical(e.left), e.right),
-                       _mul(e.left, diff_classical(e.right)))
+            num = _sub(_mul(_d_dt(e.left), e.right),
+                       _mul(e.left, _d_dt(e.right)))
             d = _div(num, _pow(e.right, Num(2.0)))
     elif isinstance(e, Pow):
         base, ex = e.base, e.exponent
         if not ex.contains_t:
             # d/dt b^c = c b^(c-1) b'
-            d = _mul(_mul(ex, _pow(base, _sub(ex, _ONE))), diff_classical(base))
+            d = _mul(_mul(ex, _pow(base, _sub(ex, _ONE))), _d_dt(base))
         elif not base.contains_t:
             # d/dt c^u = c^u ln(c) u'
-            d = _mul(_mul(e, Call("ln", base)), diff_classical(ex))
+            d = _mul(_mul(e, Call("ln", base)), _d_dt(ex))
         else:
-            d = _mul(e, _add(_mul(diff_classical(ex), Call("ln", base)),
-                             _div(_mul(ex, diff_classical(base)), base)))
+            d = _mul(e, _add(_mul(_d_dt(ex), Call("ln", base)),
+                             _div(_mul(ex, _d_dt(base)), base)))
     elif isinstance(e, Call) and e.func in FUNCTIONS:
         u = e.arg
-        du = diff_classical(u)
+        du = _d_dt(u)
         if e.func == "sin":
             d = _mul(Call("cos", u), du)
         elif e.func == "cos":

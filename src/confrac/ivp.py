@@ -2,14 +2,13 @@
 
 The operator is L y = D^n y + sum_i p_i D^{n-i} y with continuous
 coefficients.  Under the substitution u = t^alpha/alpha the conformable
-derivative becomes d/du exactly, so the two-parameter kernel (the solution
-of L y = 0 whose derivatives vanish at the source point except the top one)
-reduces to a classical linear system integrated with a fixed-step RK4
-scheme; the coefficient-free case has the closed-form kernel
-((t^a - s^a)/a)^(n-1)/(n-1)!.  Forced problems with zero initial data are
-solved by integrating the kernel against the forcing under the t^(alpha-1)
-weight; general initial data adds the homogeneous combination of the
-canonical fundamental solutions.
+derivative becomes d/du exactly, so L y = f is the classical linear system
+z' = A(u) z + f(t(u)) e_n in the state z = (y, D y, ..., D^{n-1} y), which
+one fixed-step RK4 pass in u integrates from the initial data.  The
+coefficient-free case has the closed-form kernel
+((t^a - s^a)/a)^(n-1)/(n-1)!: its homogeneous part is the exact fractional
+Taylor sum and its forced part the variation-of-constants integral
+(solve_voc), which also serves as an independent check of the direct solve.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .calculus import (Alpha, ConformableFn, QuadratureConfig, frac_integral)
-from .errors import SolverError
+from .errors import EvalDomainError, SolverError
 from .taylor import cauchy_kernel
 
 __all__ = ["LinearOperator", "IvpSpec", "cauchy_function", "solve_voc", "solve_full"]
@@ -70,8 +69,16 @@ def _step_count(us: float, ut: float, steps: Optional[int]) -> int:
 
 
 def _rk4_solve(op: LinearOperator, s: float, t: float, state: list[float],
-               steps: Optional[int]) -> list[float]:
-    """Integrate L y = 0 in the u variable from u(s) to u(t); returns the state."""
+               steps: Optional[int],
+               forcing: Optional[ConformableFn] = None) -> list[float]:
+    """Integrate L y = forcing (L y = 0 if None) in the u variable from u(s)
+    to u(t), starting from ``state`` = (y, D y, ..., D^(n-1) y) at s; returns
+    the state at t.
+
+    An RK4 step samples only u and u + h/2 (k2 and k3 share it, and k4's
+    u + h is the next step's k1), so the coefficients and the forcing are
+    evaluated once per distinct node: 2m + 1 times over m steps.
+    """
     a = op.alpha.value
     n = op.order
     us = math.pow(s, a) / a
@@ -79,27 +86,38 @@ def _rk4_solve(op: LinearOperator, s: float, t: float, state: list[float],
     m = _step_count(us, ut, steps)
     h = (ut - us) / m
     inv = 1.0 / a
+    coefficients = [p.value for p in op.coefficients]
+    f = forcing.value if forcing is not None else None
 
-    def rhs(u: float, z: list[float]) -> list[float]:
-        dz = list(z[1:])
-        top = 0.0
-        if op.coefficients:
-            tv = math.pow(a * u, inv) if a != 1.0 else u
-            for i, p in enumerate(op.coefficients, start=1):
-                top -= p.value(tv, a) * z[n - i]
+    def node(u: float) -> tuple[float, list[float]]:
+        """Forcing and coefficient values at t(u)."""
+        # stepping back to t = 0 can overshoot u = 0 by a rounding error
+        u = max(u, 0.0)
+        tv = math.pow(a * u, inv) if a != 1.0 else u
+        return (0.0 if f is None else f(tv, a)), [p(tv, a) for p in coefficients]
+
+    def rhs(at: tuple[float, list[float]], z: list[float]) -> list[float]:
+        top, ps = at
+        for i, p in enumerate(ps, start=1):
+            top -= p * z[n - i]
+        dz = z[1:]
         dz.append(top)
         return dz
 
     z = list(state)
     u = us
+    at_u = node(u)
     for _ in range(m):
-        k1 = rhs(u, z)
-        k2 = rhs(u + 0.5 * h, [z[j] + 0.5 * h * k1[j] for j in range(n)])
-        k3 = rhs(u + 0.5 * h, [z[j] + 0.5 * h * k2[j] for j in range(n)])
-        k4 = rhs(u + h, [z[j] + h * k3[j] for j in range(n)])
+        at_mid = node(u + 0.5 * h)
+        at_end = node(u + h)
+        k1 = rhs(at_u, z)
+        k2 = rhs(at_mid, [z[j] + 0.5 * h * k1[j] for j in range(n)])
+        k3 = rhs(at_mid, [z[j] + 0.5 * h * k2[j] for j in range(n)])
+        k4 = rhs(at_end, [z[j] + h * k3[j] for j in range(n)])
         z = [z[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
              for j in range(n)]
         u += h
+        at_u = at_end
         if not all(math.isfinite(v) for v in z):
             raise SolverError(f"non-finite state at u={u!r} while stepping")
     return z
@@ -151,36 +169,38 @@ def solve_voc(spec: IvpSpec, t: float, steps: Optional[int] = None,
 
 def solve_full(spec: IvpSpec, t: float, steps: Optional[int] = None,
                cfg: Optional[QuadratureConfig] = None) -> float:
-    """Homogeneous solution matching the initial data plus the forced part.
+    """Solution of L y = f with the given initial data, at t.
 
-    Coefficient-free operators take the exact fractional Taylor sum as the
-    homogeneous part; general operators combine the canonical fundamental
-    solutions (unit initial data in each slot), so no fundamental-system
-    solve is needed.
+    Operators with coefficients are integrated directly: one RK4 pass in u
+    from the full initial data, with the forcing evaluated beside the
+    coefficients at every step node, end points included.  A forcing that
+    cannot be evaluated at a node (typically an integrable singularity at
+    the base point, such as ln(t) from 0) falls back to the homogeneous pass
+    plus the variation-of-constants integral (solve_voc), whose quadrature
+    never samples the end points.  Coefficient-free operators take the exact
+    fractional Taylor sum as the homogeneous part and add solve_voc for the
+    forcing.  ``cfg`` configures solve_voc's quadrature.
     """
     op = spec.operator
     a = op.alpha.value
     s = spec.base_point
-    n = op.order
-
-    if not op.coefficients:
+    init = list(spec.initial_values)
+    if op.coefficients:
+        try:
+            return _rk4_solve(op, s, t, init, steps, spec.forcing)[0]
+        except EvalDomainError:
+            if spec.forcing is None:
+                raise
+        hom = _rk4_solve(op, s, t, init, steps)[0]
+    else:
         z = (math.pow(t, a) - math.pow(s, a)) / a
         hom = 0.0
         zk = 1.0
-        for k, v in enumerate(spec.initial_values):
+        for k, v in enumerate(init):
             if k > 0:
                 zk *= z / k
             hom += v * zk
-    else:
-        hom = 0.0
-        for k, v in enumerate(spec.initial_values):
-            if v == 0.0:
-                continue
-            state = [0.0] * n
-            state[k] = 1.0
-            hom += v * _rk4_solve(op, s, t, state, steps)[0]
-
     if spec.forcing is None:
         return hom
-    zero_spec = IvpSpec(op, spec.forcing, s, (0.0,) * n)
+    zero_spec = IvpSpec(op, spec.forcing, s, (0.0,) * op.order)
     return hom + solve_voc(zero_spec, t, steps, cfg)

@@ -7,8 +7,9 @@ import pytest
 from confrac import functions as fam
 from confrac.calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
                               frac_deriv, frac_deriv_fn, frac_deriv_n, frac_integral)
-from confrac.errors import (InstabilityWarning, LimitError, QuadratureError,
-                            SmoothnessError)
+from confrac import calculus, expr as ex
+from confrac.errors import (ExprDepthError, InstabilityWarning, LimitError,
+                            QuadratureError, SmoothnessError)
 
 from conftest import ALPHAS, frac_quad_oracle, random_safe_tree, random_window
 
@@ -150,6 +151,16 @@ class TestFracDerivN:
         assert [c is not None for c in f._frac_compiled] == [True, False, True, False, False]
         d3.value(0.7, 0.5)
         assert f._frac_compiled[3] is not None and f._frac_compiled[4] is None
+
+    def test_too_deep_chain_raises_depth_error(self):
+        # t*t+...+t*t (3000 terms) parses but is too deep to differentiate,
+        # and too deep for the distribution of t^(1-alpha) over its terms
+        chain = ex.parse("+".join(["t*t"] * 3000))
+        f = ConformableFn(lambda t, alpha=1.0: 3000.0 * t * t, expr=chain)
+        with pytest.raises(ExprDepthError):
+            f.frac_expr(1)
+        with pytest.raises(ExprDepthError):
+            calculus._distribute(calculus._T_POW_1MA, chain)
 
 
 class TestFracIntegral:

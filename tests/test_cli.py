@@ -112,6 +112,44 @@ class TestSolve:
         assert code == EXIT_USAGE
 
 
+class TestInternalFaults:
+    @pytest.mark.parametrize("terms", [300, 3000])
+    @pytest.mark.parametrize("command", [
+        ["deriv", "--alpha", "0.5", "--at", "1", "--expr"],
+        ["solve", "--order", "1", "--alpha", "0.5", "--from", "0", "--to", "1",
+         "--init", "1", "--coeffs"],
+    ])
+    def test_long_flat_chain_is_a_numeric_failure(self, command, terms):
+        # t+t+...+t nests no deeper than one level but builds a tree as deep
+        # as the chain: too deep for Python's compiler (300 terms) or the
+        # recursive passes (3000 terms)
+        code, out, err = invoke(command + ["+".join(["t"] * terms)])
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "too deep" in err and "Traceback" not in err
+
+    def test_unexpected_exception_exits_4(self, monkeypatch):
+        from confrac import cli
+
+        def broken(args, out):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "deriv", broken)
+        code, _, err = invoke(["deriv", "--expr", "t", "--alpha", "0.5", "--at", "4"])
+        assert code == EXIT_NUMERIC
+        assert err.strip() == "confrac: internal error: RuntimeError: boom"
+
+    def test_interrupt_passes_through(self, monkeypatch):
+        from confrac import cli
+
+        def interrupted(args, out):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "deriv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            invoke(["deriv", "--expr", "t", "--alpha", "0.5", "--at", "4"])
+
+
 class TestEll:
     def test_paper_value(self):
         code, out, _ = invoke(["ell", "--g", "0.5", "--alpha", "0.5",

@@ -10,7 +10,7 @@ import pytest
 
 from confrac import expr as ex
 from confrac.calculus import ConformableFn
-from confrac.errors import EvalDomainError, ExprSyntaxError
+from confrac.errors import EvalDomainError, ExprDepthError, ExprSyntaxError
 
 from conftest import central_fd, random_safe_tree, random_tree
 
@@ -95,6 +95,31 @@ class TestParse:
         ex.parse(ok)
         with pytest.raises(ExprSyntaxError, match="nesting"):
             ex.parse("(" + ok + ")")
+
+
+class TestDeepTrees:
+    # a flat chain parses within the nesting limit but is as deep as it is long
+    @staticmethod
+    def chain(terms):
+        return ex.parse("+".join(["t"] * terms))
+
+    @pytest.mark.parametrize("terms", [300, 3000])
+    def test_compile_raises_depth_error(self, terms):
+        with pytest.raises(ExprDepthError):
+            ex.compile_expr(self.chain(terms))
+
+    @pytest.mark.parametrize("walk", [
+        ex.to_text, ex.diff_classical, ex.normalize_t_powers,
+        lambda e: ex.substitute_alpha(e, 0.5), lambda e: ex.evaluate_at(e, 1.0),
+    ])
+    def test_recursive_passes_raise_depth_error(self, walk):
+        with pytest.raises(ExprDepthError):
+            walk(self.chain(3000))
+
+    def test_chain_within_limits_still_works(self):
+        e = self.chain(150)
+        assert ex.compile_expr(e)(2.0, 1.0) == 300.0
+        assert ex.parse(ex.to_text(e)) is e
 
 
 class TestInterning:

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from scipy.integrate import quad, solve_ivp
 
 from confrac import functions as fam
+from confrac import ivp
 from confrac.calculus import Alpha, ConformableFn
 from confrac.ivp import IvpSpec, LinearOperator, cauchy_function, solve_full, solve_voc
 from confrac.taylor import taylor_poly
@@ -80,6 +82,17 @@ class TestCauchyFunction:
         for t in (0.5, 1.0, 2.0):
             want = math.exp(-c * t ** alpha / alpha)
             assert cauchy_function(op, 0.0, t) == pytest.approx(want, abs=1e-7)
+
+    def test_window_ending_at_zero(self):
+        # stepping back to t = 0 lands within rounding of u = 0, possibly
+        # below it, where t(u) = (alpha u)^(1/alpha) is not real
+        c, alpha = 0.5, 0.7
+        op = LinearOperator(order=1, alpha=Alpha(alpha),
+                            coefficients=(fam.constant(c),))
+        for s in (0.4, 0.5, 2.0):
+            want = math.exp(c * s ** alpha / alpha)
+            spec = IvpSpec(op, None, s, (1.0,))
+            assert solve_full(spec, 0.0) == pytest.approx(want, rel=1e-9)
 
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError):
@@ -167,3 +180,126 @@ class TestSolveFull:
                         + op.coefficients[1].value(t, alpha) * y0
                         - forcing.value(t, alpha))
             assert abs(residual) < 1e-4
+
+
+def op_02(alpha):
+    return LinearOperator(
+        order=2, alpha=Alpha(alpha),
+        coefficients=(ConformableFn.from_expr("0.4"),
+                      ConformableFn.from_expr("0.2*t")))
+
+
+def counting(text):
+    """ConformableFn of an expression that records every evaluation point."""
+    inner = ConformableFn.from_expr(text)
+    points = []
+
+    def evaluator(t, alpha=1.0):
+        points.append(t)
+        return inner.value(t, alpha)
+
+    return ConformableFn(evaluator), points
+
+
+def reference_rk4(op, forcing, s, t, init, m):
+    """Classical RK4 in u = t^alpha/alpha, every stage evaluating its own
+    coefficients and forcing: the unshared loop, kept as the reference."""
+    a, n = op.alpha.value, op.order
+    us, ut = math.pow(s, a) / a, math.pow(t, a) / a
+    h = (ut - us) / m
+
+    def rhs(u, z):
+        tv = math.pow(a * u, 1.0 / a) if a != 1.0 else u
+        top = forcing.value(tv, a) if forcing is not None else 0.0
+        for i, p in enumerate(op.coefficients, start=1):
+            top -= p.value(tv, a) * z[n - i]
+        return z[1:] + [top]
+
+    z, u = list(init), us
+    for _ in range(m):
+        k1 = rhs(u, z)
+        k2 = rhs(u + 0.5 * h, [z[j] + 0.5 * h * k1[j] for j in range(n)])
+        k3 = rhs(u + 0.5 * h, [z[j] + 0.5 * h * k2[j] for j in range(n)])
+        k4 = rhs(u + h, [z[j] + h * k3[j] for j in range(n)])
+        z = [z[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+             for j in range(n)]
+        u += h
+    return z[0]
+
+
+class TestOnePassSolve:
+    @pytest.mark.parametrize("s, t", [(1.0, 1.6), (1.6, 1.0)])
+    def test_matches_variation_of_constants(self, s, t):
+        spec = IvpSpec(op_02(0.5), ConformableFn.from_expr("exp(-t)"), s, (0.0, 0.0))
+        assert solve_full(spec, t) == pytest.approx(solve_voc(spec, t), abs=1e-12)
+
+    def test_matches_scipy_on_forced_problem_from_zero(self):
+        # order 2, p = (1, t), forcing sin(t), alpha 0.7, from 0 to 2: in u
+        # the problem is y'' + y' + t(u) y = sin(t(u))
+        alpha, init = 0.7, (0.3, -0.5)
+        op = LinearOperator(order=2, alpha=Alpha(alpha),
+                            coefficients=(ConformableFn.from_expr("1"),
+                                          ConformableFn.from_expr("t")))
+        spec = IvpSpec(op, ConformableFn.from_expr("sin(t)"), 0.0, init)
+
+        def rhs_u(u, z):
+            tt = (alpha * max(u, 0.0)) ** (1.0 / alpha)
+            return [z[1], math.sin(tt) - z[1] - tt * z[0]]
+
+        sol = solve_ivp(rhs_u, (0.0, 2.0 ** alpha / alpha), list(init),
+                        method="DOP853", rtol=1e-12, atol=1e-13)
+        assert sol.success
+        assert solve_full(spec, 2.0) == pytest.approx(sol.y[0, -1], abs=1e-8)
+
+    @pytest.mark.parametrize("forcing", [None, "exp(-t)"])
+    def test_bit_identical_to_unshared_loop(self, forcing):
+        op = op_02(0.5)
+        f = ConformableFn.from_expr(forcing) if forcing else None
+        for s, t, init in ((1.0, 2.5, (0.5, -0.2)), (0.0, 1.5, (1.0, 0.0)),
+                           (2.0, 0.7, (0.0, 1.0))):
+            got = solve_full(IvpSpec(op, f, s, init), t, steps=50)
+            assert got == reference_rk4(op, f, s, t, init, 50)
+
+    def test_one_rk4_pass_and_one_evaluation_per_node(self, monkeypatch):
+        p1, p1_points = counting("0.4")
+        p2, p2_points = counting("0.2*t")
+        f, f_points = counting("exp(-t)")
+        op = LinearOperator(order=2, alpha=Alpha(0.5), coefficients=(p1, p2))
+        passes = []
+        rk4 = ivp._rk4_solve
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return rk4(*args, **kwargs)
+
+        monkeypatch.setattr(ivp, "_rk4_solve", counted)
+        m = 40
+        solve_full(IvpSpec(op, f, 1.0, (0.5, -0.2)), 2.5, steps=m)
+        assert len(passes) == 1
+        assert len(p1_points) == len(p2_points) == len(f_points) == 2 * m + 1
+        # nodes are the step ends and midpoints: no point is evaluated twice
+        assert len(set(f_points)) == 2 * m + 1
+
+    @pytest.mark.parametrize("forcing", [None, "exp(-t)"])
+    def test_linear_in_the_initial_data(self, forcing):
+        op = op_02(0.5)
+        f = ConformableFn.from_expr(forcing) if forcing else None
+        s, t, (v1, v2) = 1.0, 2.5, (0.7, -1.3)
+
+        def y(init, rhs):
+            return solve_full(IvpSpec(op, rhs, s, init), t)
+
+        want = y((0.0, 0.0), f) + v1 * y((1.0, 0.0), None) + v2 * y((0.0, 1.0), None)
+        assert y((v1, v2), f) == pytest.approx(want, abs=1e-13)
+
+    def test_forcing_singular_at_base_point(self):
+        # ln(t) cannot be evaluated at t = 0, the first RK4 node, so the
+        # solve falls back to variation of constants; D y + c y = ln t at
+        # alpha = 1 has y = y0 e^(-c t) + int_0^t e^(-c (t - x)) ln x dx
+        c, y0, t = 0.8, 0.5, 0.5
+        op = LinearOperator(order=1, alpha=Alpha(1.0), coefficients=(fam.constant(c),))
+        spec = IvpSpec(op, ConformableFn.from_expr("ln(t)"), 0.0, (y0,))
+        tail, _ = quad(lambda x: math.exp(-c * (t - x)) * math.log(x), 0.0, t,
+                       epsabs=1e-13, epsrel=1e-13)
+        want = y0 * math.exp(-c * t) + tail
+        assert solve_full(spec, t, steps=32) == pytest.approx(want, abs=1e-8)
