@@ -248,7 +248,10 @@ def _distribute(factor: ex.Expr, e: ex.Expr) -> ex.Expr:
         done[e] = out
         return out
 
-    return push(e)
+    try:
+        return push(e)
+    finally:
+        del push  # a recursive closure is a cycle; unlink it to free the memo now
 
 
 def _conformable_step(tree: ex.Expr) -> ex.Expr:
@@ -393,6 +396,51 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
             return _limit_at_zero(lambda s: fn(s, a))
         return f._frac_eval(n)(t, a)
     return _frac_deriv_n_numeric(f, a, n, t)
+
+
+def _float_factorials(n: int) -> list[float]:
+    """k! for k = 0..n as a running float product (inf from k = 171 on)."""
+    out = [1.0]
+    for k in range(1, n + 1):
+        out.append(out[-1] * k)
+    return out
+
+
+def _jet_coefficients(f: ConformableFn, a: float, n: int, t: float) -> list[float]:
+    """D^k f(t) / k! for k = 0..n, symbolic f at t > 0, in one series pass.
+
+    With u = t^a/a the conformable derivative is d/du, so these are the
+    Taylor coefficients of f(t(u)) at u0 = t^a/a: t^c enters as the
+    binomial series t^c (1 + h/u0)^(c/a) in h = u - u0, and the expression
+    layer carries it through f's tree.  Coefficient 0 is f.value(t, a)
+    exactly.  A non-finite coefficient raises EvalDomainError; a point where
+    the series does not exist falls back to the symbolic derivatives.
+    """
+    value = f.value(t, a)
+    if n == 0:
+        return [value]
+    u0 = math.pow(t, a) / a
+
+    def t_power(c: float) -> list:
+        r = c / a
+        term = math.pow(t, c)
+        out = [term]
+        for k in range(1, n + 1):
+            term *= (r - k + 1) / (k * u0)
+            out.append(term)
+        return out
+
+    try:
+        coeffs = ex.taylor_series(f.expr, n, a, t_power)
+    except ex.NoTaylorSeries:
+        coeffs = [frac_deriv_n(f, a, k, t) / fact
+                  for k, fact in enumerate(_float_factorials(n))]
+    except OverflowError as exc:
+        raise EvalDomainError(f"overflow in the derivatives at t={t!r}: {exc}") from None
+    coeffs[0] = value
+    if not all(map(math.isfinite, coeffs)):
+        raise EvalDomainError(f"derivatives at t={t!r} are not finite")
+    return coeffs
 
 
 def _frac_deriv_n_numeric(f: ConformableFn, a: float, n: int, t: float) -> float:

@@ -11,9 +11,7 @@ compile, or any other internal fault.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import sys
 from typing import Optional
@@ -106,7 +104,11 @@ def _report_csv_row(r: InequalityReport) -> list[str]:
             _fmt(r.slack_high), str(r.holds).lower(), _hypotheses_cell(r)]
 
 
+# csv and json are imported where they are used: most commands print
+# neither, and importing both is a noticeable share of start-up time
+
 def _csv_text(rows: list[list[str]]) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -137,6 +139,7 @@ def _report_text(r: InequalityReport) -> str:
 def emit_report(r: InequalityReport, format: str = "text") -> str:
     """Render a report as text, JSON (byte-stable) or CSV (header + row)."""
     if format == "json":
+        import json
         return json.dumps(_report_json_obj(r), sort_keys=True)
     if format == "csv":
         return _csv_text([_report_csv_row(r)])
@@ -282,69 +285,60 @@ def _nonneg_n(args) -> int:
     return args.n
 
 
+def _ostrowski(args, alpha: float, window: Interval,
+               cfg: Optional[QuadratureConfig]) -> InequalityReport:
+    M = None
+    if args.M is not None:
+        vals = _parse_bound(args.M, "--M")
+        if len(vals) != 1:
+            raise _UsageError("ostrowski takes a single --M value")
+        M = vals[0]
+    return ostrowski(_fn(args.f, "--f"), alpha, window, _point(args, window), cfg, M=M)
+
+
+def _gruss(args, alpha: float, window: Interval,
+           cfg: Optional[QuadratureConfig]) -> InequalityReport:
+    b1, b2 = _pair_bounds(args)
+    return gruss(_fn(args.f, "--f"), _fn(args.g, "--g"), alpha, window, b1, b2, cfg)
+
+
+# inequality id -> (flags checked before anything is built, builder); the
+# builders check the flags their helpers read (--n, --m, --M, --t) themselves
+_CHECKS = {
+    "steffensen": (("f", "g"), lambda args, alpha, window, cfg: steffensen(
+        _fn(args.f, "--f"), _fn(args.g, "--g"), alpha, window, cfg)),
+    "sandwich": (("g",), lambda args, alpha, window, cfg: check_sandwich_lemma(
+        _fn(args.g, "--g"), alpha, window, cfg)),
+    "rem-steffensen": (("f",), lambda args, alpha, window, cfg: remainder_steffensen(
+        _fn(args.f, "--f"), alpha, _nonneg_n(args), window, cfg)),
+    "hh1": (("f",), lambda args, alpha, window, cfg: hermite_hadamard_1(
+        _fn(args.f, "--f"), alpha, window, cfg)),
+    "mm-bounds": (("f",), lambda args, alpha, window, cfg: remainder_mm_bounds(
+        _fn(args.f, "--f"), alpha, _nonneg_n(args), _single_bounds(args), window, cfg)),
+    "cebysev": (("f", "g"), lambda args, alpha, window, cfg: cebysev(
+        _fn(args.f, "--f"), _fn(args.g, "--g"), alpha, window, cfg)),
+    "rem-cebysev": (("f",), lambda args, alpha, window, cfg: remainder_cebysev(
+        _fn(args.f, "--f"), alpha, _nonneg_n(args), window, cfg)),
+    "hh2": (("f",), lambda args, alpha, window, cfg: hermite_hadamard_2(
+        _fn(args.f, "--f"), alpha, window, cfg)),
+    "montgomery": (("f",), lambda args, alpha, window, cfg: montgomery_check(
+        _fn(args.f, "--f"), alpha, window, _point(args, window), cfg)),
+    "ostrowski": (("f",), _ostrowski),
+    "jensen": (("w", "g", "F"), lambda args, alpha, window, cfg: jensen(
+        _fn(args.w, "--w"), _fn(args.g, "--g"), _fn(args.F, "--F"), alpha, window, cfg)),
+    "gruss": (("f", "g"), _gruss),
+    "gruss-montgomery": (("f",), lambda args, alpha, window, cfg: gruss_montgomery(
+        _fn(args.f, "--f"), alpha, window, _point(args, window), _single_bounds(args), cfg)),
+    "hh3": (("f",), lambda args, alpha, window, cfg: hermite_hadamard_3(
+        _fn(args.f, "--f"), alpha, window, _single_bounds(args), cfg)),
+}
+
+
 def _run_check(args, alpha: float, window: Interval,
                cfg: Optional[QuadratureConfig]) -> InequalityReport:
-    ineq = args.ineq
-    if ineq == "steffensen":
-        _require(args, "f", "g")
-        return steffensen(_fn(args.f, "--f"), _fn(args.g, "--g"), alpha, window, cfg)
-    if ineq == "sandwich":
-        _require(args, "g")
-        return check_sandwich_lemma(_fn(args.g, "--g"), alpha, window, cfg)
-    if ineq == "rem-steffensen":
-        _require(args, "f")
-        return remainder_steffensen(_fn(args.f, "--f"), alpha, _nonneg_n(args), window, cfg)
-    if ineq == "hh1":
-        _require(args, "f")
-        return hermite_hadamard_1(_fn(args.f, "--f"), alpha, window, cfg)
-    if ineq == "mm-bounds":
-        _require(args, "f")
-        return remainder_mm_bounds(_fn(args.f, "--f"), alpha, _nonneg_n(args),
-                                   _single_bounds(args), window, cfg)
-    if ineq == "cebysev":
-        _require(args, "f", "g")
-        return cebysev(_fn(args.f, "--f"), _fn(args.g, "--g"), alpha, window, cfg)
-    if ineq == "rem-cebysev":
-        _require(args, "f")
-        return remainder_cebysev(_fn(args.f, "--f"), alpha, _nonneg_n(args), window, cfg)
-    if ineq == "hh2":
-        _require(args, "f")
-        return hermite_hadamard_2(_fn(args.f, "--f"), alpha, window, cfg)
-    if ineq == "montgomery":
-        _require(args, "f")
-        return montgomery_check(_fn(args.f, "--f"), alpha, window, _point(args, window), cfg)
-    if ineq == "ostrowski":
-        _require(args, "f")
-        M = None
-        if args.M is not None:
-            vals = _parse_bound(args.M, "--M")
-            if len(vals) != 1:
-                raise _UsageError("ostrowski takes a single --M value")
-            M = vals[0]
-        return ostrowski(_fn(args.f, "--f"), alpha, window, _point(args, window),
-                         cfg, M=M)
-    if ineq == "jensen":
-        _require(args, "w", "g", "F")
-        return jensen(_fn(args.w, "--w"), _fn(args.g, "--g"), _fn(args.F, "--F"),
-                      alpha, window, cfg)
-    if ineq == "gruss":
-        _require(args, "f", "g")
-        b1, b2 = _pair_bounds(args)
-        return gruss(_fn(args.f, "--f"), _fn(args.g, "--g"), alpha, window, b1, b2, cfg)
-    if ineq == "gruss-montgomery":
-        _require(args, "f")
-        return gruss_montgomery(_fn(args.f, "--f"), alpha, window,
-                                _point(args, window), _single_bounds(args), cfg)
-    if ineq == "hh3":
-        _require(args, "f")
-        return hermite_hadamard_3(_fn(args.f, "--f"), alpha, window,
-                                  _single_bounds(args), cfg)
-    raise _UsageError(f"unknown inequality {ineq!r}")
-
-
-_CHECKS = ("steffensen", "sandwich", "rem-steffensen", "hh1", "mm-bounds",
-           "cebysev", "rem-cebysev", "hh2", "montgomery", "ostrowski",
-           "jensen", "gruss", "gruss-montgomery", "hh3")
+    flags, build = _CHECKS[args.ineq]
+    _require(args, *flags)
+    return build(args, alpha, window, cfg)
 
 
 def _report_exit(r: InequalityReport) -> int:
@@ -481,6 +475,7 @@ def _cmd_sweep(args, out) -> int:
         except HypothesisError as exc:
             reports.append(_failed_report(args, a, window, str(exc)))
     if args.json:
+        import json
         print(json.dumps([_report_json_obj(r) for r in reports], sort_keys=True),
               file=out)
     elif args.csv:
@@ -532,13 +527,24 @@ def _fuse_values(argv):
     return fused
 
 
+_PARSER: Optional[_ArgumentParser] = None
+
+
+def _parser() -> _ArgumentParser:
+    """The command-line parser, built on first use and reused: parsing
+    leaves it unchanged, and building it costs more than most commands."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def run(argv, stdout=None, stderr=None) -> int:
     """Dispatch a command line; returns the exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_fuse_values(list(argv)))
+        args = _parser().parse_args(_fuse_values(list(argv)))
         return _COMMANDS[args.command](args, out)
     except _UsageError as exc:
         print(f"confrac: usage error: {exc}", file=err)

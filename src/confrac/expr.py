@@ -4,7 +4,9 @@ A small closed DSL used to describe test functions exactly.  An expression
 is a function of the variable ``t`` that may also reference the reserved
 symbol ``alpha``, which is bound at evaluation time so one expression can
 serve a whole sweep of fractional orders.  The module supports parsing,
-canonical printing, IEEE-double evaluation and exact symbolic d/dt.
+canonical printing, IEEE-double evaluation, exact symbolic d/dt and
+truncated Taylor series ("jets") of an expression in which t is itself a
+power series.
 
 Grammar (whitespace-insensitive)::
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import threading
 import weakref
@@ -54,7 +57,7 @@ __all__ = [
     "T", "ALPHA", "FUNCTIONS", "EvalEnv",
     "parse", "to_text", "evaluate", "evaluate_at", "diff_classical",
     "compile_expr", "contains_t", "normalize_t_powers", "substitute_alpha",
-    "MAX_NESTING",
+    "taylor_series", "NoTaylorSeries", "MAX_NESTING",
 ]
 
 
@@ -496,11 +499,267 @@ def evaluate(e: Expr, env: EvalEnv) -> float:
         memo[e] = v
         return v
 
-    return walk(e)
+    try:
+        return walk(e)
+    finally:
+        del walk  # a recursive closure is a cycle; unlink it to free the memo now
 
 
 def evaluate_at(e: Expr, t: float, alpha: float = 1.0) -> float:
     return evaluate(e, EvalEnv(t, alpha))
+
+
+# ---------------------------------------------------------------------------
+# truncated Taylor series ("jets")
+#
+# A jet is the list of the Taylor coefficients 0..n of a function of one
+# variable h at h = 0.  t-free subtrees stay plain floats, so a constant
+# costs O(1) and scaling a jet O(n); a product of two jets costs O(n^2).
+# The recurrences are those of Griewank & Walther, "Evaluating Derivatives",
+# 2nd ed., ch. 13.
+
+class NoTaylorSeries(ArithmeticError):
+    """The function has no Taylor series at the point although it may have
+    values and some derivatives there: a zero base raised to a non-integer
+    power.  Callers fall back to the symbolic derivatives."""
+
+
+def _jet_of(x, size: int) -> list:
+    return x if type(x) is list else [x] + [0.0] * (size - 1)
+
+
+# The convolutions below pair a forward list with one kept newest-first and
+# let map() stop at the shorter, so no slice is built per coefficient.
+
+def _jet_add(a, b):
+    if type(a) is not list:
+        return [a + b[0]] + b[1:]
+    if type(b) is not list:
+        return [a[0] + b] + a[1:]
+    return list(map(operator.add, a, b))
+
+
+def _jet_sub(a, b):
+    if type(b) is not list:
+        return [a[0] - b] + a[1:]
+    if type(a) is not list:
+        return [a - b[0]] + [-x for x in b[1:]]
+    return list(map(operator.sub, a, b))
+
+
+def _jet_mul(a, b):
+    if type(a) is not list:
+        return [a * x for x in b]
+    if type(b) is not list:
+        return [x * b for x in a]
+    out, rev = [], []
+    for x in b:
+        rev.insert(0, x)
+        out.append(sum(map(operator.mul, a, rev)))
+    return out
+
+
+def _jet_div(a, b):
+    if type(b) is not list:
+        if b == 0.0:
+            raise EvalDomainError("division by zero")
+        return [x / b for x in a]
+    b0 = b[0]
+    if b0 == 0.0:
+        raise EvalDomainError("division by zero")
+    tail = b[1:]
+    out, rev = [], []
+    for x in _jet_of(a, len(b)):
+        q = (x - sum(map(operator.mul, tail, rev))) / b0
+        out.append(q)
+        rev.insert(0, q)
+    return out
+
+
+def _jet_exp(a, first: float) -> list:
+    """exp(a), with first = exp(a[0]) supplied by the caller."""
+    ja = [j * x for j, x in enumerate(a)][1:]
+    out, rev = [first], [first]
+    for k in range(1, len(a)):
+        e = sum(map(operator.mul, ja, rev)) / k
+        out.append(e)
+        rev.insert(0, e)
+    return out
+
+
+def _jet_ln(a) -> list:
+    a0 = a[0]
+    if a0 <= 0.0:
+        raise EvalDomainError(f"ln of non-positive value {a0!r}")
+    out = [math.log(a0)]
+    jl, rev = [], []
+    for k in range(1, len(a)):
+        if k > 1:
+            rev.insert(0, a[k - 1])
+        out.append((a[k] - sum(map(operator.mul, jl, rev)) / k) / a0)
+        jl.append(k * out[k])
+    return out
+
+
+def _jet_sin_cos(a) -> tuple:
+    ja = [j * x for j, x in enumerate(a)][1:]
+    s, c = [math.sin(a[0])], [math.cos(a[0])]
+    rev_s, rev_c = s[:], c[:]
+    for k in range(1, len(a)):
+        sk = sum(map(operator.mul, ja, rev_c)) / k
+        ck = -sum(map(operator.mul, ja, rev_s)) / k
+        s.append(sk)
+        c.append(ck)
+        rev_s.insert(0, sk)
+        rev_c.insert(0, ck)
+    return s, c
+
+
+def _jet_sqrt(a) -> list:
+    a0 = a[0]
+    if a0 < 0.0:
+        raise EvalDomainError(f"sqrt of negative value {a0!r}")
+    if a0 == 0.0:
+        # as the symbolic d/dt sqrt(u) = u'/(2 sqrt(u)) does
+        raise EvalDomainError("division by zero")
+    r0 = math.sqrt(a0)
+    out = [r0]
+    fwd, rev = [], []
+    for k in range(1, len(a)):
+        r = (a[k] - sum(map(operator.mul, fwd, rev))) / (2.0 * r0)
+        out.append(r)
+        fwd.append(r)
+        rev.insert(0, r)
+    return out
+
+
+def _jet_abs(a) -> list:
+    if a[0] > 0.0:
+        return a
+    if a[0] < 0.0:
+        return [-x for x in a]
+    # as the symbolic d/dt |u| = (u/|u|) u' does
+    raise EvalDomainError("division by zero")
+
+
+def _jet_pow_const(a, c: float) -> list:
+    """a^c for a t-free exponent c, with the semantics of math.pow at a[0]."""
+    a0 = a[0]
+    c = float(c)
+    if c >= 0.0 and c.is_integer():
+        # repeated squaring stays exact in structure when a[0] is (near) 0,
+        # where the recurrence below would divide by it
+        k = int(c)
+        out = _jet_of(1.0, len(a))
+        while k:
+            if k & 1:
+                out = _jet_mul(out, a)
+            k >>= 1
+            if k:
+                a = _jet_mul(a, a)
+        return out
+    if a0 == 0.0:
+        if c.is_integer():
+            raise EvalDomainError(f"{a0!r} ^ {c!r} is not a real number")
+        raise NoTaylorSeries(f"0 ^ {c!r} has no Taylor series")
+    first = _pow_value(a0, c)
+    ja = [j * x for j, x in enumerate(a)][1:]
+    tail = a[1:]
+    out, rev = [first], [first]
+    for k in range(1, len(a)):
+        p = ((c + 1.0) * sum(map(operator.mul, ja, rev))
+             - k * sum(map(operator.mul, tail, rev))) / (k * a0)
+        out.append(p)
+        rev.insert(0, p)
+    return out
+
+
+@_depth_guarded
+def taylor_series(e: Expr, n: int, alpha: float,
+                  t_power: Callable[[float], list]) -> list:
+    """Taylor coefficients 0..n of e in a variable h, given the series of t.
+
+    t_power(c) returns the coefficients 0..n of t^c for a t-free exponent c
+    (c = 1 gives t itself); t^c and sqrt(t) nodes take their series from it
+    rather than from the power recurrence, which cancels where t is small.
+    alpha is bound as in evaluate().  A shared subtree is expanded once.
+    Raises EvalDomainError where a derivative the series encodes is
+    undefined (division by zero, ln or sqrt at or below 0, abs at 0) or a
+    value overflows, and NoTaylorSeries for a zero base with a non-integer
+    power.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    env = EvalEnv(1.0, alpha)
+    memo: dict = {}
+
+    def walk(e: Expr):
+        if not e.contains_t:
+            if isinstance(e, Num):
+                return e.value
+            if e is ALPHA:
+                return alpha
+            return evaluate(e, env)
+        out = memo.get(e)
+        if out is not None:
+            return out
+        if e is T:
+            out = t_power(1.0)
+        elif isinstance(e, Neg):
+            out = [-x for x in walk(e.operand)]
+        elif isinstance(e, Add):
+            out = _jet_add(walk(e.left), walk(e.right))
+        elif isinstance(e, Sub):
+            out = _jet_sub(walk(e.left), walk(e.right))
+        elif isinstance(e, Mul):
+            out = _jet_mul(walk(e.left), walk(e.right))
+        elif isinstance(e, Div):
+            out = _jet_div(walk(e.left), walk(e.right))
+        elif isinstance(e, Pow):
+            out = pow_series(e)
+        elif isinstance(e, Call):
+            out = call_series(e)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        memo[e] = out
+        return out
+
+    def pow_series(e: Pow) -> list:
+        if not e.exponent.contains_t:
+            c = walk(e.exponent)
+            if e.base is T:
+                return t_power(c)
+            return _jet_pow_const(walk(e.base), c)
+        # b^x = exp(x ln b); its constant term is the pow value itself
+        base, x = walk(e.base), walk(e.exponent)
+        b0 = base[0] if type(base) is list else base
+        if b0 <= 0.0:
+            raise EvalDomainError(f"derivative of {b0!r} ^ x needs ln({b0!r})")
+        log_base = _jet_ln(base) if type(base) is list else math.log(base)
+        return _jet_exp(_jet_mul(x, log_base), _pow_value(b0, x[0]))
+
+    def call_series(e: Call) -> list:
+        if e.func == "sqrt" and e.arg is T:
+            return t_power(0.5)
+        a = walk(e.arg)
+        if e.func in ("sin", "cos"):
+            return _jet_sin_cos(a)[e.func == "cos"]
+        if e.func == "exp":
+            return _jet_exp(a, _call_value("exp", a[0]))
+        if e.func == "ln":
+            return _jet_ln(a)
+        if e.func == "sqrt":
+            return _jet_sqrt(a)
+        if e.func == "abs":
+            return _jet_abs(a)
+        raise EvalDomainError(f"unknown function {e.func!r}")
+
+    try:
+        return _jet_of(walk(e), n + 1)
+    finally:
+        # the closures refer to each other; unlinking them lets the memo and
+        # its lists go at once instead of waiting for the cycle collector
+        del walk, pow_series, call_series
 
 
 # Compiled fast path.  Semantics match evaluate(): math.pow is used so a
@@ -849,7 +1108,10 @@ def substitute_alpha(e: Expr, a: float) -> Expr:
         memo[e] = out
         return out
 
-    return sub(e)
+    try:
+        return sub(e)
+    finally:
+        del sub  # a recursive closure is a cycle; unlink it to free the memo now
 
 
 @_depth_guarded

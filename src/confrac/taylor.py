@@ -6,16 +6,26 @@ integral form  (1/n!) int_s^t ((t^a - tau^a)/a)^n D^{n+1} f(tau) d_a tau.
 The remainder's two faces (value minus partial sum, and the weighted
 integral) are both available here, together with the split and endpoint
 identities that the inequality checkers build on.
+
+Since D_alpha is d/du in u = t^alpha/alpha, D^k f(s)/k! are the Taylor
+coefficients of f(t(u)) at u = s^alpha/alpha.  Away from 0 (centres s > 0
+and the quadrature nodes of the remainder integrals) a symbolic f gets
+them all from one truncated power-series pass over its expression tree,
+with no derivative tree built or compiled.  At t = 0 the symbolic chain
+with its limit handling is used, and plain callables keep finite
+differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
-                       _alpha_value, frac_deriv_fn, frac_deriv_n, frac_integral)
+                       _alpha_value, _float_factorials, _jet_coefficients,
+                       frac_deriv_fn, frac_deriv_n, frac_integral)
+from .errors import EvalDomainError
 
 __all__ = [
     "TaylorExpansion", "EndpointIdentity", "cauchy_kernel", "expand",
@@ -69,9 +79,24 @@ class TaylorExpansion:
 
 
 def expand(f: ConformableFn, alpha: AlphaLike, n: int, s: float) -> TaylorExpansion:
-    """Expansion of f to degree n around s: coefficients D^k f(s), k = 0..n."""
+    """Expansion of f to degree n around s: coefficients D^k f(s), k = 0..n.
+
+    For a symbolic f at s > 0 every coefficient comes from one truncated
+    power-series pass in u = t^alpha/alpha (O(n^2) per node of f's tree);
+    at s = 0, and for a plain callable, each D^k f(s) is evaluated on its
+    own (at 0: the symbolic chain with its limit handling).  A coefficient
+    that overflows raises EvalDomainError.
+    """
     a = Alpha(_alpha_value(alpha))
-    coeffs = tuple(frac_deriv_n(f, a, k, s) for k in range(n + 1))
+    if f.is_symbolic and s > 0.0:
+        # a zero coefficient stays 0 where k! is inf
+        coeffs = tuple(c * fact if c != 0.0 else c for c, fact in
+                       zip(_jet_coefficients(f, a.value, n, s), _float_factorials(n)))
+        if not all(map(math.isfinite, coeffs)):
+            raise EvalDomainError(
+                f"a derivative of order <= {n} at {s!r} overflows a float")
+    else:
+        coeffs = tuple(frac_deriv_n(f, a, k, s) for k in range(n + 1))
     return TaylorExpansion(center=s, degree=n, alpha=a, coefficients=coeffs)
 
 
@@ -80,33 +105,62 @@ def taylor_poly(f: ConformableFn, alpha: AlphaLike, n: int, s: float, t: float) 
     return expand(f, alpha, n, s).evaluate(t)
 
 
+def _scaled_derivative(f: ConformableFn, a: float, m: int) -> Callable[[float], float]:
+    """tau -> D^m f(tau) / m!, the integrand factor of the remainder forms.
+
+    A symbolic f takes it from a series pass at each tau > 0; a node that
+    underflowed to tau = 0, and a plain callable, use frac_deriv_fn.
+    """
+    slow = None
+    fact = _float_factorials(m)[m]
+
+    def from_level(tau: float) -> float:
+        nonlocal slow
+        if slow is None:
+            slow = frac_deriv_fn(f, m)
+        return slow.value(tau, a) / fact
+
+    if not f.is_symbolic:
+        return from_level
+
+    def from_series(tau: float) -> float:
+        if tau == 0.0:
+            return from_level(tau)
+        return _jet_coefficients(f, a, m, tau)[m]
+
+    return from_series
+
+
 def taylor_remainder(f: ConformableFn, alpha: AlphaLike, n: int,
                      center: float, at: float,
                      cfg: Optional[QuadratureConfig] = None) -> float:
     """Remainder R_{n,f}(center, at) via its weighted-integral form.
 
     Argument order matters: the first point is the expansion center, the
-    second the evaluation point.  n = -1 returns f(at) by definition.
+    second the evaluation point.  n = -1 returns f(at) by definition.  The
+    integrand is (n+1) c(tau) z^n with c = D^{n+1} f(tau)/(n+1)!; for a
+    symbolic f, c comes from a series pass at each quadrature node tau > 0,
+    so no derivative tree is built and no factorial can overflow.
     """
     if n < -1:
         raise ValueError(f"n must be >= -1, got {n}")
     a = _alpha_value(alpha)
     if n == -1:
         return f.value(at, a)
-    dfn1 = frac_deriv_fn(f, n + 1)
+    top = _scaled_derivative(f, a, n + 1)
     at_pow = math.pow(at, a)
-    fact = float(math.factorial(n))
 
     def integrand(tau: float, _alpha: float = a) -> float:
         z = (at_pow - math.pow(tau, a)) / a
-        return z ** n * dfn1.value(tau, a) / fact
+        return (n + 1) * top(tau) * z ** n
 
     return frac_integral(ConformableFn(integrand), a, (center, at), cfg)
 
 
 def _remainder_sum_form(f: ConformableFn, a: float, n: int, center: float):
     """R_{n,f}(center, .) as value minus partial sum; coefficients precomputed."""
-    coeffs = [frac_deriv_n(f, a, k, center) / math.factorial(k) for k in range(n + 1)]
+    derivatives = expand(f, a, n, center).coefficients if n >= 0 else ()
+    coeffs = [d / fact for d, fact in zip(derivatives, _float_factorials(n))]
     c_pow = math.pow(center, a)
 
     def rem(s: float) -> float:
@@ -137,13 +191,12 @@ def remainder_split_residual(f: ConformableFn, alpha: AlphaLike, n: int,
     a_val = _alpha_value(alpha)
     aa, bb = window.a, window.b
 
-    dfn1 = frac_deriv_fn(f, n + 1)
+    top = _scaled_derivative(f, a_val, n + 1)
     t_pow = math.pow(t, a_val)
-    fact = float(math.factorial(n + 1))
 
     def lhs_integrand(s: float, _alpha: float = a_val) -> float:
         z = (t_pow - math.pow(s, a_val)) / a_val
-        return dfn1.value(s, a_val) * z ** (n + 1) / fact
+        return top(s) * z ** (n + 1)
 
     lhs = frac_integral(ConformableFn(lhs_integrand), a_val, (aa, bb), cfg)
 
@@ -188,13 +241,12 @@ def remainder_endpoint_integral(f: ConformableFn, alpha: AlphaLike, n: int,
     anchor = aa if which == "at-a" else bb
     center = bb if which == "at-a" else aa
 
-    dfn1 = frac_deriv_fn(f, n + 1)
+    top = _scaled_derivative(f, a_val, n + 1)
     anchor_pow = math.pow(anchor, a_val)
-    fact = float(math.factorial(n + 1))
 
     def lhs_integrand(s: float, _alpha: float = a_val) -> float:
         z = (anchor_pow - math.pow(s, a_val)) / a_val
-        return dfn1.value(s, a_val) * z ** (n + 1) / fact
+        return top(s) * z ** (n + 1)
 
     lhs = frac_integral(ConformableFn(lhs_integrand), a_val, (aa, bb), cfg)
     rem = _remainder_sum_form(f, a_val, n, center)

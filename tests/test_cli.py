@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -85,6 +86,18 @@ class TestTaylor:
         lines = dict(line.split() for line in out.strip().splitlines())
         total = float(lines["poly"]) + float(lines["remainder"])
         assert total == pytest.approx(math.e, rel=1e-9)
+
+    @pytest.mark.parametrize("extra", [["--degree", "200"],
+                                       ["--degree", "150", "--remainder"]])
+    def test_high_degree_ends_cleanly(self, extra):
+        # k! overflows a float from k = 171 on: the result is a value or a
+        # numeric failure, never an internal error, and it comes quickly
+        start = time.perf_counter()
+        code, _, err = invoke(["taylor", "--expr", "exp(t)", "--alpha", "0.5",
+                               "--center", "0.5", "--at", "1"] + extra)
+        assert time.perf_counter() - start < 5.0
+        assert code in (EXIT_OK, EXIT_NUMERIC)
+        assert "internal error" not in err
 
 
 class TestSolve:

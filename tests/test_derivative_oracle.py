@@ -2,7 +2,9 @@
 
 The oracle applies t^(1-alpha) d/dt n times with sympy's own
 differentiation and evaluates the result in 30-digit arithmetic, so it
-shares no code with the package's expression layer.
+shares no code with the package's expression layer.  Both of the package's
+routes are held to it: the compiled derivative levels (frac_deriv_n) and
+the truncated-series coefficients behind expand() at t > 0.
 """
 
 import mpmath
@@ -11,6 +13,7 @@ import sympy
 
 from confrac import expr as ex
 from confrac.calculus import ConformableFn, frac_deriv_n
+from confrac.taylor import expand
 
 # the expression pool of the benchmark's Taylor workload
 POOL = (
@@ -45,12 +48,15 @@ def test_matches_sympy_and_compiled_equals_tree_walk(text):
     with mpmath.workdps(30):
         for a in ALPHAS:
             oracle = _oracle_chain(text, a, top)
+            jets = {t: expand(f, a, top, t).coefficients for t in POINTS}
             for n in range(1, top + 1):
                 tree = f.frac_expr(n)
                 for t in POINTS:
                     got = frac_deriv_n(f, a, n, t)
                     want = float(oracle[n](mpmath.mpf(t)))
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-12), (n, t, a)
+                    assert jets[t][n] == pytest.approx(want, rel=1e-10, abs=1e-12), (
+                        "series", n, t, a)
                     # the compiled evaluator performs the tree's operations
                     assert got == ex.evaluate_at(tree, t, a), (n, t, a)
 

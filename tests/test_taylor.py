@@ -3,9 +3,12 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from confrac import expr as ex
 from confrac import functions as fam
 from confrac.calculus import Alpha, ConformableFn, Interval, frac_deriv_n
+from confrac.errors import EvalDomainError
 from confrac.taylor import (binomial_identity_residual, cauchy_kernel, expand,
                             remainder_endpoint_integral, remainder_split_residual,
                             taylor_poly, taylor_remainder)
@@ -165,6 +168,105 @@ class TestRemainderIdentities:
             n = rng.randint(-1, 3)
             ident = remainder_endpoint_integral(f, alpha, n, Interval(a, b), which)
             assert abs(ident.residual) < 1e-7, (f.name, alpha, n, a, b, which)
+
+
+# the texts of the benchmark's Taylor workload; the product stops at order 5
+# there (its derivative trees reach millions of nodes from order 6 on)
+DEEP_TEXTS = (
+    "exp(t)", "sin(t)", "cos(t)", "t^3+2*t", "1/(1+t)", "exp(-t)*cos(t)",
+    "exp(t^alpha/alpha)", "exp(-t^alpha/alpha)", "exp(0.5*t^alpha/alpha)",
+    "sin(t^alpha/alpha)", "(t^alpha/alpha)^3/6.0", "(t^alpha/alpha)^5/120.0",
+    "sin(t)*exp(t^alpha/alpha)/(1+t^2)",
+)
+_DEEP_FNS = {text: ConformableFn.from_expr(text) for text in DEEP_TEXTS}
+
+
+class TestSeriesCoefficients:
+    """expand() at s > 0 takes every D^k f(s) from one truncated-series pass;
+    these tests hold it to the compiled derivative levels."""
+
+    @pytest.mark.parametrize("text, defined", [
+        ("ln(t-2)", False), ("1/(t-1)", False), ("abs(t-1)", False),
+        ("sqrt(t-1)", False),
+        # a zero base with an integer exponent has a value, not a division by 0
+        ("(t-1)^3", True),
+    ])
+    @pytest.mark.parametrize("alpha", (0.5, 1.0))
+    def test_domain_parity_with_compiled_levels(self, text, defined, alpha):
+        n, s = 4, 1.0
+        try:
+            got = expand(ConformableFn.from_expr(text), alpha, n, s).coefficients
+        except EvalDomainError:
+            got = None
+        g = ConformableFn.from_expr(text)
+        try:
+            want = [frac_deriv_n(g, alpha, k, s) for k in range(n + 1)]
+        except EvalDomainError:
+            want = None
+        assert (got is not None) == (want is not None) == defined
+        if defined:
+            assert got == pytest.approx(want, rel=1e-9)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(text=st.sampled_from(DEEP_TEXTS), alpha=st.floats(0.2, 1.0, exclude_min=True),
+           s=st.floats(0.05, 3.0, exclude_min=True, exclude_max=True))
+    def test_matches_compiled_levels(self, text, alpha, s):
+        f = _DEEP_FNS[text]
+        top = 5 if text.startswith("sin(t)*") else 8
+        got = expand(f, alpha, top, s).coefficients
+        for k in range(top + 1):
+            # the compiled levels sum expanded terms and can lose digits to
+            # cancellation on a small D^k (1/(1+t), k = 8, alpha 0.32, s = 3:
+            # the series is within 6e-13 of mpmath, frac_deriv_n is off by
+            # 1e-8 relative), so the floor scales with the largest D^j, j <= k
+            scale = max(abs(c) for c in got[:k + 1])
+            assert got[k] == pytest.approx(frac_deriv_n(f, alpha, k, s),
+                                           rel=1e-9, abs=1e-9 * scale), k
+
+    def test_no_derivative_tree_and_no_compilation(self, monkeypatch):
+        f = ConformableFn.from_expr("sin(t)*exp(t^alpha/alpha)/(1+t^2)")
+        compiled = []
+        monkeypatch.setattr(ex, "compile_expr", compiled.append)
+        expand(f, 0.5, 12, 1.3)
+        taylor_remainder(f, 0.5, 11, 1.3, 2.0)
+        remainder_split_residual(f, 0.5, 6, Interval(0.5, 2.0), 1.1)
+        remainder_endpoint_integral(f, 0.5, 6, Interval(0.5, 2.0), "at-b")
+        assert len(f._frac_chain) == 1
+        assert compiled == []
+
+    @pytest.mark.parametrize("text, g", [
+        ("exp(t^alpha/alpha)", mpmath.exp),
+        ("exp(-t^alpha/alpha)", lambda u: mpmath.exp(-u)),
+        ("exp(0.5*t^alpha/alpha)", lambda u: mpmath.exp(u / 2)),
+        ("sin(t^alpha/alpha)", mpmath.sin),
+        ("(t^alpha/alpha)^3/6.0", lambda u: u ** 3 / 6),
+        ("(t^alpha/alpha)^5/120.0", lambda u: u ** 5 / 120),
+    ])
+    @pytest.mark.parametrize("alpha", (0.25, 0.5, 1.0))
+    def test_remainder_from_zero_in_u(self, text, g, alpha):
+        # from centre 0 the quadrature nodes approach t = 0, where a power
+        # recurrence on the series of t would cancel; f(t) = g(u) exactly
+        f = ConformableFn.from_expr(text)
+        with mpmath.workdps(30):
+            for n in (1, 4, 7):
+                coeffs = mpmath.taylor(g, 0, n)
+                for at in (0.7, 1.6):
+                    u = mpmath.mpf(at) ** alpha / alpha
+                    want = float(g(u) - mpmath.polyval(coeffs[::-1], u))
+                    got = taylor_remainder(f, alpha, n, 0.0, at)
+                    assert got == pytest.approx(want, rel=1e-8, abs=1e-9), (n, at)
+
+    @pytest.mark.parametrize("alpha", (0.25, 0.5))
+    def test_sqrt_remainder_from_zero(self, alpha):
+        # sqrt(t) = (alpha u)^(1/(2 alpha)) is u^2/16 or u/2: a polynomial
+        # in u, so a remainder past its degree vanishes
+        f = ConformableFn.from_expr("sqrt(t)")
+        degree = round(1.0 / (2.0 * alpha))
+        for n in (degree - 1, degree, 6):
+            u = 1.3 ** alpha / alpha
+            want = (alpha * u) ** degree if n < degree else 0.0
+            got = taylor_remainder(f, alpha, n, 0.0, 1.3)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), n
 
 
 class TestBinomialIdentity:
