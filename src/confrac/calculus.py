@@ -398,43 +398,48 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
     return _frac_deriv_n_numeric(f, a, n, t)
 
 
-def _float_factorials(n: int) -> list[float]:
-    """k! for k = 0..n as a running float product (inf from k = 171 on)."""
-    out = [1.0]
-    for k in range(1, n + 1):
-        out.append(out[-1] * k)
-    return out
-
-
-def _jet_coefficients(f: ConformableFn, a: float, n: int, t: float) -> list[float]:
-    """D^k f(t) / k! for k = 0..n, symbolic f at t > 0, in one series pass.
+def _jet_coefficients(f: ConformableFn, a: float, n: int,
+                      t: float) -> Optional[list[float]]:
+    """D^k f(t) / k! for k = 0..n, symbolic f at t >= 0, in one series pass.
 
     With u = t^a/a the conformable derivative is d/du, so these are the
-    Taylor coefficients of f(t(u)) at u0 = t^a/a: t^c enters as the
-    binomial series t^c (1 + h/u0)^(c/a) in h = u - u0, and the expression
-    layer carries it through f's tree.  Coefficient 0 is f.value(t, a)
-    exactly.  A non-finite coefficient raises EvalDomainError; a point where
-    the series does not exist falls back to the symbolic derivatives.
+    Taylor coefficients of f(t(u)) at u0 = t^a/a, and the expression layer
+    carries them through f's tree from the series of t^c.  At t > 0 that is
+    the binomial series t^c (1 + h/u0)^(c/a) in h = u - u0; at t = 0 it is
+    the monomial a^r u^r with r = c/a, since t = (a u)^(1/a), and a series
+    only for a whole r >= 0.  Coefficient 0 is f.value(t, a) exactly.
+    Returns None where the series does not exist or the pass meets a
+    domain error (the symbolic derivatives may still have values there);
+    an overflowing coefficient raises EvalDomainError.
     """
     value = f.value(t, a)
     if n == 0:
         return [value]
-    u0 = math.pow(t, a) / a
+    if t > 0.0:
+        u0 = math.pow(t, a) / a
 
-    def t_power(c: float) -> list:
-        r = c / a
-        term = math.pow(t, c)
-        out = [term]
-        for k in range(1, n + 1):
-            term *= (r - k + 1) / (k * u0)
-            out.append(term)
-        return out
+        def t_power(c: float) -> list:
+            r = c / a
+            term = math.pow(t, c)
+            out = [term]
+            for k in range(1, n + 1):
+                term *= (r - k + 1) / (k * u0)
+                out.append(term)
+            return out
+    else:
+        def t_power(c: float) -> list:
+            r = c / a
+            if r < 0.0 or not r.is_integer():
+                raise ex.NoTaylorSeries(f"t ^ {c!r} has no series in u at 0")
+            out = [0.0] * (n + 1)
+            if r <= n:
+                out[int(r)] = math.pow(a, r)
+            return out
 
     try:
         coeffs = ex.taylor_series(f.expr, n, a, t_power)
-    except ex.NoTaylorSeries:
-        coeffs = [frac_deriv_n(f, a, k, t) / fact
-                  for k, fact in enumerate(_float_factorials(n))]
+    except (ex.NoTaylorSeries, EvalDomainError):
+        return None
     except OverflowError as exc:
         raise EvalDomainError(f"overflow in the derivatives at t={t!r}: {exc}") from None
     coeffs[0] = value

@@ -8,23 +8,25 @@ integral) are both available here, together with the split and endpoint
 identities that the inequality checkers build on.
 
 Since D_alpha is d/du in u = t^alpha/alpha, D^k f(s)/k! are the Taylor
-coefficients of f(t(u)) at u = s^alpha/alpha.  Away from 0 (centres s > 0
-and the quadrature nodes of the remainder integrals) a symbolic f gets
-them all from one truncated power-series pass over its expression tree,
-with no derivative tree built or compiled.  At t = 0 the symbolic chain
-with its limit handling is used, and plain callables keep finite
-differences.
+coefficients of f(t(u)) at u = s^alpha/alpha.  At every centre s >= 0 and
+at the quadrature nodes of the remainder integrals a symbolic f gets them
+all from one truncated power-series pass over its expression tree, with no
+derivative tree built or compiled.  Where no such series exists (at 0, for
+instance, t^c with c/alpha not a whole number, since t = (alpha u)^(1/alpha))
+the symbolic chain with its limit handling is the fallback, and plain
+callables keep finite differences.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
-                       _alpha_value, _float_factorials, _jet_coefficients,
-                       frac_deriv_fn, frac_deriv_n, frac_integral)
+                       _alpha_value, _jet_coefficients, frac_deriv_fn,
+                       frac_deriv_n, frac_integral)
 from .errors import EvalDomainError
 
 __all__ = [
@@ -78,25 +80,59 @@ class TaylorExpansion:
         return total
 
 
+def _float_factorials(n: int) -> list[float]:
+    """k! for k = 0..n as a running float product (inf from k = 171 on)."""
+    out = [1.0]
+    for k in range(1, n + 1):
+        out.append(out[-1] * k)
+    return out
+
+
+_FLOAT_FACTORIAL_MAX = 170  # 171! overflows a float
+
+
+def _times_factorials(coeffs: list[float]) -> list[float]:
+    """k! c_k for each c_k; past 170! exactly, rounded once, so a derivative
+    that fits a float is not lost to an infinite k!.  There it is inf where
+    k! c_k does not fit, and where c_k is subnormal: its few bits would be
+    scaled up into a wrong value of normal size."""
+    top = min(len(coeffs) - 1, _FLOAT_FACTORIAL_MAX)
+    out = [c * fact for c, fact in zip(coeffs, _float_factorials(top))]
+    fact = math.factorial(top)
+    for k in range(top + 1, len(coeffs)):
+        fact *= k
+        c = coeffs[k]
+        d = c if c == 0.0 else math.copysign(math.inf, c)
+        if abs(c) >= sys.float_info.min:
+            num, den = c.as_integer_ratio()
+            try:
+                d = num * fact / den  # one correctly rounded int division
+            except OverflowError:
+                pass
+        out.append(d)
+    return out
+
+
 def expand(f: ConformableFn, alpha: AlphaLike, n: int, s: float) -> TaylorExpansion:
     """Expansion of f to degree n around s: coefficients D^k f(s), k = 0..n.
 
-    For a symbolic f at s > 0 every coefficient comes from one truncated
-    power-series pass in u = t^alpha/alpha (O(n^2) per node of f's tree);
-    at s = 0, and for a plain callable, each D^k f(s) is evaluated on its
-    own (at 0: the symbolic chain with its limit handling).  A coefficient
-    that overflows raises EvalDomainError.
+    For a symbolic f every coefficient comes from one truncated power-series
+    pass in u = t^alpha/alpha (O(n^2) per node of f's tree), at s = 0 as at
+    s > 0.  Where that series does not exist or meets a domain error (at 0:
+    a power t^c with c/alpha not a whole number; anywhere: sqrt or abs at a
+    zero argument), and for a plain callable, each D^k f(s) is evaluated on
+    its own (at 0: the symbolic chain with its limit handling).  A
+    coefficient that overflows raises EvalDomainError.
     """
     a = Alpha(_alpha_value(alpha))
-    if f.is_symbolic and s > 0.0:
-        # a zero coefficient stays 0 where k! is inf
-        coeffs = tuple(c * fact if c != 0.0 else c for c, fact in
-                       zip(_jet_coefficients(f, a.value, n, s), _float_factorials(n)))
+    series = _jet_coefficients(f, a.value, n, s) if f.is_symbolic else None
+    if series is None:
+        coeffs = tuple(frac_deriv_n(f, a, k, s) for k in range(n + 1))
+    else:
+        coeffs = tuple(_times_factorials(series))
         if not all(map(math.isfinite, coeffs)):
             raise EvalDomainError(
-                f"a derivative of order <= {n} at {s!r} overflows a float")
-    else:
-        coeffs = tuple(frac_deriv_n(f, a, k, s) for k in range(n + 1))
+                f"a derivative of order <= {n} at {s!r} is out of float range")
     return TaylorExpansion(center=s, degree=n, alpha=a, coefficients=coeffs)
 
 
@@ -108,8 +144,8 @@ def taylor_poly(f: ConformableFn, alpha: AlphaLike, n: int, s: float, t: float) 
 def _scaled_derivative(f: ConformableFn, a: float, m: int) -> Callable[[float], float]:
     """tau -> D^m f(tau) / m!, the integrand factor of the remainder forms.
 
-    A symbolic f takes it from a series pass at each tau > 0; a node that
-    underflowed to tau = 0, and a plain callable, use frac_deriv_fn.
+    A symbolic f takes it from a series pass at each tau; where the pass has
+    no series, and for a plain callable, frac_deriv_fn is used.
     """
     slow = None
     fact = _float_factorials(m)[m]
@@ -124,9 +160,8 @@ def _scaled_derivative(f: ConformableFn, a: float, m: int) -> Callable[[float], 
         return from_level
 
     def from_series(tau: float) -> float:
-        if tau == 0.0:
-            return from_level(tau)
-        return _jet_coefficients(f, a, m, tau)[m]
+        coeffs = _jet_coefficients(f, a, m, tau)
+        return from_level(tau) if coeffs is None else coeffs[m]
 
     return from_series
 
@@ -139,8 +174,8 @@ def taylor_remainder(f: ConformableFn, alpha: AlphaLike, n: int,
     Argument order matters: the first point is the expansion center, the
     second the evaluation point.  n = -1 returns f(at) by definition.  The
     integrand is (n+1) c(tau) z^n with c = D^{n+1} f(tau)/(n+1)!; for a
-    symbolic f, c comes from a series pass at each quadrature node tau > 0,
-    so no derivative tree is built and no factorial can overflow.
+    symbolic f, c comes from a series pass at each quadrature node, so no
+    derivative tree is built and no factorial can overflow.
     """
     if n < -1:
         raise ValueError(f"n must be >= -1, got {n}")

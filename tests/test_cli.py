@@ -90,7 +90,7 @@ class TestTaylor:
     @pytest.mark.parametrize("extra", [["--degree", "200"],
                                        ["--degree", "150", "--remainder"]])
     def test_high_degree_ends_cleanly(self, extra):
-        # k! overflows a float from k = 171 on: the result is a value or a
+        # D^k f may overflow a float at high k: the result is a value or a
         # numeric failure, never an internal error, and it comes quickly
         start = time.perf_counter()
         code, _, err = invoke(["taylor", "--expr", "exp(t)", "--alpha", "0.5",
@@ -98,6 +98,17 @@ class TestTaylor:
         assert time.perf_counter() - start < 5.0
         assert code in (EXIT_OK, EXIT_NUMERIC)
         assert "internal error" not in err
+
+    def test_degree_200_from_zero(self):
+        # exp(t) at alpha 0.5 is exp(u^2/4): D^200 f(0) is about 5e156, which
+        # fits a float although 200! does not; at t = 1, u = 2 and the
+        # partial sum is sum_{j <= 100} 1/j! = e
+        start = time.perf_counter()
+        code, out, _ = invoke(["taylor", "--expr", "exp(t)", "--alpha", "0.5",
+                               "--center", "0", "--degree", "200", "--at", "1"])
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_OK
+        assert float(out) == pytest.approx(math.e, rel=1e-10)
 
 
 class TestSolve:

@@ -190,6 +190,11 @@ class TestSeriesCoefficients:
         ("sqrt(t-1)", False),
         # a zero base with an integer exponent has a value, not a division by 0
         ("(t-1)^3", True),
+        # identically zero subtrees: the pass meets sqrt or abs at 0, or the
+        # log of a negative base, and falls back to the levels, where d/dt
+        # folds the zero factor away
+        ("sqrt(t-t)", True), ("0*abs(t-1)", True),
+        ("(alpha+(alpha-11))^(-(t-t))", True),
     ])
     @pytest.mark.parametrize("alpha", (0.5, 1.0))
     def test_domain_parity_with_compiled_levels(self, text, defined, alpha):
@@ -267,6 +272,128 @@ class TestSeriesCoefficients:
             want = (alpha * u) ** degree if n < degree else 0.0
             got = taylor_remainder(f, alpha, n, 0.0, 1.3)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), n
+
+
+# f(t(u)) in mpmath for the texts above, given t(u) and u
+_DEEP_ORACLES = {
+    "exp(t)": lambda t, u: mpmath.exp(t),
+    "sin(t)": lambda t, u: mpmath.sin(t),
+    "cos(t)": lambda t, u: mpmath.cos(t),
+    "t^3+2*t": lambda t, u: t ** 3 + 2 * t,
+    "1/(1+t)": lambda t, u: 1 / (1 + t),
+    "exp(-t)*cos(t)": lambda t, u: mpmath.exp(-t) * mpmath.cos(t),
+    "exp(t^alpha/alpha)": lambda t, u: mpmath.exp(u),
+    "exp(-t^alpha/alpha)": lambda t, u: mpmath.exp(-u),
+    "exp(0.5*t^alpha/alpha)": lambda t, u: mpmath.exp(u / 2),
+    "sin(t^alpha/alpha)": lambda t, u: mpmath.sin(u),
+    "(t^alpha/alpha)^3/6.0": lambda t, u: u ** 3 / 6,
+    "(t^alpha/alpha)^5/120.0": lambda t, u: u ** 5 / 120,
+    "sin(t)*exp(t^alpha/alpha)/(1+t^2)":
+        lambda t, u: mpmath.sin(t) * mpmath.exp(u) / (1 + t ** 2),
+}
+
+
+def _loop_at_zero(text, alpha, n):
+    """The per-order chain: D^k f(0) from frac_deriv_n, or the error type."""
+    g = ConformableFn.from_expr(text)
+    try:
+        return tuple(frac_deriv_n(g, alpha, k, 0.0) for k in range(n + 1))
+    except Exception as exc:  # the type is compared, not swallowed
+        return type(exc)
+
+
+class TestCentreZeroSeries:
+    """expand() at s = 0: t = (alpha u)^(1/alpha), so t^c is a monomial in u
+    when c/alpha is whole, and one series pass gives every D^k f(0)."""
+
+    @pytest.mark.parametrize("text", DEEP_TEXTS)
+    @pytest.mark.parametrize("alpha", (0.25, 0.5, 1.0))
+    def test_matches_mpmath(self, text, alpha):
+        power = round(1.0 / alpha)
+        oracle = _DEEP_ORACLES[text]
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            # t(u) as the polynomial (alpha u)^(1/alpha), analytic through 0
+            coeffs = mpmath.taylor(lambda u: oracle((a * u) ** power, u), 0, 8)
+            want = [float(c * mpmath.factorial(k)) for k, c in enumerate(coeffs)]
+        f = ConformableFn.from_expr(text)
+        got = expand(f, alpha, 8, 0.0).coefficients
+        assert len(f._frac_chain) == 1
+        # a zero D^k (exp(-t)*cos(t), alpha 1, k = 6) is a sum of terms as
+        # large as the other coefficients, so it is met to their rounding
+        floor = 1e-14 * max(map(abs, want))
+        for k in range(9):
+            assert got[k] == pytest.approx(want[k], rel=1e-12, abs=floor), k
+
+    def test_no_derivative_tree_and_no_compilation(self, monkeypatch):
+        f = ConformableFn.from_expr("exp(t)")
+        compiled = []
+        monkeypatch.setattr(ex, "compile_expr", compiled.append)
+        expand(f, 0.5, 12, 0.0)
+        assert len(f._frac_chain) == 1
+        assert compiled == []
+
+    @pytest.mark.parametrize("text, alpha, via_series", [
+        ("exp(t)", 0.7, False),       # t = (0.7 u)^(1/0.7): no series in u
+        ("sqrt(t)", 1.0, False),      # sqrt(t) = u^(1/2): the loop diverges
+        ("sqrt(t)", 0.5, True),       # sqrt(t) = u/2
+        ("sqrt(t)", 0.25, True),      # sqrt(t) = u^2/16
+        ("abs(t)", 0.5, False),       # abs at a zero argument
+        ("abs(t)", 1.0, False),
+        ("ln(1+t)", 0.5, True),
+        ("ln(1+t)", 0.7, False),
+        ("sin(t)/t", 0.5, False),     # no value at 0 at all
+    ])
+    def test_fallback_parity(self, text, alpha, via_series):
+        # order 3: from order 4 the loop's limits of sqrt(t) at 0.25 and 0.5
+        # no longer converge, while the series still has the exact values
+        n = 3
+        want = _loop_at_zero(text, alpha, n)
+        f = ConformableFn.from_expr(text)
+        if isinstance(want, type):
+            with pytest.raises(want):
+                expand(f, alpha, n, 0.0)
+            return
+        got = expand(f, alpha, n, 0.0).coefficients
+        assert (len(f._frac_chain) == 1) == via_series
+        if via_series:
+            # the loop's values at 0 are Aitken limits, converged to 1e-8
+            assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("alpha, want", [(0.5, (0.0, 0.5, 0.0, 0.0, 0.0, 0.0)),
+                                             (0.25, (0.0, 0.0, 0.125, 0.0, 0.0, 0.0))])
+    def test_sqrt_exact_where_the_loop_fails(self, alpha, want):
+        assert expand(ConformableFn.from_expr("sqrt(t)"), alpha, 5, 0.0).coefficients == want
+
+
+class TestHighOrderCoefficients:
+    def test_past_the_float_factorial(self):
+        # exp(t) at alpha 0.5 is exp(u^2/4) in u, so D^200 f(0) = 200! / (4^100 100!),
+        # about 5e156, although 200! overflows a float
+        got = expand(ConformableFn.from_expr("exp(t)"), 0.5, 200, 0.0).coefficients
+        with mpmath.workdps(30):
+            want = mpmath.factorial(200) / (4 ** 100 * mpmath.factorial(100))
+        assert got[200] == pytest.approx(float(want), rel=1e-12)
+        assert got[199] == 0.0
+
+    def test_subnormal_coefficient_is_not_scaled(self):
+        # c_278 of exp(u^2/4) is 2.1e-323, a subnormal with two bits left:
+        # 278! c_278 would come out 8% below the true 4.6e237
+        with pytest.raises(EvalDomainError):
+            expand(ConformableFn.from_expr("exp(t)"), 0.5, 278, 0.0)
+
+    @pytest.mark.parametrize("n", (171, 200))
+    def test_overflow_is_a_domain_error(self, n):
+        # D^k 1/(2-t) at 1 is k!: it fits a float up to k = 170 and no further;
+        # the overflow is reported at once, with no fallback to the chain
+        f = ConformableFn.from_expr("1/(2-t)")
+        assert expand(f, 1.0, 170, 1.0).coefficients[170] == pytest.approx(
+            math.factorial(170), rel=1e-12)
+        with pytest.raises(EvalDomainError):
+            expand(f, 1.0, n, 1.0)
+        assert len(f._frac_chain) == 1
 
 
 class TestBinomialIdentity:
