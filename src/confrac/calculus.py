@@ -122,19 +122,23 @@ class ConformableFn:
     differences are used (iterated conformable derivatives capped at n = 3).
 
     The evaluator signature is (t, alpha) -> float; callables wrapped via
-    :meth:`from_callable` ignore alpha.  Instances are immutable after
+    :meth:`from_callable` ignore alpha.  An optional batch evaluator
+    (ts, alpha) -> list must return what the evaluator returns point for
+    point; :meth:`values` uses it.  Instances are immutable after
     construction (internal caches aside) and safe to share across threads.
     """
 
-    __slots__ = ("_eval", "expr", "derivatives", "smoothness", "name",
+    __slots__ = ("_eval", "_batch", "expr", "derivatives", "smoothness", "name",
                  "_frac_chain", "_frac_compiled", "_ddt_compiled", "_chain_lock")
 
     def __init__(self, evaluator: Callable[[float, float], float], *,
                  expr: Optional[ex.Expr] = None,
                  derivatives: Sequence[Callable[[float], float]] = (),
                  smoothness: Optional[int] = None,
-                 name: Optional[str] = None):
+                 name: Optional[str] = None,
+                 batch: Optional[Callable[[Sequence[float], float], list]] = None):
         self._eval = evaluator
+        self._batch = batch
         self.expr = expr
         self.derivatives = tuple(derivatives)
         self.smoothness = smoothness
@@ -148,7 +152,7 @@ class ConformableFn:
     @classmethod
     def from_expr(cls, source: Union[str, ex.Expr], name: Optional[str] = None) -> "ConformableFn":
         tree = ex.parse(source) if isinstance(source, str) else source
-        return cls(ex.compile_expr(tree), expr=tree,
+        return cls(ex.compile_expr(tree), expr=tree, batch=ex.compile_batch(tree),
                    name=name if name is not None else ex.to_text(tree))
 
     @classmethod
@@ -165,6 +169,14 @@ class ConformableFn:
 
     def value(self, t: float, alpha: float = 1.0) -> float:
         return self._eval(t, alpha)
+
+    def values(self, ts: Sequence[float], alpha: float = 1.0) -> list[float]:
+        """[self.value(t, alpha) for t in ts], in one call where the function
+        has a batch evaluator; the first point that fails raises as value()
+        would there."""
+        if self._batch is not None:
+            return self._batch(ts, alpha)
+        return [self._eval(t, alpha) for t in ts]
 
     def classical_derivative(self, t: float, alpha: float = 1.0) -> float:
         """f'(t): exact when an expression or derivative callable exists."""
@@ -489,7 +501,7 @@ def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
         return f
     if f.is_symbolic:
         tree = f.frac_expr(n)
-        fast = None
+        fast = fast_values = None
 
         def evaluator(t: float, alpha: float = 1.0) -> float:
             nonlocal fast
@@ -500,7 +512,28 @@ def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
                 fast = f._frac_eval(n)
             return fast(t, alpha)
 
-        return ConformableFn(evaluator, expr=tree,
+        def level_values(ts: Sequence[float], alpha: float) -> list[float]:
+            nonlocal fast_values
+            if fast_values is None:
+                f._frac_eval(n)  # compiles the level, its batch form with it
+                fast_values = ex.compile_batch(tree)
+            return fast_values(ts, alpha)
+
+        def batch(ts: Sequence[float], alpha: float = 1.0) -> list[float]:
+            if 0.0 not in ts:
+                return level_values(ts, alpha)
+            # a point at 0 takes the limit path; the runs between such
+            # points are batched in order, so the first failure raises first
+            out, start = [], 0
+            for i in [i for i, t in enumerate(ts) if t == 0.0] + [len(ts)]:
+                if start < i:
+                    out += level_values(ts[start:i], alpha)
+                if i < len(ts):
+                    out.append(frac_deriv_n(f, alpha, n, 0.0))
+                start = i + 1
+            return out
+
+        return ConformableFn(evaluator, expr=tree, batch=batch,
                              name=f"D^{n}[{f.name or ex.to_text(f.expr)}]")
     remaining = None if f.smoothness is None else max(f.smoothness - n, 0)
     return ConformableFn(lambda t, alpha=1.0: frac_deriv_n(f, alpha, n, t),

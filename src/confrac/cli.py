@@ -469,11 +469,15 @@ def _cmd_sweep(args, out) -> int:
     alphas = _parse_alphas(args.alphas)
     cfg = _make_cfg(args.tol)
     reports = []
+    numeric_failure = False
     for a in alphas:
         try:
             reports.append(_run_check(args, a, window, cfg))
         except HypothesisError as exc:
             reports.append(_failed_report(args, a, window, str(exc)))
+        except ConfracError as exc:
+            numeric_failure = True
+            reports.append(_failed_report(args, a, window, f"numeric failure: {exc}"))
     if args.json:
         import json
         print(json.dumps([_report_json_obj(r) for r in reports], sort_keys=True),
@@ -488,6 +492,8 @@ def _cmd_sweep(args, out) -> int:
             sides = [side for side in
                      (_fmt(r.lower), _fmt(r.actual), _fmt(r.upper)) if side]
             print(f"alpha={_fmt(r.alpha)}  {' <= '.join(sides)}  {status}", file=out)
+    if numeric_failure:
+        return EXIT_NUMERIC
     if any(not r.hypotheses_ok for r in reports):
         return EXIT_HYPOTHESIS
     if any(not r.holds for r in reports):

@@ -5,7 +5,10 @@ by weighted quadrature and exact endpoint formulas, grid-verifies the
 stated hypotheses, and returns an InequalityReport with the raw slacks.
 Hypothesis verification is sampled evidence on a uniform grid, never a
 proof; a report therefore distinguishes "the comparison held numerically"
-(holds) from "and the hypotheses were verified" (hypotheses_ok).
+(holds) from "and the hypotheses were verified" (hypotheses_ok).  A grid is
+evaluated in one batched call (ConformableFn.values), and a function is
+sampled once for all the properties a checker tests on it on one window;
+the values, and so the witnesses, are those of point-by-point sampling.
 
 Remainder integrals int_a^b R_{n,f}(a, t) d_a t are computed through the
 endpoint identity as a single weighted integral of D^{n+1} f against the
@@ -147,6 +150,63 @@ _PROPERTIES = ("nonnegative", "range01", "increasing", "decreasing", "convex",
                "bounded")
 
 
+def _grid(lo: float, hi: float, grid_n: int) -> list[float]:
+    if lo == hi:
+        return [lo]
+    step = (hi - lo) / grid_n
+    return [lo + i * step for i in range(grid_n + 1)]
+
+
+def _sample(f: ConformableFn, a: float, window, grid_n: int) -> tuple:
+    """(grid, values of f on it, tolerance): one sample serves every
+    property tested on the same function, window and grid."""
+    if isinstance(window, Interval):
+        lo, hi = window.a, window.b
+    else:
+        lo, hi = float(window[0]), float(window[1])
+        if lo > hi:
+            lo, hi = hi, lo
+    ts = _grid(lo, hi, grid_n)
+    vals = f.values(ts, a)
+    return ts, vals, 1e-12 * (1.0 + max(map(abs, vals)))
+
+
+def _violation(prop: str, sample: tuple,
+               bounds: Optional[BoundsPair] = None) -> Optional[float]:
+    """The first grid point of the sample that violates prop, or None."""
+    ts, vals, tol = sample
+    if prop == "nonnegative":
+        for t, v in zip(ts, vals):
+            if v < -tol:
+                return t
+        return None
+    if prop == "range01":
+        for t, v in zip(ts, vals):
+            if v < -tol or v > 1.0 + tol:
+                return t
+        return None
+    if prop == "increasing":
+        for i in range(len(vals) - 1):
+            if vals[i + 1] < vals[i] - tol:
+                return ts[i + 1]
+        return None
+    if prop == "decreasing":
+        for i in range(len(vals) - 1):
+            if vals[i + 1] > vals[i] + tol:
+                return ts[i + 1]
+        return None
+    if prop == "convex":
+        for i in range(len(vals) - 2):
+            if vals[i + 1] > 0.5 * (vals[i] + vals[i + 2]) + tol:
+                return ts[i + 1]
+        return None
+    # bounded
+    for t, v in zip(ts, vals):
+        if v < bounds.m - tol or v > bounds.M + tol:
+            return t
+    return None
+
+
 def verify_hypothesis(f: ConformableFn, alpha: AlphaLike, window,
                       prop: str, grid_n: int = DEFAULT_GRID,
                       bounds: Optional[BoundsPair] = None
@@ -157,7 +217,8 @@ def verify_hypothesis(f: ConformableFn, alpha: AlphaLike, window,
     negative endpoints, as needed when testing convexity of an outer
     function over the range of an inner one).  Returns (verified, witness)
     where witness is the first violating grid point.  This is evidence on
-    grid_n + 1 points, not a proof.
+    grid_n + 1 points, not a proof.  The grid is evaluated in one batched
+    call (ConformableFn.values).
     """
     if grid_n < 8:
         raise ValueError(f"grid_n must be >= 8, got {grid_n}")
@@ -167,57 +228,20 @@ def verify_hypothesis(f: ConformableFn, alpha: AlphaLike, window,
         raise ValueError(f"unknown property {prop!r}")
     if prop == "bounded" and bounds is None:
         raise ValueError("property 'bounded' needs a BoundsPair")
-    a = _alpha_value(alpha)
-    if isinstance(window, Interval):
-        lo, hi = window.a, window.b
-    else:
-        lo, hi = float(window[0]), float(window[1])
-        if lo > hi:
-            lo, hi = hi, lo
-    if lo == hi:
-        ts = [lo]
-    else:
-        step = (hi - lo) / grid_n
-        ts = [lo + i * step for i in range(grid_n + 1)]
-    vals = [f.value(t, a) for t in ts]
-    tol = 1e-12 * (1.0 + max(abs(v) for v in vals))
-
-    if prop == "nonnegative":
-        for t, v in zip(ts, vals):
-            if v < -tol:
-                return False, t
-        return True, None
-    if prop == "range01":
-        for t, v in zip(ts, vals):
-            if v < -tol or v > 1.0 + tol:
-                return False, t
-        return True, None
-    if prop == "increasing":
-        for i in range(len(vals) - 1):
-            if vals[i + 1] < vals[i] - tol:
-                return False, ts[i + 1]
-        return True, None
-    if prop == "decreasing":
-        for i in range(len(vals) - 1):
-            if vals[i + 1] > vals[i] + tol:
-                return False, ts[i + 1]
-        return True, None
-    if prop == "convex":
-        for i in range(len(vals) - 2):
-            if vals[i + 1] > 0.5 * (vals[i] + vals[i + 2]) + tol:
-                return False, ts[i + 1]
-        return True, None
-    # bounded
-    for t, v in zip(ts, vals):
-        if v < bounds.m - tol or v > bounds.M + tol:
-            return False, t
-    return True, None
+    witness = _violation(prop, _sample(f, _alpha_value(alpha), window, grid_n), bounds)
+    return witness is None, witness
 
 
 def _hyp(name: str, f: ConformableFn, alpha: float, window, prop: str,
          grid_n: int, bounds: Optional[BoundsPair] = None) -> HypothesisCheck:
     ok, witness = verify_hypothesis(f, alpha, window, prop, grid_n, bounds)
     return HypothesisCheck(name=name, verified=ok, witness=witness, grid=grid_n)
+
+
+def _sampled_hyp(name: str, sample: tuple, prop: str, grid_n: int) -> HypothesisCheck:
+    witness = _violation(prop, sample)
+    return HypothesisCheck(name=name, verified=witness is None, witness=witness,
+                           grid=grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +333,10 @@ def steffensen(f: ConformableFn, g: ConformableFn, alpha: AlphaLike, window,
     """
     a = _alpha_value(alpha)
     window = _as_window(window)
+    f_sample = _sample(f, a, window, grid_n)
     hyps = [
-        _hyp("f nonnegative", f, a, window, "nonnegative", grid_n),
-        _hyp("f decreasing", f, a, window, "decreasing", grid_n),
+        _sampled_hyp("f nonnegative", f_sample, "nonnegative", grid_n),
+        _sampled_hyp("f decreasing", f_sample, "decreasing", grid_n),
         _hyp("g in [0,1]", g, a, window, "range01", grid_n),
     ]
     ell = _ell_raw(g, a, window, cfg)
@@ -400,9 +425,9 @@ def remainder_mm_bounds(f: ConformableFn, alpha: AlphaLike, n: int,
 
 def _classify_monotone(f: ConformableFn, a: float, window: Interval,
                        grid_n: int) -> tuple[bool, bool, Optional[float]]:
-    inc, w_inc = verify_hypothesis(f, a, window, "increasing", grid_n)
-    dec, _ = verify_hypothesis(f, a, window, "decreasing", grid_n)
-    return inc, dec, w_inc
+    sample = _sample(f, a, window, grid_n)
+    w_inc = _violation("increasing", sample)
+    return w_inc is None, _violation("decreasing", sample) is None, w_inc
 
 
 def cebysev(f: ConformableFn, g: ConformableFn, alpha: AlphaLike, window,
@@ -533,8 +558,7 @@ def ostrowski(f: ConformableFn, alpha: AlphaLike, window, t: float,
     hyps = []
     if M is None:
         grid = 1024
-        step = window.width / grid
-        samples = [abs(d1.value(window.a + i * step, a)) for i in range(grid + 1)]
+        samples = list(map(abs, d1.values(_grid(window.a, window.b, grid), a)))
         peak = max(samples)
         M = 1.01 * peak
         hyps.append(HypothesisCheck("M estimated from grid (1% inflation)", True,
@@ -572,8 +596,7 @@ def jensen(w: ConformableFn, g: ConformableFn, F: ConformableFn,
     if w_mass <= 0.0:
         raise HypothesisError(f"weight has non-positive mass {w_mass!r}")
 
-    step = window.width / grid_n
-    g_vals = [g.value(window.a + i * step, a) for i in range(grid_n + 1)]
+    g_vals = g.values(_grid(window.a, window.b, grid_n), a)
     g_lo, g_hi = min(g_vals), max(g_vals)
     if g_lo < g_hi:
         ok, witness = verify_hypothesis(F, a, (g_lo, g_hi), "convex", grid_n)

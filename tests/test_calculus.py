@@ -141,6 +141,27 @@ class TestFracDerivN:
         for t in (0.5, 1.5):
             assert d2.value(t, 0.5) == pytest.approx(frac_deriv_n(f, 0.5, 2, t), rel=1e-13)
 
+    @pytest.mark.parametrize("text, alpha", [("exp(t)*cos(t)", 0.5), ("1/(1+t)", 0.5),
+                                             ("exp(t)*cos(t)", 1.0)])
+    def test_values_at_zero_take_the_scalar_limit(self, text, alpha):
+        # exp(t)*cos(t) is regular at 0; 1/(1+t) at alpha 0.5 needs Aitken
+        f = ConformableFn.from_expr(text)
+        d2 = frac_deriv_fn(f, 2)
+        ts = [0.0, 0.5, 1.0, 0.0, 2.0]
+        got = d2.values(ts, alpha)
+        assert got == [d2.value(t, alpha) for t in ts]
+        assert got[0] == got[3] == frac_deriv_n(f, alpha, 2, 0.0)
+
+    def test_values_fail_where_the_pointwise_loop_fails(self):
+        d1 = frac_deriv_fn(ConformableFn.from_expr("t^0.5"), 1)  # diverges at 0
+        with pytest.raises(LimitError, match="diverges"):
+            d1.values([0.5, 0.0, 1.0], 0.75)
+        assert d1.values([0.5, 1.0], 0.75) == [d1.value(0.5, 0.75), d1.value(1.0, 0.75)]
+
+    def test_values_of_a_callable_loop_over_value(self):
+        f = ConformableFn.from_callable(math.exp)
+        assert f.values([0.0, 0.5], 0.5) == [1.0, math.exp(0.5)]
+
     def test_levels_compile_on_first_evaluation_away_from_zero(self):
         f = ConformableFn.from_expr("exp(t)*cos(t)")
         # regular at 0: every level is evaluated from its specialized tree

@@ -1,9 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import confrac
 
 from confrac.cli import (CSV_HEADER, EXIT_HYPOTHESIS, EXIT_NUMERIC, EXIT_OK,
                          EXIT_USAGE, EXIT_VIOLATED, emit_report, run)
@@ -50,6 +56,22 @@ class TestDeriv:
     def test_limit_divergence_is_numeric_failure(self):
         code, _, err = invoke(["deriv", "--expr", "sqrt(t)", "--alpha", "1", "--at", "0"])
         assert code == EXIT_NUMERIC
+
+
+    def test_non_finite_literal_is_a_usage_error(self):
+        code, out, err = invoke(["deriv", "--expr", "1e999*t", "--alpha", "0.5",
+                                 "--at", "1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "offset 0" in err and "internal error" not in err
+
+    def test_python_m_runs_the_cli(self):
+        src = str(Path(confrac.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "confrac", "deriv", "--expr", "t",
+                               "--alpha", "0.5", "--at", "4"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "2\n", "")
 
 
 class TestIntegrate:
@@ -306,6 +328,38 @@ class TestSweep:
         code, _, _ = invoke(["sweep", "--ineq", "hh2", "--f", "t^2",
                              "--alphas", "0:2:0.5", "--a", "0.5", "--b", "2"])
         assert code == EXIT_USAGE
+
+    # D f of t^0.5 is 0.5 t^(0.5-alpha): its limit at t = 0 diverges for
+    # alpha = 0.75 only, so that row fails and the other two hold
+    MIXED = ["sweep", "--ineq", "hh2", "--f", "t^0.5", "--alphas", "0.25,0.75,0.5",
+             "--a", "0", "--b", "1"]
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]])
+    def test_numeric_failure_is_a_flagged_row(self, fmt):
+        code, out, err = invoke(self.MIXED + fmt)
+        assert code == EXIT_NUMERIC
+        assert err == ""
+        good = invoke(["sweep", "--ineq", "hh2", "--f", "t^0.5", "--alphas", "0.25,0.5",
+                       "--a", "0", "--b", "1"] + fmt)
+        assert good[0] == EXIT_OK
+        if fmt == ["--json"]:
+            rows, want = json.loads(out), json.loads(good[1])
+            assert [rows[0], rows[2]] == want
+            assert rows[1]["hypotheses"][0]["name"].startswith("numeric failure")
+            assert rows[1]["actual"] is None and rows[1]["holds"] is False
+        else:
+            lines, want = out.strip().splitlines(), good[1].strip().splitlines()
+            failed = lines.pop(-2)
+            assert lines == want
+            assert "alpha=0.75" in failed or failed.startswith("hh2,0.75,")
+            if fmt:
+                assert "numeric failure: derivative limit at t=0 diverges=FAIL" in failed
+
+    def test_numeric_failure_outranks_hypothesis_failure(self):
+        code, out, _ = invoke(["sweep", "--ineq", "hh2", "--f", "t^(-0.5)",
+                               "--alphas", "0.3,0.6,1.0", "--a", "0", "--b", "1", "--csv"])
+        assert code == EXIT_NUMERIC
+        assert len(out.strip().splitlines()) == 4  # header + 3 flagged rows
 
     def test_json_array(self):
         code, out, _ = invoke(["sweep", "--ineq", "hh2", "--f", "t^2",

@@ -7,9 +7,10 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confrac import expr as ex
-from confrac.calculus import ConformableFn
+from confrac.calculus import ConformableFn, frac_deriv_n
 from confrac.errors import EvalDomainError, ExprDepthError, ExprSyntaxError
 
 from conftest import central_fd, random_safe_tree, random_tree
@@ -89,6 +90,13 @@ class TestParse:
             ex.parse("(" * 2000 + "t" + ")" * 2000)
         assert err.value.offset == ex.MAX_NESTING
 
+    @pytest.mark.parametrize("text, offset", [("1e999", 0), ("t+1e400", 2),
+                                              ("0*1e999", 2)])
+    def test_non_finite_literal_is_a_syntax_error(self, text, offset):
+        with pytest.raises(ExprSyntaxError, match="overflows") as err:
+            ex.parse(text)
+        assert err.value.offset == offset
+
     def test_nesting_counts_all_kinds_together(self):
         # 50 levels of "-(" are 100 levels of nesting
         ok = "-(" * 50 + "t" + ")" * 50
@@ -120,6 +128,73 @@ class TestDeepTrees:
         e = self.chain(150)
         assert ex.compile_expr(e)(2.0, 1.0) == 300.0
         assert ex.parse(ex.to_text(e)) is e
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+class TestCompileCache:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ts=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+           alpha=st.sampled_from((0.25, 0.5, 1.0)))
+    def test_batch_matches_pointwise_bit_for_bit(self, seed, ts, alpha):
+        f = ConformableFn.from_expr(random_tree(random.Random(seed)))
+        try:
+            want = [f.value(t, alpha) for t in ts]
+        except EvalDomainError as exc:
+            with pytest.raises(EvalDomainError) as err:
+                f.values(ts, alpha)
+            assert str(err.value) == str(exc)
+            return
+        assert _bits(f.values(ts, alpha)) == _bits(want)
+
+    def test_one_compile_per_shape(self, monkeypatch):
+        ex._shape_factory.cache_clear()
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return compile(*args)
+
+        monkeypatch.setattr(ex, "compile", counting, raising=False)
+        first = ex.parse("3.5*sin(2.25*t)+0.125*alpha")
+        second = ex.parse("1.5*sin(4*t)+7*alpha")
+        for tree in (first, second):
+            assert ex.compile_expr(tree)(0.7, 0.5) == ex.evaluate_at(tree, 0.7, 0.5)
+            assert ex.compile_batch(tree)([0.7], 0.5) == [ex.evaluate_at(tree, 0.7, 0.5)]
+        assert len(calls) == 1
+
+    def test_int_and_float_literals_keep_their_types(self):
+        # one shape; the int literals add exactly, the float ones round
+        big = 2 ** 53
+        as_int = ex.Sub(ex.Add(ex.Num(big), ex.Num(1)), ex.Num(big))
+        as_float = ex.Sub(ex.Add(ex.Num(float(big)), ex.Num(1.0)), ex.Num(float(big)))
+        assert [type(c) for c in ex._pysource(as_int)[1]] == [int, int]
+        assert [type(c) for c in ex._pysource(as_float)[1]] == [float, float]
+        assert ex._pysource(as_int)[0] == ex._pysource(as_float)[0]
+        assert ex.compile_expr(as_int)(0.0) == 1.0
+        assert ex.compile_expr(as_float)(0.0) == 0.0
+        assert _bits(ex.compile_batch(as_int)([0.0], 1.0)) == _bits([1.0])
+        assert _bits(ex.compile_batch(as_float)([0.0], 1.0)) == _bits([0.0])
+
+    def test_cache_stays_within_its_caps(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            ex.compile_expr(random_tree(rng, 6))
+        info = ex._shape_factory.cache_info()
+        assert info.misses > ex._SHAPE_CACHE_SIZE  # the count cap was exercised
+        assert info.currsize <= ex._SHAPE_CACHE_SIZE
+        # a level larger than the source cap compiles without the cache
+        f = ConformableFn.from_expr("exp(t)")
+        level = f.frac_expr(10)
+        assert len(ex._pysource(level)[0]) > ex._SHAPE_SOURCE_CAP
+        info = ex._shape_factory.cache_info()
+        value = ex.compile_expr(level)(1.3, 0.5)
+        assert ex.compile_batch(level)([1.3], 0.5) == [value]
+        assert ex._shape_factory.cache_info() == info
+        assert value == pytest.approx(frac_deriv_n(f, 0.5, 10, 1.3), rel=1e-12)
 
 
 class TestInterning:

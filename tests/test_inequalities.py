@@ -68,6 +68,81 @@ class TestVerifyHypothesis:
             verify_hypothesis(fn("t"), 1.0, Interval(0.0, 1.0), "wiggly")
 
 
+def reference_verify(f, alpha, lo, hi, prop, grid_n, bounds=None):
+    """Point-by-point grid check, as verify_hypothesis did before batching."""
+    step = (hi - lo) / grid_n
+    ts = [lo + i * step for i in range(grid_n + 1)]
+    vals = [f.value(t, alpha) for t in ts]
+    tol = 1e-12 * (1.0 + max(abs(v) for v in vals))
+    if prop == "nonnegative":
+        bad = [t for t, v in zip(ts, vals) if v < -tol]
+    elif prop == "range01":
+        bad = [t for t, v in zip(ts, vals) if v < -tol or v > 1.0 + tol]
+    elif prop == "increasing":
+        bad = [ts[i + 1] for i in range(grid_n) if vals[i + 1] < vals[i] - tol]
+    elif prop == "decreasing":
+        bad = [ts[i + 1] for i in range(grid_n) if vals[i + 1] > vals[i] + tol]
+    elif prop == "convex":
+        bad = [ts[i + 1] for i in range(grid_n - 1)
+               if vals[i + 1] > 0.5 * (vals[i] + vals[i + 2]) + tol]
+    else:
+        bad = [t for t, v in zip(ts, vals) if v < bounds.m - tol or v > bounds.M + tol]
+    return (False, bad[0]) if bad else (True, None)
+
+
+class CountingFn(ConformableFn):
+    """Counts the grids sampled through values()."""
+
+    __slots__ = ("grids",)
+
+    def values(self, ts, alpha=1.0):
+        self.grids += 1
+        return super().values(ts, alpha)
+
+
+def counting(text):
+    f = CountingFn.from_expr(text)
+    f.grids = 0
+    return f
+
+
+class TestBatchedGrids:
+    TEXTS = ("sin(3*t)", "exp(-t)*cos(2*t)", "t^alpha/alpha-0.7", "0.5+0.4*sin(t)",
+             "ln(t+0.5)", "abs(t-1.2)")
+
+    def test_witnesses_match_the_pointwise_reference(self):
+        rng = random.Random(5)
+        bounds = BoundsPair(-0.5, 0.8)
+        props = ("nonnegative", "range01", "increasing", "decreasing", "convex",
+                 "bounded")
+        for _ in range(120):
+            text = rng.choice(self.TEXTS)
+            f = fn(text)
+            if rng.random() < 0.3:
+                f = frac_deriv_fn(f, 1)
+            elif rng.random() < 0.2:
+                g = f
+                f = ConformableFn(lambda t, alpha=1.0, g=g: g.value(t, alpha))
+            alpha = rng.choice((0.25, 0.5, 1.0))
+            lo = rng.uniform(0.05, 2.0)
+            hi = lo + rng.uniform(0.2, 2.0)
+            prop = rng.choice(props)
+            grid_n = rng.choice((16, 64, 256))
+            got = verify_hypothesis(f, alpha, Interval(lo, hi), prop, grid_n, bounds)
+            assert got == reference_verify(f, alpha, lo, hi, prop, grid_n, bounds)
+
+    def test_cebysev_samples_each_function_once(self):
+        f, g = counting("t"), counting("exp(-t)")
+        cebysev(f, g, 0.5, Interval(0.5, 2.0))
+        assert (f.grids, g.grids) == (1, 1)
+
+    def test_steffensen_samples_f_once(self):
+        f, g = counting("exp(-t)"), counting("0.5")
+        r = steffensen(f, g, 0.5, Interval(0.0, 1.0))
+        assert (f.grids, g.grids) == (1, 1)
+        assert [h.verified for h in r.hypotheses] == [True, True, True]
+
+
 class TestSteffensenEll:
     def test_paper_half(self):
         out = steffensen_ell(fn("0.5"), 0.5, Interval(0.0, 1.0))
