@@ -9,8 +9,8 @@ Jensen, Gruss).
 
 from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
                        frac_deriv, frac_deriv_fn, frac_deriv_n, frac_integral)
-from .errors import (ConfracError, EvalDomainError, ExprDepthError, ExprSyntaxError,
-                     HypothesisError, InstabilityWarning, LimitError,
+from .errors import (ConfracError, EvalDomainError, ExprDepthError, ExprSizeError,
+                     ExprSyntaxError, HypothesisError, InstabilityWarning, LimitError,
                      QuadratureError, SmoothnessError, SolverError)
 from .expr import EvalEnv, Expr, diff_classical, evaluate, evaluate_at, parse, to_text
 from .inequalities import (BoundsPair, HypothesisCheck, InequalityReport,
@@ -30,7 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alpha", "BoundsPair", "ConformableFn", "ConfracError", "EndpointIdentity",
-    "EvalDomainError", "EvalEnv", "Expr", "ExprDepthError", "ExprSyntaxError",
+    "EvalDomainError", "EvalEnv", "Expr", "ExprDepthError", "ExprSizeError",
+    "ExprSyntaxError",
     "HypothesisCheck",
     "HypothesisError", "InequalityReport", "InstabilityWarning", "Interval",
     "IvpSpec", "LimitError", "LinearOperator", "MontgomeryKernel",

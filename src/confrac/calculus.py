@@ -3,14 +3,21 @@
 For order alpha in (0, 1] the conformable derivative of a differentiable f at
 t > 0 is t^(1-alpha) f'(t); at t = 0 it is the right-hand limit of that
 quantity.  The fractional integral over [a, b] integrates f against the
-weight t^(alpha-1).  Iterated derivatives are built symbolically whenever the
-function carries an expression tree, so no precision is lost to nested
-finite differences.
+weight t^(alpha-1).
+
+With u = t^alpha/alpha the conformable derivative is d/du, so D^k f(t) =
+k! c_k with c_k the Taylor coefficients of f(t(u)) at u(t).  For a function
+with an expression tree one truncated power-series pass over the tree gives
+c_0..c_n (_series); frac_deriv_fn runs the same pass as compiled code, one
+compilation per expression shape and order.  Where that series does not
+exist, the exact symbolic chain D^1..D^n (frac_expr) is the fallback, with
+its limit handling at t = 0.  Plain callables use finite differences.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -18,7 +25,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import expr as ex
 from ._quad import adaptive_integrate
-from .errors import EvalDomainError, LimitError, InstabilityWarning, SmoothnessError
+from .errors import (EvalDomainError, ExprSizeError, LimitError, InstabilityWarning,
+                     SmoothnessError)
 
 __all__ = [
     "Alpha", "Interval", "QuadratureConfig", "ConformableFn",
@@ -113,10 +121,12 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 class ConformableFn:
     """Evaluatable real function of t, optionally with exact derivatives.
 
-    Built from an expression tree the function is symbolic: classical and
-    conformable derivatives of any order are constructed exactly and cached,
-    and each derivative level is compiled when it is first evaluated at
-    t > 0.
+    Built from an expression tree the function is symbolic: its conformable
+    derivatives D^k f(t) = k! c_k come from the Taylor coefficients c_k of
+    f(t(u)) in u = t^alpha/alpha, which one series pass carries through the
+    tree; the derivative functions of frac_deriv_fn compile that pass, once
+    per order, on first use at t > 0.  The exact symbolic chain D^1..D^n is
+    built only on request (frac_expr) and where that series does not exist.
     Built from a plain callable it may carry explicit classical-derivative
     callables and a declared smoothness order; beyond those, central finite
     differences are used (iterated conformable derivatives capped at n = 3).
@@ -129,7 +139,8 @@ class ConformableFn:
     """
 
     __slots__ = ("_eval", "_batch", "expr", "derivatives", "smoothness", "name",
-                 "_frac_chain", "_frac_compiled", "_ddt_compiled", "_chain_lock")
+                 "_frac_chain", "_chain_sizes", "_frac_compiled", "_ddt_compiled",
+                 "_lock", "_derivative_of")
 
     def __init__(self, evaluator: Callable[[float, float], float], *,
                  expr: Optional[ex.Expr] = None,
@@ -144,10 +155,13 @@ class ConformableFn:
         self.smoothness = smoothness
         self.name = name
         self._frac_chain = [expr] if expr is not None else None
-        # compiled levels, aligned with _frac_chain; None until first needed
+        self._chain_sizes = []  # distinct nodes per built level of the chain
+        # per order k >= 1: the Taylor-mode functions of order k (None until
+        # first needed); index 0 is the function's own evaluator
         self._frac_compiled = [evaluator] if expr is not None else None
         self._ddt_compiled = None
-        self._chain_lock = threading.Lock() if expr is not None else None
+        self._lock = threading.Lock() if expr is not None else None
+        self._derivative_of = None  # (f, n) for frac_deriv_fn(f, n)
 
     @classmethod
     def from_expr(cls, source: Union[str, ex.Expr], name: Optional[str] = None) -> "ConformableFn":
@@ -189,27 +203,69 @@ class ConformableFn:
         return _central_fd(lambda x: self._eval(x, alpha), t)
 
     def frac_expr(self, n: int) -> ex.Expr:
-        """Exact expression for the n-th conformable derivative (symbolic only)."""
+        """Exact expression for the n-th conformable derivative (symbolic only).
+
+        Each level has about twice the distinct nodes of the one before
+        (D^12 exp(t) has 20,708), so a level that would exceed
+        _CHAIN_NODE_BUDGET distinct nodes, projected from the growth of the
+        last step or counted once built, raises ExprSizeError instead."""
+        if self._derivative_of is not None:
+            f, k = self._derivative_of
+            return f.frac_expr(k + n)
         if self.expr is None:
             raise SmoothnessError("function has no expression tree")
         chain = self._frac_chain
         if len(chain) <= n:
-            with self._chain_lock:
+            with self._lock:
+                sizes = self._chain_sizes
+                if not sizes:
+                    sizes.append(_distinct_nodes(chain[0]))
                 while len(chain) <= n:
-                    chain.append(_conformable_step(chain[-1]))
-                    self._frac_compiled.append(None)
+                    if len(sizes) >= 2 and sizes[-1] ** 2 > _CHAIN_NODE_BUDGET * sizes[-2]:
+                        raise ExprSizeError(
+                            f"D^{len(chain)} would exceed {_CHAIN_NODE_BUDGET} distinct nodes")
+                    level = _conformable_step(chain[-1])
+                    size = _distinct_nodes(level)
+                    if size > _CHAIN_NODE_BUDGET:
+                        raise ExprSizeError(
+                            f"D^{len(chain)} has {size} distinct nodes, "
+                            f"more than {_CHAIN_NODE_BUDGET}")
+                    chain.append(level)
+                    sizes.append(size)
         return chain[n]
 
-    def _frac_eval(self, n: int) -> Callable[[float, float], float]:
-        """Compiled evaluator of the n-th conformable derivative."""
-        tree = self.frac_expr(n)
-        fn = self._frac_compiled[n]
-        if fn is None:
-            fn = self._frac_compiled[n] = ex.compile_expr(tree)
-        return fn
+    def _jets(self, n: int):
+        """The Taylor-mode functions of order n >= 1 (symbolic only), a
+        _taylor_mode.Jets."""
+        fns = self._frac_compiled
+        if len(fns) <= n:
+            with self._lock:
+                fns.extend([None] * (n + 1 - len(fns)))
+        jets = fns[n]
+        if jets is None:
+            from . import _taylor_mode  # imported on first use, see its docstring
+            jets = fns[n] = _taylor_mode.compile_jet(self.expr, n)
+        return jets
 
     def __repr__(self):
         return f"ConformableFn({self.name or ('<callable>' if self.expr is None else ex.to_text(self.expr))})"
+
+
+# building the levels up to this size takes under 1 s (0.3-0.8 s measured
+# for exp(t), sqrt(t-1), 1/(1+t), ln(t-2), exp(-t)*cos(t) and the product
+# sin(t)*exp(t^alpha/alpha)/(1+t^2)), and D^12 exp(t) stays below it
+_CHAIN_NODE_BUDGET = 25_000
+
+
+def _distinct_nodes(root: ex.Expr) -> int:
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(ex._children(node))
+    return len(seen)
 
 
 _T_POW_1MA = ex.Pow(ex.T, ex.Sub(ex.Num(1.0), ex.ALPHA))
@@ -360,22 +416,128 @@ def _value_at_zero(g: Callable[[float], float], exact: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
+# D^k f from the Taylor coefficients of f(t(u)) in u = t^alpha/alpha
+
+_FLOAT_FACTORIAL_MAX = 170  # 171! overflows a float
+
+
+def _float_factorials(n: int) -> list[float]:
+    """k! for k = 0..n as a running float product (inf from k = 171 on)."""
+    out = [1.0]
+    for k in range(1, n + 1):
+        out.append(out[-1] * k)
+    return out
+
+
+_FACTORIALS = _float_factorials(_FLOAT_FACTORIAL_MAX)
+
+
+def _times_factorial(c: float, k: int) -> float:
+    """k! c for a finite c; past 170! exactly, rounded once, so a derivative
+    that fits a float is not lost to an infinite k!.  There it is inf where
+    k! c does not fit, and where c is subnormal: its few bits would be
+    scaled up into a wrong value of normal size."""
+    if k <= _FLOAT_FACTORIAL_MAX:
+        return c * _FACTORIALS[k]
+    if abs(c) < sys.float_info.min:
+        return c if c == 0.0 else math.copysign(math.inf, c)
+    num, den = c.as_integer_ratio()
+    try:
+        return num * math.factorial(k) / den  # one correctly rounded int division
+    except OverflowError:
+        return math.copysign(math.inf, c)
+
+
+def _monomial_seed(a: float, n: int) -> Callable[[float], list]:
+    """t^c in u at u = 0: t = (a u)^(1/a), so t^c = a^r u^r with r = c/a,
+    a power series only for a whole r >= 0."""
+    def t_power(c: float) -> list:
+        r = c / a
+        if r < 0.0 or not r.is_integer():
+            raise ex.NoTaylorSeries(f"t ^ {c!r} has no series in u at 0")
+        out = [0.0] * (n + 1)
+        if r <= n:
+            out[int(r)] = math.pow(a, r)
+        return out
+    return t_power
+
+
+def _series(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float]]:
+    """c_k = D^k f(t) / k!, k = 0..n, for symbolic f at t >= 0, in one pass.
+
+    With u = t^a/a the conformable derivative is d/du, so these are the
+    Taylor coefficients of f(t(u)) at u0 = t^a/a, and the series pass over
+    f's tree carries them from the series of t^c: at t > 0 the binomial
+    series t^c (1 + h/u0)^(c/a) in h = u - u0, at t = 0 the monomial of
+    _monomial_seed.  Returns None where the series does not exist or the
+    pass meets a domain error (the symbolic chain may still have values
+    there); a coefficient that is not finite raises EvalDomainError.
+    """
+    seed = ex.t_power_at(t, a, n) if t > 0.0 else _monomial_seed(a, n)
+    try:
+        coeffs = ex.taylor_series(f.expr, n, a, seed)
+    except (ex.NoTaylorSeries, EvalDomainError, ZeroDivisionError, ValueError,
+            OverflowError):
+        return None
+    if not all(map(math.isfinite, coeffs)):
+        raise EvalDomainError(f"derivatives at t={t!r} are not finite")
+    return coeffs
+
+
+def _derivatives(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float]]:
+    """D^k f(t) = k! c_k for k = 0..n from one series pass (see _series), or
+    None where there is no series; a D^k out of float range raises
+    EvalDomainError."""
+    coeffs = _series(f, a, n, t)
+    if coeffs is None:
+        return None
+    out = [_times_factorial(c, k) for k, c in enumerate(coeffs)]
+    if not all(map(math.isfinite, out)):
+        raise EvalDomainError(f"a derivative of order <= {n} at {t!r} is out of float range")
+    return out
+
+
+def _chain_derivative(f: ConformableFn, a: float, n: int, t: float) -> float:
+    """D^n f(t), n >= 1, from the symbolic chain, where the series does not exist.
+
+    At t > 0 the tree walker evaluates the level.  At t = 0 the
+    alpha-specialized level is evaluated first (t-independent zero
+    coefficients fold away, so regular-at-0 formulas evaluate exactly), and
+    the accelerated limit of the level over t -> 0+ is the fallback.  The
+    limit samples the same tree, so the fallback is one engine; where the
+    samples are rounding noise (sin(t)/t at alpha 1/2, D^2), its values are
+    those of the noise of that tree.
+    """
+    tree = f.frac_expr(n)
+    if t > 0.0:
+        return ex.evaluate_at(tree, t, a)
+    try:
+        v = ex.evaluate_at(ex.substitute_alpha(tree, a), 0.0, a)
+        if math.isfinite(v):
+            return v
+    except EvalDomainError:
+        pass
+    return _limit_at_zero(lambda s: ex.evaluate_at(tree, s, a))
+
+
+# ---------------------------------------------------------------------------
 # operations
 
 def frac_deriv(f: ConformableFn, alpha: Union[Alpha, float], t: float) -> float:
     """Conformable derivative D_alpha f at t >= 0.
 
-    At t = 0 the value is the right-hand limit of D_alpha f (evaluated
-    directly when the derivative formula is regular there, otherwise by
-    sequence acceleration over t_k = 1e-2 * 2^-k); a LimitError reports
-    non-existence.
+    At t > 0 it is t^(1-alpha) f'(t).  At t = 0 the value is the right-hand
+    limit of D_alpha f: for a symbolic f it is frac_deriv_n's, otherwise it
+    is evaluated directly when the derivative formula is regular there, and
+    else by sequence acceleration over t_k = 1e-2 * 2^-k; a LimitError
+    reports non-existence.
     """
     a = _alpha_value(alpha)
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if f._derivative_of is not None or (t == 0.0 and f.is_symbolic):
+        return frac_deriv_n(f, a, 1, t)
     if t == 0.0:
-        if f.is_symbolic:
-            return frac_deriv_n(f, a, 1, 0.0)
         g = lambda s: math.pow(s, 1.0 - a) * f.classical_derivative(s, a)
         return _value_at_zero(g, bool(f.derivatives))
     value = math.pow(t, 1.0 - a) * f.classical_derivative(t, a)
@@ -385,7 +547,12 @@ def frac_deriv(f: ConformableFn, alpha: Union[Alpha, float], t: float) -> float:
 
 
 def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float) -> float:
-    """Iterated conformable derivative D_alpha^n f at t; n = 0 returns f(t)."""
+    """Iterated conformable derivative D_alpha^n f at t; n = 0 returns f(t).
+
+    A symbolic f takes D^n f(t) = n! c_n from the series pass of _series,
+    and from the symbolic chain (_chain_derivative) where that series does
+    not exist.
+    """
     a = _alpha_value(alpha)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -393,71 +560,13 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
         raise ValueError(f"t must be >= 0, got {t}")
     if n == 0:
         return f.value(t, a)
+    if f._derivative_of is not None:
+        base, k = f._derivative_of
+        return frac_deriv_n(base, a, k + n, t)
     if f.is_symbolic:
-        if t == 0.0:
-            # alpha-specialized tree: t-independent zero coefficients fold
-            # away, so regular-at-0 formulas evaluate exactly
-            tree = ex.substitute_alpha(f.frac_expr(n), a)
-            try:
-                v = ex.evaluate_at(tree, 0.0, a)
-                if math.isfinite(v):
-                    return v
-            except EvalDomainError:
-                pass
-            fn = f._frac_eval(n)
-            return _limit_at_zero(lambda s: fn(s, a))
-        return f._frac_eval(n)(t, a)
+        d = _derivatives(f, a, n, t)
+        return d[n] if d is not None else _chain_derivative(f, a, n, t)
     return _frac_deriv_n_numeric(f, a, n, t)
-
-
-def _jet_coefficients(f: ConformableFn, a: float, n: int,
-                      t: float) -> Optional[list[float]]:
-    """D^k f(t) / k! for k = 0..n, symbolic f at t >= 0, in one series pass.
-
-    With u = t^a/a the conformable derivative is d/du, so these are the
-    Taylor coefficients of f(t(u)) at u0 = t^a/a, and the expression layer
-    carries them through f's tree from the series of t^c.  At t > 0 that is
-    the binomial series t^c (1 + h/u0)^(c/a) in h = u - u0; at t = 0 it is
-    the monomial a^r u^r with r = c/a, since t = (a u)^(1/a), and a series
-    only for a whole r >= 0.  Coefficient 0 is f.value(t, a) exactly.
-    Returns None where the series does not exist or the pass meets a
-    domain error (the symbolic derivatives may still have values there);
-    an overflowing coefficient raises EvalDomainError.
-    """
-    value = f.value(t, a)
-    if n == 0:
-        return [value]
-    if t > 0.0:
-        u0 = math.pow(t, a) / a
-
-        def t_power(c: float) -> list:
-            r = c / a
-            term = math.pow(t, c)
-            out = [term]
-            for k in range(1, n + 1):
-                term *= (r - k + 1) / (k * u0)
-                out.append(term)
-            return out
-    else:
-        def t_power(c: float) -> list:
-            r = c / a
-            if r < 0.0 or not r.is_integer():
-                raise ex.NoTaylorSeries(f"t ^ {c!r} has no series in u at 0")
-            out = [0.0] * (n + 1)
-            if r <= n:
-                out[int(r)] = math.pow(a, r)
-            return out
-
-    try:
-        coeffs = ex.taylor_series(f.expr, n, a, t_power)
-    except (ex.NoTaylorSeries, EvalDomainError):
-        return None
-    except OverflowError as exc:
-        raise EvalDomainError(f"overflow in the derivatives at t={t!r}: {exc}") from None
-    coeffs[0] = value
-    if not all(map(math.isfinite, coeffs)):
-        raise EvalDomainError(f"derivatives at t={t!r} are not finite")
-    return coeffs
 
 
 def _frac_deriv_n_numeric(f: ConformableFn, a: float, n: int, t: float) -> float:
@@ -494,47 +603,57 @@ def _frac_deriv_n_numeric(f: ConformableFn, a: float, n: int, t: float) -> float
 
 
 def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
-    """The n-th conformable derivative as a function object."""
+    """The n-th conformable derivative as a function object.
+
+    For a symbolic f its point and batch forms at t > 0 come from f's
+    compiled Taylor-mode code of order n (compiled on first use), as n! c_n.
+    A point at 0, or one where that series does not exist or leaves float
+    range, takes frac_deriv_n, and a batch meeting such a point is
+    evaluated point by point, so it always returns what the point form
+    returns.  Derivatives of the result are derivatives of f.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return f
+    if f._derivative_of is not None:
+        base, k = f._derivative_of
+        return frac_deriv_fn(base, k + n)
     if f.is_symbolic:
-        tree = f.frac_expr(n)
-        fast = fast_values = None
+        fact = _FACTORIALS[n] if n <= _FLOAT_FACTORIAL_MAX else math.inf
+        jets = None
 
         def evaluator(t: float, alpha: float = 1.0) -> float:
-            nonlocal fast
-            if t == 0.0:
-                # route through the regularized limit-aware path
-                return frac_deriv_n(f, alpha, n, 0.0)
-            if fast is None:
-                fast = f._frac_eval(n)
-            return fast(t, alpha)
-
-        def level_values(ts: Sequence[float], alpha: float) -> list[float]:
-            nonlocal fast_values
-            if fast_values is None:
-                f._frac_eval(n)  # compiles the level, its batch form with it
-                fast_values = ex.compile_batch(tree)
-            return fast_values(ts, alpha)
+            nonlocal jets
+            if t > 0.0:
+                if jets is None:
+                    jets = f._jets(n)
+                try:
+                    v = fact * jets.top(t, alpha)
+                except (ex.NoTaylorSeries, EvalDomainError):
+                    pass
+                else:
+                    if math.isfinite(v):
+                        return v
+            return frac_deriv_n(f, alpha, n, t)
 
         def batch(ts: Sequence[float], alpha: float = 1.0) -> list[float]:
-            if 0.0 not in ts:
-                return level_values(ts, alpha)
-            # a point at 0 takes the limit path; the runs between such
-            # points are batched in order, so the first failure raises first
-            out, start = [], 0
-            for i in [i for i, t in enumerate(ts) if t == 0.0] + [len(ts)]:
-                if start < i:
-                    out += level_values(ts[start:i], alpha)
-                if i < len(ts):
-                    out.append(frac_deriv_n(f, alpha, n, 0.0))
-                start = i + 1
-            return out
+            nonlocal jets
+            if jets is None:
+                jets = f._jets(n)
+            try:
+                out = jets.batch(ts, alpha, fact)
+            except (ex.NoTaylorSeries, EvalDomainError):
+                pass
+            else:
+                if all(map(math.isfinite, out)):
+                    return out
+            return [evaluator(t, alpha) for t in ts]
 
-        return ConformableFn(evaluator, expr=tree, batch=batch,
-                             name=f"D^{n}[{f.name or ex.to_text(f.expr)}]")
+        d = ConformableFn(evaluator, batch=batch,
+                          name=f"D^{n}[{f.name or ex.to_text(f.expr)}]")
+        d._derivative_of = (f, n)
+        return d
     remaining = None if f.smoothness is None else max(f.smoothness - n, 0)
     return ConformableFn(lambda t, alpha=1.0: frac_deriv_n(f, alpha, n, t),
                          smoothness=remaining, name=f"D^{n}[{f.name or 'fn'}]")

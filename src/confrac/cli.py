@@ -380,7 +380,7 @@ def _failed_report(args, alpha: float, window: Interval, reason: str) -> Inequal
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_deriv(args, out) -> int:
+def _cmd_deriv(args, out, err) -> int:
     alpha = Alpha(args.alpha)
     if args.order < 0:
         raise _UsageError(f"--order must be >= 0, got {args.order}")
@@ -391,7 +391,7 @@ def _cmd_deriv(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_integrate(args, out) -> int:
+def _cmd_integrate(args, out, err) -> int:
     alpha = Alpha(args.alpha)
     window = Interval(args.a, args.b)
     f = _fn(args.expr, "--expr")
@@ -399,7 +399,7 @@ def _cmd_integrate(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_taylor(args, out) -> int:
+def _cmd_taylor(args, out, err) -> int:
     alpha = Alpha(args.alpha)
     if args.degree < 0:
         raise _UsageError(f"--degree must be >= 0, got {args.degree}")
@@ -416,7 +416,7 @@ def _cmd_taylor(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(args, out) -> int:
+def _cmd_solve(args, out, err) -> int:
     alpha = Alpha(args.alpha)
     if args.order < 1:
         raise _UsageError(f"--order must be >= 1, got {args.order}")
@@ -447,7 +447,7 @@ def _cmd_solve(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_ell(args, out) -> int:
+def _cmd_ell(args, out, err) -> int:
     alpha = Alpha(args.alpha)
     window = Interval(args.a, args.b)
     result = steffensen_ell(_fn(args.g, "--g"), alpha, window)
@@ -455,7 +455,7 @@ def _cmd_ell(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args, out) -> int:
+def _cmd_check(args, out, err) -> int:
     alpha = Alpha(args.alpha)
     window = Interval(args.a, args.b)
     report = _run_check(args, alpha.value, window, _make_cfg(args.tol))
@@ -464,20 +464,24 @@ def _cmd_check(args, out) -> int:
     return _report_exit(report)
 
 
-def _cmd_sweep(args, out) -> int:
+def _cmd_sweep(args, out, err) -> int:
     window = Interval(args.a, args.b)
     alphas = _parse_alphas(args.alphas)
     cfg = _make_cfg(args.tol)
     reports = []
+    flagged = []  # (alpha, reason) of the rows whose check raised
     numeric_failure = False
     for a in alphas:
         try:
             reports.append(_run_check(args, a, window, cfg))
+            continue
         except HypothesisError as exc:
-            reports.append(_failed_report(args, a, window, str(exc)))
+            reason = str(exc)
         except ConfracError as exc:
             numeric_failure = True
-            reports.append(_failed_report(args, a, window, f"numeric failure: {exc}"))
+            reason = f"numeric failure: {exc}"
+        flagged.append((a, reason))
+        reports.append(_failed_report(args, a, window, reason))
     if args.json:
         import json
         print(json.dumps([_report_json_obj(r) for r in reports], sort_keys=True),
@@ -485,6 +489,9 @@ def _cmd_sweep(args, out) -> int:
     elif args.csv:
         print(_csv_text([_report_csv_row(r) for r in reports]), file=out)
     else:
+        # a flagged row prints no cause; JSON and CSV carry it as a hypothesis
+        for a, reason in flagged:
+            print(f"confrac: alpha={_fmt(a)}: {reason}", file=err)
         for r in reports:
             status = "HOLDS" if r.holds else "VIOLATED"
             if not r.hypotheses_ok:
@@ -551,7 +558,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     try:
         args = _parser().parse_args(_fuse_values(list(argv)))
-        return _COMMANDS[args.command](args, out)
+        return _COMMANDS[args.command](args, out, err)
     except _UsageError as exc:
         print(f"confrac: usage error: {exc}", file=err)
         return EXIT_USAGE

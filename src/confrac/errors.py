@@ -18,6 +18,11 @@ class ExprDepthError(ConfracError):
     (for instance a long flat chain such as t+t+...+t)."""
 
 
+class ExprSizeError(ConfracError):
+    """A symbolic derivative would exceed the distinct-node budget of the
+    derivative chain (its size roughly doubles per order)."""
+
+
 class EvalDomainError(ConfracError):
     """Evaluation left the real domain (ln of non-positive, division by zero, ...)."""
 

@@ -4,9 +4,9 @@ A small closed DSL used to describe test functions exactly.  An expression
 is a function of the variable ``t`` that may also reference the reserved
 symbol ``alpha``, which is bound at evaluation time so one expression can
 serve a whole sweep of fractional orders.  The module supports parsing,
-canonical printing, IEEE-double evaluation, exact symbolic d/dt and
-truncated Taylor series ("jets") of an expression in which t is itself a
-power series.
+canonical printing, IEEE-double evaluation (interpreted or compiled),
+exact symbolic d/dt and truncated Taylor series ("jets") of an expression
+in which t is itself a power series, interpreted or compiled per shape.
 
 Grammar (whitespace-insensitive)::
 
@@ -57,7 +57,7 @@ __all__ = [
     "T", "ALPHA", "FUNCTIONS", "EvalEnv",
     "parse", "to_text", "evaluate", "evaluate_at", "diff_classical",
     "compile_expr", "compile_batch", "contains_t", "normalize_t_powers",
-    "substitute_alpha", "taylor_series", "NoTaylorSeries", "MAX_NESTING",
+    "substitute_alpha", "taylor_series", "t_power_at", "NoTaylorSeries", "MAX_NESTING",
 ]
 
 
@@ -655,14 +655,14 @@ def _jet_pow_const(a, c: float) -> list:
         # repeated squaring stays exact in structure when a[0] is (near) 0,
         # where the recurrence below would divide by it
         k = int(c)
-        out = _jet_of(1.0, len(a))
+        out = None
         while k:
             if k & 1:
-                out = _jet_mul(out, a)
+                out = a if out is None else _jet_mul(out, a)
             k >>= 1
             if k:
                 a = _jet_mul(a, a)
-        return out
+        return _jet_of(1.0, len(a)) if out is None else out
     if a0 == 0.0:
         if c.is_integer():
             raise EvalDomainError(f"{a0!r} ^ {c!r} is not a real number")
@@ -677,6 +677,35 @@ def _jet_pow_const(a, c: float) -> list:
         out.append(p)
         rev.insert(0, p)
     return out
+
+
+def _jet_pow_var(base, x: list) -> list:
+    """base^x for a t-dependent exponent: exp(x ln base), whose constant term
+    is the pow value itself."""
+    b0 = base[0] if type(base) is list else base
+    if b0 <= 0.0:
+        raise EvalDomainError(f"derivative of {b0!r} ^ x needs ln({b0!r})")
+    log_base = _jet_ln(base) if type(base) is list else math.log(base)
+    return _jet_exp(_jet_mul(x, log_base), _pow_value(b0, x[0]))
+
+
+def _jet_tpow(t: float, c: float, alpha: float, u0: float, size: int) -> list:
+    """t^c at t > 0 as a series in h = u - u0, u = t^alpha/alpha, u0 = u(t):
+    the binomial series t^c (1 + h/u0)^(c/alpha)."""
+    r = c / alpha
+    term = math.pow(t, c)
+    out = [term]
+    for k in range(1, size):
+        term *= (r - (k - 1)) / (k * u0)
+        out.append(term)
+    return out
+
+
+def t_power_at(t: float, alpha: float, n: int) -> Callable[[float], list]:
+    """taylor_series' t_power at t > 0: c -> the coefficients 0..n of t^c in
+    h = u - u0, u = t^alpha/alpha, u0 = u(t) (see _jet_tpow)."""
+    u0 = math.pow(t, alpha) / alpha
+    return lambda c: _jet_tpow(t, c, alpha, u0, n + 1)
 
 
 @_depth_guarded
@@ -735,13 +764,8 @@ def taylor_series(e: Expr, n: int, alpha: float,
             if e.base is T:
                 return t_power(c)
             return _jet_pow_const(walk(e.base), c)
-        # b^x = exp(x ln b); its constant term is the pow value itself
-        base, x = walk(e.base), walk(e.exponent)
-        b0 = base[0] if type(base) is list else base
-        if b0 <= 0.0:
-            raise EvalDomainError(f"derivative of {b0!r} ^ x needs ln({b0!r})")
-        log_base = _jet_ln(base) if type(base) is list else math.log(base)
-        return _jet_exp(_jet_mul(x, log_base), _pow_value(b0, x[0]))
+        base = walk(e.base)
+        return _jet_pow_var(base, walk(e.exponent))
 
     def call_series(e: Call) -> list:
         if e.func == "sqrt" and e.arg is T:

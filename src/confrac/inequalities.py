@@ -12,8 +12,9 @@ the values, and so the witnesses, are those of point-by-point sampling.
 
 Remainder integrals int_a^b R_{n,f}(a, t) d_a t are computed through the
 endpoint identity as a single weighted integral of D^{n+1} f against the
-kernel ((b^a - t^a)/a)^{n+1}/(n+1)!; the identity itself is exercised
-independently by the taylor module.
+kernel ((b^a - t^a)/a)^{n+1}/(n+1)!: the kernel side of that identity in
+the taylor module (taylor._kernel_integral), whose other side the taylor
+module checks independently.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Optional, Union
 from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
                        _alpha_value, frac_deriv_fn, frac_integral)
 from .errors import HypothesisError
+from .taylor import _kernel_integral
 
 __all__ = [
     "BoundsPair", "HypothesisCheck", "MontgomeryKernel", "SteffensenEll",
@@ -273,20 +275,6 @@ def _ell_raw(g: ConformableFn, a: float, window: Interval,
     return min(max(ell, 0.0), window.width)
 
 
-def _remainder_integral(f: ConformableFn, a: float, n: int, window: Interval,
-                        cfg: Optional[QuadratureConfig]) -> float:
-    """int_a^b R_{n,f}(a, t) d_a t via the endpoint identity (single integral)."""
-    dfn1 = frac_deriv_fn(f, n + 1)
-    b_pow = math.pow(window.b, a)
-    fact = float(math.factorial(n + 1))
-
-    def integrand(s: float, _alpha: float = a) -> float:
-        z = (b_pow - math.pow(s, a)) / a
-        return dfn1.value(s, a) * z ** (n + 1) / fact
-
-    return frac_integral(ConformableFn(integrand), a, window, cfg)
-
-
 def _as_window(window) -> Interval:
     if isinstance(window, Interval):
         return window
@@ -367,7 +355,7 @@ def remainder_steffensen(f: ConformableFn, alpha: AlphaLike, n: int, window,
     lower = dn.value(window.a + ell, a) - dn.value(window.a, a)
     upper = dn.value(window.b, a) - dn.value(window.b - ell, a)
     scale = math.factorial(n + 1) * _avg_factor(a, window) ** (n + 1)
-    actual = scale * _remainder_integral(f, a, n, window, cfg)
+    actual = scale * _kernel_integral(f, a, n, window, window.b, cfg)
     return _make_report("rem-steffensen", a, window, hyps, lower, actual, upper)
 
 
@@ -416,7 +404,7 @@ def remainder_mm_bounds(f: ConformableFn, alpha: AlphaLike, n: int,
     fact = math.factorial(n + 2)
     lower = m / fact * q ** (n + 2) + (M - m) / fact * qb ** (n + 2)
     upper = M / fact * q ** (n + 2) + (m - M) / fact * qa ** (n + 2)
-    actual = _remainder_integral(f, a, n, window, cfg)
+    actual = _kernel_integral(f, a, n, window, window.b, cfg)
     return _make_report("mm-bounds", a, window, hyps, lower, actual, upper)
 
 
@@ -482,7 +470,7 @@ def remainder_cebysev(f: ConformableFn, alpha: AlphaLike, n: int, window,
 
     q = (math.pow(window.b, a) - math.pow(window.a, a)) / a
     fact = math.factorial(n + 2)
-    middle = (_remainder_integral(f, a, n, window, cfg)
+    middle = (_kernel_integral(f, a, n, window, window.b, cfg)
               - (dn.value(window.b, a) - dn.value(window.a, a)) / fact * q ** (n + 1))
     edge = (dn1.value(window.a, a) - dn1.value(window.b, a)) / fact * q ** (n + 2)
     if inc:

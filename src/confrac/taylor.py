@@ -10,24 +10,24 @@ identities that the inequality checkers build on.
 Since D_alpha is d/du in u = t^alpha/alpha, D^k f(s)/k! are the Taylor
 coefficients of f(t(u)) at u = s^alpha/alpha.  At every centre s >= 0 and
 at the quadrature nodes of the remainder integrals a symbolic f gets them
-all from one truncated power-series pass over its expression tree, with no
-derivative tree built or compiled.  Where no such series exists (at 0, for
-instance, t^c with c/alpha not a whole number, since t = (alpha u)^(1/alpha))
-the symbolic chain with its limit handling is the fallback, and plain
-callables keep finite differences.
+all from one truncated power-series pass over its expression tree (the
+pass behind frac_deriv_n), with no derivative tree built.  Where no such
+series exists (at 0, for instance, t^c with c/alpha not a whole number,
+since t = (alpha u)^(1/alpha)) the symbolic chain with its limit handling
+is the fallback, and plain callables keep finite differences.  The kernel
+side of the split and endpoint identities is one weighted integral
+(_kernel_integral), which the inequality checkers' remainder bounds use too.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
-                       _alpha_value, _jet_coefficients, frac_deriv_fn,
-                       frac_deriv_n, frac_integral)
-from .errors import EvalDomainError
+                       _alpha_value, _chain_derivative, _derivatives,
+                       _float_factorials, _series, frac_deriv_n, frac_integral)
 
 __all__ = [
     "TaylorExpansion", "EndpointIdentity", "cauchy_kernel", "expand",
@@ -80,59 +80,27 @@ class TaylorExpansion:
         return total
 
 
-def _float_factorials(n: int) -> list[float]:
-    """k! for k = 0..n as a running float product (inf from k = 171 on)."""
-    out = [1.0]
-    for k in range(1, n + 1):
-        out.append(out[-1] * k)
-    return out
-
-
-_FLOAT_FACTORIAL_MAX = 170  # 171! overflows a float
-
-
-def _times_factorials(coeffs: list[float]) -> list[float]:
-    """k! c_k for each c_k; past 170! exactly, rounded once, so a derivative
-    that fits a float is not lost to an infinite k!.  There it is inf where
-    k! c_k does not fit, and where c_k is subnormal: its few bits would be
-    scaled up into a wrong value of normal size."""
-    top = min(len(coeffs) - 1, _FLOAT_FACTORIAL_MAX)
-    out = [c * fact for c, fact in zip(coeffs, _float_factorials(top))]
-    fact = math.factorial(top)
-    for k in range(top + 1, len(coeffs)):
-        fact *= k
-        c = coeffs[k]
-        d = c if c == 0.0 else math.copysign(math.inf, c)
-        if abs(c) >= sys.float_info.min:
-            num, den = c.as_integer_ratio()
-            try:
-                d = num * fact / den  # one correctly rounded int division
-            except OverflowError:
-                pass
-        out.append(d)
-    return out
-
-
 def expand(f: ConformableFn, alpha: AlphaLike, n: int, s: float) -> TaylorExpansion:
     """Expansion of f to degree n around s: coefficients D^k f(s), k = 0..n.
 
     For a symbolic f every coefficient comes from one truncated power-series
-    pass in u = t^alpha/alpha (O(n^2) per node of f's tree), at s = 0 as at
-    s > 0.  Where that series does not exist or meets a domain error (at 0:
-    a power t^c with c/alpha not a whole number; anywhere: sqrt or abs at a
-    zero argument), and for a plain callable, each D^k f(s) is evaluated on
-    its own (at 0: the symbolic chain with its limit handling).  A
-    coefficient that overflows raises EvalDomainError.
+    pass in u = t^alpha/alpha, at s = 0 as at s > 0 (calculus._derivatives;
+    coefficient 0 is f's value).  Where that series does not exist or meets
+    a domain error (at 0: a power t^c with c/alpha not a whole number;
+    anywhere: sqrt or abs at a zero argument), each D^k f(s) comes from the
+    symbolic chain with its limit handling, and a plain callable takes
+    frac_deriv_n order by order.  A coefficient that overflows raises
+    EvalDomainError.
     """
     a = Alpha(_alpha_value(alpha))
-    series = _jet_coefficients(f, a.value, n, s) if f.is_symbolic else None
-    if series is None:
+    if not f.is_symbolic:
         coeffs = tuple(frac_deriv_n(f, a, k, s) for k in range(n + 1))
     else:
-        coeffs = tuple(_times_factorials(series))
-        if not all(map(math.isfinite, coeffs)):
-            raise EvalDomainError(
-                f"a derivative of order <= {n} at {s!r} is out of float range")
+        value = f.value(s, a.value)
+        derivs = _derivatives(f, a.value, n, s) if n else None
+        if derivs is None:
+            derivs = [value] + [_chain_derivative(f, a.value, k, s) for k in range(1, n + 1)]
+        coeffs = (value, *derivs[1:])
     return TaylorExpansion(center=s, degree=n, alpha=a, coefficients=coeffs)
 
 
@@ -144,26 +112,35 @@ def taylor_poly(f: ConformableFn, alpha: AlphaLike, n: int, s: float, t: float) 
 def _scaled_derivative(f: ConformableFn, a: float, m: int) -> Callable[[float], float]:
     """tau -> D^m f(tau) / m!, the integrand factor of the remainder forms.
 
-    A symbolic f takes it from a series pass at each tau; where the pass has
-    no series, and for a plain callable, frac_deriv_fn is used.
+    A symbolic f takes it as the coefficient c_m of a series pass at each
+    tau, with no factorial; where that series does not exist, and for a
+    plain callable, it is frac_deriv_n's value over m!.
     """
-    slow = None
+    if m == 0:
+        return lambda tau: f.value(tau, a)
     fact = _float_factorials(m)[m]
-
-    def from_level(tau: float) -> float:
-        nonlocal slow
-        if slow is None:
-            slow = frac_deriv_fn(f, m)
-        return slow.value(tau, a) / fact
-
     if not f.is_symbolic:
-        return from_level
+        return lambda tau: frac_deriv_n(f, a, m, tau) / fact
 
-    def from_series(tau: float) -> float:
-        coeffs = _jet_coefficients(f, a, m, tau)
-        return from_level(tau) if coeffs is None else coeffs[m]
+    def coefficient(tau: float) -> float:
+        coeffs = _series(f, a, m, tau)
+        return frac_deriv_n(f, a, m, tau) / fact if coeffs is None else coeffs[m]
 
-    return from_series
+    return coefficient
+
+
+def _kernel_integral(f: ConformableFn, a: float, n: int, window: Interval,
+                     anchor: float, cfg: Optional[QuadratureConfig]) -> float:
+    """int_window D^{n+1} f(s)/(n+1)! ((anchor^a - s^a)/a)^{n+1} d_a s, the
+    kernel side of the split and endpoint remainder identities."""
+    top = _scaled_derivative(f, a, n + 1)
+    anchor_pow = math.pow(anchor, a)
+
+    def integrand(s: float, _alpha: float = a) -> float:
+        z = (anchor_pow - math.pow(s, a)) / a
+        return top(s) * z ** (n + 1)
+
+    return frac_integral(ConformableFn(integrand), a, window, cfg)
 
 
 def taylor_remainder(f: ConformableFn, alpha: AlphaLike, n: int,
@@ -225,16 +202,7 @@ def remainder_split_residual(f: ConformableFn, alpha: AlphaLike, n: int,
         raise ValueError(f"t={t} outside window [{window.a}, {window.b}]")
     a_val = _alpha_value(alpha)
     aa, bb = window.a, window.b
-
-    top = _scaled_derivative(f, a_val, n + 1)
-    t_pow = math.pow(t, a_val)
-
-    def lhs_integrand(s: float, _alpha: float = a_val) -> float:
-        z = (t_pow - math.pow(s, a_val)) / a_val
-        return top(s) * z ** (n + 1)
-
-    lhs = frac_integral(ConformableFn(lhs_integrand), a_val, (aa, bb), cfg)
-
+    lhs = _kernel_integral(f, a_val, n, window, t, cfg)
     rem_a = _remainder_sum_form(f, a_val, n, aa)
     rem_b = _remainder_sum_form(f, a_val, n, bb)
     rhs = (frac_integral(ConformableFn(lambda s, _=0.0: rem_a(s)), a_val, (aa, t), cfg)
@@ -275,15 +243,7 @@ def remainder_endpoint_integral(f: ConformableFn, alpha: AlphaLike, n: int,
     aa, bb = window.a, window.b
     anchor = aa if which == "at-a" else bb
     center = bb if which == "at-a" else aa
-
-    top = _scaled_derivative(f, a_val, n + 1)
-    anchor_pow = math.pow(anchor, a_val)
-
-    def lhs_integrand(s: float, _alpha: float = a_val) -> float:
-        z = (anchor_pow - math.pow(s, a_val)) / a_val
-        return top(s) * z ** (n + 1)
-
-    lhs = frac_integral(ConformableFn(lhs_integrand), a_val, (aa, bb), cfg)
+    lhs = _kernel_integral(f, a_val, n, window, anchor, cfg)
     rem = _remainder_sum_form(f, a_val, n, center)
     rhs = frac_integral(ConformableFn(lambda s, _=0.0: rem(s)), a_val, (aa, bb), cfg)
     return EndpointIdentity(lhs=lhs, rhs=rhs)

@@ -1,0 +1,58 @@
+"""The benchmark's tracer binds package internals by name; keep them bound.
+
+perfbench/tracing.py wraps module-level functions of every layer, the
+ConformableFn.frac_expr method and index 0 of _frac_compiled of the
+function objects built at import time.  This test installs it, runs one
+traced derivative grid and checks that uninstalling puts every original
+back.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from confrac import calculus, cli, inequalities  # noqa: F401 (the tracer wraps cli too)
+from confrac.calculus import ConformableFn, frac_deriv_fn
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("confrac_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings() -> dict:
+    """Every attribute of every confrac module, and the patched extras."""
+    out = {(name, attr): value
+           for name, mod in list(sys.modules.items())
+           if name == "confrac" or name.startswith("confrac.")
+           for attr, value in vars(mod).items()}
+    out["frac_expr"] = ConformableFn.__dict__["frac_expr"]
+    out["_ONE._eval"] = inequalities._ONE._eval
+    out["_ONE._frac_compiled[0]"] = inequalities._ONE._frac_compiled[0]
+    return out
+
+
+def test_tracer_installs_and_restores():
+    f = ConformableFn.from_expr("exp(-t)*cos(t^alpha/alpha)")
+    ts = [0.5, 1.0, 1.5, 2.0]
+    want = frac_deriv_fn(f, 2).values(ts, 0.5)
+    before = _bindings()
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert calculus.frac_deriv_fn is not before[("confrac.calculus", "frac_deriv_fn")]
+        got = calculus.frac_deriv_fn(ConformableFn.from_expr("exp(-t)*cos(t^alpha/alpha)"),
+                                     2).values(ts, 0.5)
+    finally:
+        tracer.uninstall()
+    assert got == want
+    assert tracer.calls["calculus.deriv_fn"] == 1
+    assert tracer.calls["calculus.frac_expr"] == 0  # no chain on this path
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key in before if after[key] is not before[key]]
+    assert changed == []

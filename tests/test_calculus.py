@@ -1,17 +1,23 @@
 import math
 import random
+import sys
+import threading
+import time
 import warnings
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confrac import functions as fam
 from confrac.calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
                               frac_deriv, frac_deriv_fn, frac_deriv_n, frac_integral)
-from confrac import calculus, expr as ex
-from confrac.errors import (ExprDepthError, InstabilityWarning, LimitError,
-                            QuadratureError, SmoothnessError)
+from confrac import _taylor_mode as tm, calculus, expr as ex
+from confrac.errors import (ConfracError, ExprDepthError, ExprSizeError,
+                            InstabilityWarning, LimitError, QuadratureError,
+                            SmoothnessError)
 
-from conftest import ALPHAS, frac_quad_oracle, random_safe_tree, random_window
+from conftest import ALPHAS, frac_quad_oracle, random_safe_tree, random_tree, random_window
 
 
 class TestTypes:
@@ -162,16 +168,29 @@ class TestFracDerivN:
         f = ConformableFn.from_callable(math.exp)
         assert f.values([0.0, 0.5], 0.5) == [1.0, math.exp(0.5)]
 
-    def test_levels_compile_on_first_evaluation_away_from_zero(self):
+    def test_levels_compile_on_first_evaluation_away_from_zero(self, monkeypatch):
+        compiled = []
+        compile_jet = tm.compile_jet
+        monkeypatch.setattr(tm, "compile_jet",
+                            lambda e, n: compiled.append(n) or compile_jet(e, n))
         f = ConformableFn.from_expr("exp(t)*cos(t)")
-        # regular at 0: every level is evaluated from its specialized tree
+        # regular at 0: the series pass at u = 0 gives every order, compiling nothing
         assert frac_deriv_n(f, 1.0, 4, 0.0) == pytest.approx(-4.0, rel=1e-12)
-        assert f._frac_compiled[1:] == [None] * 4
-        frac_deriv_n(f, 0.5, 2, 1.0)
         d3 = frac_deriv_fn(f, 3)
-        assert [c is not None for c in f._frac_compiled] == [True, False, True, False, False]
+        assert d3.value(0.0, 1.0) == frac_deriv_n(f, 1.0, 3, 0.0)
+        assert compiled == [] and f._frac_compiled[1:] == []
+        # a one-off value is one series pass; the first t > 0 evaluation of a
+        # derivative function builds that order's evaluator, and only it
+        frac_deriv_n(f, 0.5, 2, 1.0)
+        assert compiled == []
         d3.value(0.7, 0.5)
-        assert f._frac_compiled[3] is not None and f._frac_compiled[4] is None
+        assert compiled == [3]
+        assert [c is not None for c in f._frac_compiled] == [True, False, False, True]
+        d3.values([0.5, 1.5], 0.5)
+        frac_deriv_fn(f, 3).value(2.0, 0.25)
+        frac_deriv_fn(f, 2).values([0.5, 1.5], 0.5)
+        assert compiled == [3, 2]
+        assert len(f._frac_chain) == 1
 
     def test_too_deep_chain_raises_depth_error(self):
         # t*t+...+t*t (3000 terms) parses but is too deep to differentiate,
@@ -182,6 +201,94 @@ class TestFracDerivN:
             f.frac_expr(1)
         with pytest.raises(ExprDepthError):
             calculus._distribute(calculus._T_POW_1MA, chain)
+
+
+class TestTaylorModeDerivatives:
+    """D^k f(t) = k! c_k from the compiled Taylor-mode code, at every order."""
+
+    def test_high_order_against_mpmath(self):
+        # exp(t) at alpha 1/2 is exp(u^2/4) with t = u^2/4: D^k is the k-th
+        # u-derivative of exp(u^2/4) at u = 2
+        f = ConformableFn.from_expr("exp(t)")
+        with mpmath.workdps(40):
+            for k in (16, 40, 100):
+                want = mpmath.diff(lambda u: mpmath.exp(u * u / 4), 2, k)
+                assert frac_deriv_n(f, 0.5, k, 1.0) == pytest.approx(float(want), rel=1e-12), k
+        assert len(f._frac_chain) == 1
+
+    def test_cancellation_case_against_mpmath(self):
+        # the chain loses 1e-8 relative here to cancellation in its sums
+        a, t, k = 0.3206, 3.0, 8
+        got = frac_deriv_n(ConformableFn.from_expr("1/(1+t)"), a, k, t)
+        with mpmath.workdps(40):
+            ma = mpmath.mpf(a)
+            u0 = mpmath.mpf(t) ** ma / ma
+            want = mpmath.diff(lambda u: 1 / (1 + (ma * u) ** (1 / ma)), u0, k)
+        assert got == pytest.approx(float(want), rel=1e-12)
+
+    def test_derivatives_of_a_derivative(self):
+        f = ConformableFn.from_expr("exp(-t)*cos(t^alpha/alpha)")
+        d1 = frac_deriv_fn(f, 1)
+        for t in (0.4, 1.7):
+            assert frac_deriv_n(d1, 0.5, 2, t) == frac_deriv_n(f, 0.5, 3, t)
+            assert frac_deriv_fn(d1, 2).value(t, 0.5) == frac_deriv_fn(f, 3).value(t, 0.5)
+            assert frac_deriv(d1, 0.5, t) == frac_deriv_n(f, 0.5, 2, t)
+        assert frac_deriv_n(d1, 1.0, 2, 0.0) == frac_deriv_n(f, 1.0, 3, 0.0)
+        assert d1.frac_expr(2) is f.frac_expr(3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           alpha=st.sampled_from((0.25, 0.5, 0.7, 1.0)),
+           ts=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 3.0)), min_size=1, max_size=5))
+    def test_values_equal_the_point_loop(self, seed, n, alpha, ts):
+        f = ConformableFn.from_expr(random_tree(random.Random(seed), 3))
+        d = frac_deriv_fn(f, n)
+        try:
+            want = [d.value(t, alpha) for t in ts]
+        except ConfracError as exc:
+            with pytest.raises(type(exc)):
+                d.values(ts, alpha)
+            return
+        assert [v.hex() for v in d.values(ts, alpha)] == [v.hex() for v in want]
+
+    def test_threads_sharing_one_function_get_aligned_evaluators(self):
+        f = ConformableFn.from_expr("exp(-t)*cos(t^alpha/alpha)/(1+t)")
+        ts = [0.3 + 0.1 * i for i in range(20)]
+        want = {n: frac_deriv_fn(ConformableFn.from_expr(f.name), n).values(ts, 0.5)
+                for n in range(1, 6)}
+        workers = 6
+        barrier = threading.Barrier(workers)
+        got = [None] * workers
+
+        def work(slot):
+            barrier.wait(timeout=60)
+            got[slot] = {n: frac_deriv_fn(f, n).values(ts, 0.5) for n in (5, 3, 1, 4, 2)}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(g == want for g in got)
+        # one slot per order, none appended twice
+        assert len(f._frac_compiled) == 6 and None not in f._frac_compiled
+
+    def test_chain_stops_at_its_node_budget(self):
+        f = ConformableFn.from_expr("exp(t)")
+        assert f.frac_expr(12) is not None  # 20,708 distinct nodes
+        start = time.perf_counter()
+        with pytest.raises(ExprSizeError):
+            f.frac_expr(24)
+        assert time.perf_counter() - start < 1.0
+        assert len(f._frac_chain) == 13
+        # where the series exists no chain is needed, at any order
+        assert frac_deriv_n(f, 0.5, 24, 1.0) > 0.0
 
 
 class TestFracIntegral:

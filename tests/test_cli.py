@@ -7,15 +7,22 @@ import sys
 import time
 from pathlib import Path
 
+import random
+
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import confrac
+from confrac import expr as ex
 
 from confrac.cli import (CSV_HEADER, EXIT_HYPOTHESIS, EXIT_NUMERIC, EXIT_OK,
                          EXIT_USAGE, EXIT_VIOLATED, emit_report, run)
 from confrac.calculus import Interval
 from confrac.inequalities import check_sandwich_lemma, steffensen
 from confrac.calculus import ConformableFn
+
+from conftest import random_tree
 
 
 def invoke(argv):
@@ -72,6 +79,73 @@ class TestDeriv:
                                "--alpha", "0.5", "--at", "4"],
                               capture_output=True, text=True, env=env, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "2\n", "")
+
+
+class TestDerivOrders:
+    """deriv --order n takes D^n f from the Taylor-mode series at any order."""
+
+    def test_order_16_matches_mpmath_quickly(self):
+        # exp(t) at alpha 1/2 is exp(u^2/4), t = 1 is u = 2
+        start = time.perf_counter()
+        code, out, _ = invoke(["deriv", "--expr", "exp(t)", "--alpha", "0.5",
+                               "--at", "1", "--order", "16"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        with mpmath.workdps(40):
+            want = mpmath.diff(lambda u: mpmath.exp(u * u / 4), 2, 16)
+        assert float(out) == pytest.approx(float(want), rel=1e-11)  # 12 digits printed
+
+    @pytest.mark.parametrize("order", (100, 200))
+    def test_very_high_orders_end_within_a_second(self, order):
+        start = time.perf_counter()
+        code, _, err = invoke(["deriv", "--expr", "exp(t)", "--alpha", "0.5",
+                               "--at", "1", "--order", str(order)])
+        assert time.perf_counter() - start < 1.0
+        assert code in (EXIT_OK, EXIT_NUMERIC) and "internal error" not in err
+
+    def test_chain_fallback_is_bounded(self):
+        # t = (0.7 u)^(1/0.7) has no series at u = 0: the chain is the
+        # fallback, and it stops at its node budget
+        start = time.perf_counter()
+        code, out, err = invoke(["deriv", "--expr", "exp(t)", "--alpha", "0.7",
+                                 "--at", "0", "--order", "24"])
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_NUMERIC and out == ""
+        assert "distinct nodes" in err
+
+    @pytest.mark.parametrize("text, alpha, order", [("sqrt(t)", 0.5, 4),
+                                                    ("sqrt(t)", 0.25, 4),
+                                                    ("1/(1+t)", 0.5, 3)])
+    def test_exact_zero_at_the_origin(self, text, alpha, order):
+        # sqrt(t) is u/2 or u^2/16 and 1/(1+t) is 1/(1+u^2/4) in u: the
+        # series at u = 0 gives the exact 0 the limit only approached
+        code, out, _ = invoke(["deriv", "--expr", text, "--alpha", str(alpha),
+                               "--at", "0", "--order", str(order)])
+        assert (code, out) == (EXIT_OK, "0\n")
+
+
+class TestFuzz:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), command=st.sampled_from(("deriv", "taylor")),
+           order=st.integers(0, 24), alpha=st.floats(0.0, 1.0, exclude_min=True),
+           at=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+           center=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+           cut=st.one_of(st.none(), st.tuples(st.integers(0, 40), st.integers(1, 3))))
+    def test_documented_exit_codes_quickly(self, seed, command, order, alpha, at,
+                                           center, cut):
+        text = ex.to_text(random_tree(random.Random(seed)))
+        if cut is not None:  # a damaged text exercises the parser's errors
+            text = text[:cut[0]] + text[cut[0] + cut[1]:]
+        argv = [command, "--expr", text, "--alpha", repr(alpha), "--at", repr(at)]
+        if command == "deriv":
+            argv += ["--order", str(order)]
+        else:
+            argv += ["--degree", str(order), "--center", repr(center)]
+        start = time.perf_counter()
+        code, _, err = invoke(argv)
+        assert time.perf_counter() - start < 5.0, argv
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), argv
+        assert "internal error" not in err, (argv, err)
 
 
 class TestIntegrate:
@@ -177,7 +251,7 @@ class TestInternalFaults:
     def test_unexpected_exception_exits_4(self, monkeypatch):
         from confrac import cli
 
-        def broken(args, out):
+        def broken(args, out, err):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(cli._COMMANDS, "deriv", broken)
@@ -188,7 +262,7 @@ class TestInternalFaults:
     def test_interrupt_passes_through(self, monkeypatch):
         from confrac import cli
 
-        def interrupted(args, out):
+        def interrupted(args, out, err):
             raise KeyboardInterrupt
 
         monkeypatch.setitem(cli._COMMANDS, "deriv", interrupted)
@@ -338,7 +412,9 @@ class TestSweep:
     def test_numeric_failure_is_a_flagged_row(self, fmt):
         code, out, err = invoke(self.MIXED + fmt)
         assert code == EXIT_NUMERIC
-        assert err == ""
+        # text rows show no cause, so text mode names it on stderr
+        reason = "numeric failure: derivative limit at t=0 diverges"
+        assert err == ("" if fmt else f"confrac: alpha=0.75: {reason}\n")
         good = invoke(["sweep", "--ineq", "hh2", "--f", "t^0.5", "--alphas", "0.25,0.5",
                        "--a", "0", "--b", "1"] + fmt)
         assert good[0] == EXIT_OK

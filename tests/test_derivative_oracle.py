@@ -3,8 +3,9 @@
 The oracle applies t^(1-alpha) d/dt n times with sympy's own
 differentiation and evaluates the result in 30-digit arithmetic, so it
 shares no code with the package's expression layer.  Both of the package's
-routes are held to it: the compiled derivative levels (frac_deriv_n) and
-the truncated-series coefficients behind expand() at t > 0.
+routes are held to it: the Taylor-mode coefficients behind frac_deriv_n and
+expand(), and the symbolic chain (frac_expr), which is the fallback where
+no series exists.
 """
 
 import mpmath
@@ -57,8 +58,11 @@ def test_matches_sympy_and_compiled_equals_tree_walk(text):
                     assert got == pytest.approx(want, rel=1e-10, abs=1e-12), (n, t, a)
                     assert jets[t][n] == pytest.approx(want, rel=1e-10, abs=1e-12), (
                         "series", n, t, a)
+                    chain = ex.evaluate_at(tree, t, a)
+                    assert chain == pytest.approx(want, rel=1e-10, abs=1e-12), (
+                        "chain", n, t, a)
                     # the compiled evaluator performs the tree's operations
-                    assert got == ex.evaluate_at(tree, t, a), (n, t, a)
+                    assert ex.compile_expr(tree)(t, a) == chain, (n, t, a)
 
 
 def distinct_nodes(root: ex.Expr) -> int:

@@ -9,7 +9,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confrac import expr as ex
+from confrac import _taylor_mode as tm, expr as ex
 from confrac.calculus import ConformableFn, frac_deriv_n
 from confrac.errors import EvalDomainError, ExprDepthError, ExprSyntaxError
 
@@ -451,3 +451,77 @@ class TestNormalization:
             t = rng.uniform(0.5, 3.0)
             assert ex.evaluate_at(sub, t, 0.25) == pytest.approx(
                 ex.evaluate_at(tree, t, 0.75), rel=1e-11, abs=1e-11)
+
+
+def _jet_outcome(fn):
+    """The coefficients, or the error type; a coefficient that is not finite
+    counts as the EvalDomainError its callers raise for it."""
+    try:
+        coeffs = fn()
+    except (EvalDomainError, ex.NoTaylorSeries) as exc:
+        return type(exc)
+    return coeffs if all(map(math.isfinite, coeffs)) else EvalDomainError
+
+
+def _interpreted(tree, n, t, alpha):
+    """taylor_series with the binomial seed of t^c at t > 0, arithmetic faults
+    mapped as the compiled functions map them."""
+    try:
+        return ex.taylor_series(tree, n, alpha, ex.t_power_at(t, alpha, n))
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        raise ex._domain_error(exc) from None
+
+
+class TestCompiledJets:
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6),
+           t=st.floats(0.05, 4.0), alpha=st.floats(0.05, 1.0),
+           ts=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=6))
+    def test_equal_the_interpretive_pass(self, seed, n, t, alpha, ts):
+        tree = random_tree(random.Random(seed))
+        jets = tm.compile_jet(tree, n)
+        want = _jet_outcome(lambda: _interpreted(tree, n, t, alpha))
+        got = _jet_outcome(lambda: [jets.top(t, alpha)])
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want
+        else:
+            # D^n = n! c_n, held to the largest D^j, j <= n, of the pass
+            scale = max(abs(c) * math.factorial(k) for k, c in enumerate(want))
+            assert got[0] == pytest.approx(want[n], rel=1e-12,
+                                           abs=1e-12 * scale / math.factorial(n))
+        # the batch is the point loop, bit for bit, or fails where it fails
+        try:
+            loop = [jets.top(s, alpha) * 3.0 for s in ts]
+        except (EvalDomainError, ex.NoTaylorSeries):
+            with pytest.raises((EvalDomainError, ex.NoTaylorSeries)):
+                jets.batch(ts, alpha, 3.0)
+            return
+        assert _bits(jets.batch(ts, alpha, 3.0)) == _bits(loop)
+
+    @pytest.mark.parametrize("n", (1, tm._JET_UNROLL_MAX, tm._JET_UNROLL_MAX + 1, 16))
+    def test_one_compile_per_shape_and_order(self, monkeypatch, n):
+        tm._jet_factory.cache_clear()
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return compile(*args)
+
+        monkeypatch.setattr(tm, "compile", counting, raising=False)
+        first = ex.parse("3.5*sin(2.25*t)*exp(-t^alpha/alpha)/(1+t^2)")
+        second = ex.parse("1.5*sin(4*t)*exp(-t^alpha/alpha)/(7+t^2)")
+        for tree in (first, second):
+            got = tm.compile_jet(tree, n).top(1.3, 0.5)
+            assert got == _interpreted(tree, n, 1.3, 0.5)[n]
+        # unrolled up to the threshold, one compilation per shape; above it
+        # the pass itself runs, and its cost does not include a compilation
+        assert len(calls) == (1 if n <= tm._JET_UNROLL_MAX else 0)
+
+    @pytest.mark.parametrize("text, n", [("(t-1)^0.5", 3), ("(t-1)^(-2)", 2),
+                                         ("sqrt(t-1)", 1), ("abs(t-1)", 2),
+                                         ("ln(t-1)", 1), ("1/(t-1)", 2)])
+    def test_domain_errors_at_a_zero_argument(self, text, n):
+        tree = ex.parse(text)
+        want = _jet_outcome(lambda: _interpreted(tree, n, 1.0, 0.5))
+        assert isinstance(want, type)
+        assert _jet_outcome(lambda: [tm.compile_jet(tree, n).top(1.0, 0.5)]) is want

@@ -566,3 +566,48 @@ class TestHermiteHadamard3:
         bounds = BoundsPair(d1.value(1.0, 0.5), d1.value(2.0, 0.5))
         r = hermite_hadamard_3(f, 0.5, Interval(1.0, 2.0), bounds)
         assert r.hypotheses_ok and r.holds
+
+
+class TestNoChainOnNumericPaths:
+    # one holding or clean instance of every checker the CLI registers, each on
+    # a window inside [0.1, 3]
+    CHECKS = [
+        ["steffensen", "--f", "exp(-t)", "--g", "0.5"],
+        ["sandwich", "--g", "0.5+0.4*sin(t)"],
+        ["rem-steffensen", "--f", "-exp(-t^alpha/alpha)", "--n", "1"],
+        ["hh1", "--f", "exp(-t^alpha/alpha)"],
+        ["mm-bounds", "--f", "exp(-t^alpha/alpha)", "--n", "1", "--m", "0", "--M", "1"],
+        ["cebysev", "--f", "t", "--g", "t^2"],
+        ["rem-cebysev", "--f", "exp(t^alpha/alpha)", "--n", "2"],
+        ["hh2", "--f", "t^2"],
+        ["montgomery", "--f", "sin(t)"],
+        ["ostrowski", "--f", "t^alpha/alpha+exp(-t)"],
+        ["jensen", "--w", "1", "--g", "t", "--F", "t^2"],
+        ["gruss", "--f", "t", "--g", "exp(-t)", "--m", "0,0", "--M", "3,1"],
+        ["gruss-montgomery", "--f", "sin(t)", "--m", "-2", "--M", "2"],
+        ["hh3", "--f", "t^2", "--m", "0", "--M", "9"],
+    ]
+
+    def test_checkers_and_deriv_run_without_the_chain(self, monkeypatch):
+        import io
+        from confrac import cli
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            return cli.run(argv, out, err), out.getvalue(), err.getvalue()
+
+        argvs = [["check", "--ineq"] + c + ["--alpha", "0.5", "--a", "0.5", "--b", "2.5"]
+                 for c in self.CHECKS]
+        argvs.append(["deriv", "--expr", "exp(-t)*cos(t)", "--alpha", "0.5",
+                      "--order", "3", "--at", "1.2"])
+        assert len(argvs) - 1 == len(cli._CHECKS) == 14
+        want = [run(argv) for argv in argvs]
+
+        def no_chain(self, n):
+            raise AssertionError("the symbolic chain was built")
+
+        monkeypatch.setattr(ConformableFn, "frac_expr", no_chain)
+        for argv, expected in zip(argvs, want):
+            code, out, err = run(argv)
+            assert (code, out, err) == expected, argv
+            assert code == 0, (argv, err)

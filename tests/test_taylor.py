@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confrac import expr as ex
+from confrac import _taylor_mode as tm, calculus, expr as ex
 from confrac import functions as fam
 from confrac.calculus import Alpha, ConformableFn, Interval, frac_deriv_n
 from confrac.errors import EvalDomainError
@@ -181,9 +181,17 @@ DEEP_TEXTS = (
 _DEEP_FNS = {text: ConformableFn.from_expr(text) for text in DEEP_TEXTS}
 
 
+def _chain_at(f, k, s, alpha):
+    """D^k f(s) by walking the symbolic chain's tree, or None on a domain error."""
+    try:
+        return ex.evaluate_at(f.frac_expr(k), s, alpha)
+    except EvalDomainError:
+        return None
+
+
 class TestSeriesCoefficients:
-    """expand() at s > 0 takes every D^k f(s) from one truncated-series pass;
-    these tests hold it to the compiled derivative levels."""
+    """expand() and frac_deriv_n take every D^k f(s) from one truncated-series
+    pass; these tests hold them to the symbolic chain, walked as a tree."""
 
     @pytest.mark.parametrize("text, defined", [
         ("ln(t-2)", False), ("1/(t-1)", False), ("abs(t-1)", False),
@@ -191,10 +199,12 @@ class TestSeriesCoefficients:
         # a zero base with an integer exponent has a value, not a division by 0
         ("(t-1)^3", True),
         # identically zero subtrees: the pass meets sqrt or abs at 0, or the
-        # log of a negative base, and falls back to the levels, where d/dt
+        # log of a negative base, and falls back to the chain, where d/dt
         # folds the zero factor away
         ("sqrt(t-t)", True), ("0*abs(t-1)", True),
         ("(alpha+(alpha-11))^(-(t-t))", True),
+        # f(1) is undefined, but d/dt folds 0*ln(t-2) to 0: D^k f(1) = 0, k >= 1
+        ("0*ln(t-2)", False),
     ])
     @pytest.mark.parametrize("alpha", (0.5, 1.0))
     def test_domain_parity_with_compiled_levels(self, text, defined, alpha):
@@ -204,13 +214,21 @@ class TestSeriesCoefficients:
         except EvalDomainError:
             got = None
         g = ConformableFn.from_expr(text)
-        try:
-            want = [frac_deriv_n(g, alpha, k, s) for k in range(n + 1)]
-        except EvalDomainError:
-            want = None
-        assert (got is not None) == (want is not None) == defined
+        want = [_chain_at(g, k, s, alpha) for k in range(n + 1)]
+        assert (got is not None) == (None not in want) == defined
         if defined:
             assert got == pytest.approx(want, rel=1e-9)
+        f = ConformableFn.from_expr(text)
+        for k in range(1, n + 1):
+            try:
+                value = frac_deriv_n(f, alpha, k, s)
+            except EvalDomainError:
+                value = None
+            assert (value is None) == (want[k] is None), k
+            if value is not None:
+                assert value == pytest.approx(want[k], rel=1e-9, abs=1e-12), k
+        if text == "0*ln(t-2)":
+            assert want[1:] == [0.0] * n
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(text=st.sampled_from(DEEP_TEXTS), alpha=st.floats(0.2, 1.0, exclude_min=True),
@@ -220,18 +238,21 @@ class TestSeriesCoefficients:
         top = 5 if text.startswith("sin(t)*") else 8
         got = expand(f, alpha, top, s).coefficients
         for k in range(top + 1):
-            # the compiled levels sum expanded terms and can lose digits to
+            # the chain sums expanded terms and can lose digits to
             # cancellation on a small D^k (1/(1+t), k = 8, alpha 0.32, s = 3:
-            # the series is within 6e-13 of mpmath, frac_deriv_n is off by
+            # the series is within 6e-13 of mpmath, the chain is off by
             # 1e-8 relative), so the floor scales with the largest D^j, j <= k
             scale = max(abs(c) for c in got[:k + 1])
-            assert got[k] == pytest.approx(frac_deriv_n(f, alpha, k, s),
+            assert got[k] == pytest.approx(_chain_at(f, k, s, alpha),
                                            rel=1e-9, abs=1e-9 * scale), k
+            if k:
+                assert frac_deriv_n(f, alpha, k, s) == got[k], k
 
     def test_no_derivative_tree_and_no_compilation(self, monkeypatch):
         f = ConformableFn.from_expr("sin(t)*exp(t^alpha/alpha)/(1+t^2)")
         compiled = []
         monkeypatch.setattr(ex, "compile_expr", compiled.append)
+        monkeypatch.setattr(tm, "compile_jet", lambda e, n: compiled.append(n))
         expand(f, 0.5, 12, 1.3)
         taylor_remainder(f, 0.5, 11, 1.3, 2.0)
         remainder_split_residual(f, 0.5, 6, Interval(0.5, 2.0), 1.1)
@@ -294,10 +315,12 @@ _DEEP_ORACLES = {
 
 
 def _loop_at_zero(text, alpha, n):
-    """The per-order chain: D^k f(0) from frac_deriv_n, or the error type."""
+    """The per-order chain: f(0) and D^k f(0) from the symbolic chain with its
+    limit handling, or the error type."""
     g = ConformableFn.from_expr(text)
     try:
-        return tuple(frac_deriv_n(g, alpha, k, 0.0) for k in range(n + 1))
+        return (g.value(0.0, alpha),) + tuple(
+            calculus._chain_derivative(g, alpha, k, 0.0) for k in range(1, n + 1))
     except Exception as exc:  # the type is compared, not swallowed
         return type(exc)
 
@@ -329,6 +352,7 @@ class TestCentreZeroSeries:
         f = ConformableFn.from_expr("exp(t)")
         compiled = []
         monkeypatch.setattr(ex, "compile_expr", compiled.append)
+        monkeypatch.setattr(tm, "compile_jet", lambda e, n: compiled.append(n))
         expand(f, 0.5, 12, 0.0)
         assert len(f._frac_chain) == 1
         assert compiled == []
