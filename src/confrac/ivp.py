@@ -4,7 +4,10 @@ The operator is L y = D^n y + sum_i p_i D^{n-i} y with continuous
 coefficients.  Under the substitution u = t^alpha/alpha the conformable
 derivative becomes d/du exactly, so L y = f is the classical linear system
 z' = A(u) z + f(t(u)) e_n in the state z = (y, D y, ..., D^{n-1} y), which
-one fixed-step RK4 pass in u integrates from the initial data.  The
+one fixed-step RK4 pass in u integrates from the initial data.  The pass
+goes in chunks of steps: the forcing and each coefficient are evaluated
+once per chunk as a batch, and a stepper compiled once per order, with one
+local per state component, advances the state over the chunk.  The
 coefficient-free case has the closed-form kernel
 ((t^a - s^a)/a)^(n-1)/(n-1)!: its homogeneous part is the exact fractional
 Taylor sum and its forced part the variation-of-constants integral
@@ -13,9 +16,10 @@ Taylor sum and its forced part the variation-of-constants integral
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .calculus import (Alpha, ConformableFn, QuadratureConfig, frac_integral)
 from .errors import EvalDomainError, SolverError
@@ -65,7 +69,94 @@ def _step_count(us: float, ut: float, steps: Optional[int]) -> int:
         if steps < MIN_STEPS:
             raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
         return steps
-    return max(64, math.ceil(STEPS_PER_UNIT * abs(ut - us)))
+    count = STEPS_PER_UNIT * abs(ut - us)
+    if not math.isfinite(count):  # an alpha within rounding of 0
+        raise SolverError(f"cannot step from u={us!r} to u={ut!r}")
+    return max(64, math.ceil(count))
+
+
+# steps advanced per batch of node evaluations: the node values of one chunk
+# are all that is held, so memory stays bounded however many steps a solve takes
+_CHUNK_STEPS = 256
+_STEPPER_CACHE_SIZE = 64
+_ZEROS = (0.0,) * (2 * _CHUNK_STEPS + 1)  # the forcing of L y = 0 at a chunk's nodes
+
+
+def _stepper_source(n: int, coefficients: bool) -> str:
+    """Python source of step(z, h, ends, f, ps): the RK4 steps of one chunk.
+
+    f holds the forcing and ps[i - 1] the coefficient p_i at the chunk's
+    nodes u, u + h/2, u + h, ...; ends holds the u reached by each step.
+    Every state component is its own local, the top component of each stage
+    subtracts p_i z[n - i] one statement at a time, and every step ends with
+    the finite check, so a high order stays a flat sequence of statements.
+    """
+    ps = [f"p{i}" for i in range(1, n + 1)] if coefficients else []
+    columns = ["f"] + ps
+    z = [f"z{j}" for j in range(n)]
+    lines = ["def step(z, h, ends, f, ps):",
+             f" {', '.join(z)}, = z",
+             " hh = 0.5 * h",
+             " h6 = h / 6.0"]
+    if ps:
+        lines.append(f" {', '.join(ps)}, = ps")
+    # per step: each column at the step's start (_0), midpoint (_m) and end (_1)
+    lines.append(f" for {', '.join(f'{c}_{k}' for c in columns for k in '0m1')}, u in zip("
+                 f"{', '.join(f'{c}[{i}::2]' for c in columns for i in range(3))}, ends):")
+    ks = []
+    state = z
+    for stage, (node, scale, nxt) in enumerate(
+            (("0", "hh", "y"), ("m", "hh", "w"), ("m", "h", "x"), ("1", None, None)), start=1):
+        top = f"q{stage}"
+        lines.append(f"  {top} = f_{node}")
+        lines += [f"  {top} -= {p}_{node} * {state[n - i]}" for i, p in enumerate(ps, start=1)]
+        k = state[1:] + [top]
+        ks.append(k)
+        if nxt is not None:
+            state = [f"{nxt}{j}" for j in range(n)]
+            # without coefficients nothing reads a stage's first component
+            lines += [f"  {state[j]} = z{j} + {scale} * {k[j]}"
+                      for j in range(0 if ps else 1, n)]
+    # ascending j reads k1[j] = z[j + 1] before z[j + 1] is updated
+    lines += [f"  z{j} = z{j} + h6 * ({ks[0][j]} + 2.0 * {ks[1][j]} + 2.0 * {ks[2][j]}"
+              f" + {ks[3][j]})" for j in range(n)]
+    # x - x is 0.0 for a finite x and nan (true) for an infinite or nan one
+    lines.append(f"  if {' or '.join(f'{v} - {v}' for v in z)}:")
+    lines.append('   raise SolverError(f"non-finite state at u={u!r} while stepping")')
+    lines.append(f" return [{', '.join(z)}]")
+    return "\n".join(lines)
+
+
+@functools.lru_cache(maxsize=_STEPPER_CACHE_SIZE)
+def _stepper(n: int, coefficients: bool) -> Callable:
+    """The generated chunk stepper of an order-n operator (see _stepper_source)."""
+    namespace: dict = {}
+    exec(compile(_stepper_source(n, coefficients), "<rk4>", "exec"),
+         {"SolverError": SolverError}, namespace)
+    return namespace["step"]
+
+
+def _node_time(u: float, a: float, inv: float) -> float:
+    # stepping back to t = 0 can overshoot u = 0 by a rounding error
+    u = max(u, 0.0)
+    return math.pow(a * u, inv) if a != 1.0 else u
+
+
+def _first_fault(fns: list, us: list, a: float, inv: float):
+    """Evaluate fns at t(u) for u in us point by point, node after node and
+    in the order of fns at each node; return the columns of values up to the
+    first fault, the index of the failing node (None if none fails) and its
+    exception."""
+    cols = [[] for _ in fns]
+    for j, u in enumerate(us):
+        try:
+            tv = _node_time(u, a, inv)
+            row = [fn.value(tv, a) for fn in fns]
+        except Exception as exc:  # re-raised by the caller once it has stepped
+            return cols, j, exc
+        for col, v in zip(cols, row):
+            col.append(v)
+    return cols, None, None
 
 
 def _rk4_solve(op: LinearOperator, s: float, t: float, state: list[float],
@@ -77,49 +168,53 @@ def _rk4_solve(op: LinearOperator, s: float, t: float, state: list[float],
 
     An RK4 step samples only u and u + h/2 (k2 and k3 share it, and k4's
     u + h is the next step's k1), so the coefficients and the forcing are
-    evaluated once per distinct node: 2m + 1 times over m steps.
+    evaluated once per distinct node: 2m + 1 times over m steps.  The steps
+    go in chunks of _CHUNK_STEPS: each function is evaluated once per chunk
+    through ConformableFn.values (the chunk's first node is the last one's
+    end), then a stepper generated once per order advances the state over
+    the chunk with the arithmetic of one step at a time.  Where a batch
+    fails, the chunk is evaluated again point by point in the order of a
+    step-by-step loop (the forcing, then p_1..p_n, at each node), the steps
+    whose nodes come before the first fault are taken, and that fault is
+    raised: values and errors are those of the step-by-step loop.
     """
     a = op.alpha.value
-    n = op.order
     us = math.pow(s, a) / a
     ut = math.pow(t, a) / a
     m = _step_count(us, ut, steps)
     h = (ut - us) / m
+    hh = 0.5 * h
     inv = 1.0 / a
-    coefficients = [p.value for p in op.coefficients]
-    f = forcing.value if forcing is not None else None
-
-    def node(u: float) -> tuple[float, list[float]]:
-        """Forcing and coefficient values at t(u)."""
-        # stepping back to t = 0 can overshoot u = 0 by a rounding error
-        u = max(u, 0.0)
-        tv = math.pow(a * u, inv) if a != 1.0 else u
-        return (0.0 if f is None else f(tv, a)), [p(tv, a) for p in coefficients]
-
-    def rhs(at: tuple[float, list[float]], z: list[float]) -> list[float]:
-        top, ps = at
-        for i, p in enumerate(ps, start=1):
-            top -= p * z[n - i]
-        dz = z[1:]
-        dz.append(top)
-        return dz
-
+    fns = ([forcing] if forcing is not None else []) + list(op.coefficients)
+    pow_ = math.pow
     z = list(state)
     u = us
-    at_u = node(u)
-    for _ in range(m):
-        at_mid = node(u + 0.5 * h)
-        at_end = node(u + h)
-        k1 = rhs(at_u, z)
-        k2 = rhs(at_mid, [z[j] + 0.5 * h * k1[j] for j in range(n)])
-        k3 = rhs(at_mid, [z[j] + 0.5 * h * k2[j] for j in range(n)])
-        k4 = rhs(at_end, [z[j] + h * k3[j] for j in range(n)])
-        z = [z[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-             for j in range(n)]
-        u += h
-        at_u = at_end
-        if not all(math.isfinite(v) for v in z):
-            raise SolverError(f"non-finite state at u={u!r} while stepping")
+    tv = _node_time(u, a, inv)
+    last = [fn.value(tv, a) for fn in fns]
+    step = _stepper(op.order, bool(op.coefficients))
+    for first in range(0, m, _CHUNK_STEPS):
+        nodes = []  # u + h/2 and u + h of each step of the chunk
+        for _ in range(min(_CHUNK_STEPS, m - first)):
+            nodes.append(u + hh)
+            u += h
+            nodes.append(u)
+        try:
+            ts = nodes if min(nodes) >= 0.0 else [max(v, 0.0) for v in nodes]
+            if a != 1.0:
+                ts = [pow_(a * v, inv) for v in ts]
+            cols = [fn.values(ts, a) for fn in fns]
+            fault = None
+        except Exception:
+            cols, j, fault = _first_fault(fns, nodes, a, inv)
+        cols = [[v] + col for v, col in zip(last, cols)]
+        fs, ps = (cols[0], cols[1:]) if forcing is not None else (_ZEROS, cols)
+        if fault is not None:
+            # the steps whose nodes all precede the failing one (nodes[j]),
+            # so that a state gone non-finite before it raises first
+            step(z, h, nodes[1:j:2], fs, ps)
+            raise fault
+        z = step(z, h, nodes[1::2], fs, ps)
+        last = [col[-1] for col in cols]
     return z
 
 

@@ -4,15 +4,16 @@ perfbench/tracing.py wraps module-level functions of every layer, the
 ConformableFn.frac_expr method and index 0 of _frac_compiled of the
 function objects built at import time.  This test installs it, runs one
 traced derivative grid and checks that uninstalling puts every original
-back.
+back, and does the same around one solve of a linear IVP.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-from confrac import calculus, cli, inequalities  # noqa: F401 (the tracer wraps cli too)
-from confrac.calculus import ConformableFn, frac_deriv_fn
+from confrac import calculus, cli, inequalities, ivp  # noqa: F401 (the tracer wraps cli too)
+from confrac.calculus import Alpha, ConformableFn, frac_deriv_fn
+from confrac.ivp import IvpSpec, LinearOperator, solve_full
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,6 +53,30 @@ def test_tracer_installs_and_restores():
     assert got == want
     assert tracer.calls["calculus.deriv_fn"] == 1
     assert tracer.calls["calculus.frac_expr"] == 0  # no chain on this path
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key in before if after[key] is not before[key]]
+    assert changed == []
+
+
+def test_tracer_counts_one_rk4_pass_per_solve():
+    def spec():
+        op = LinearOperator(order=2, alpha=Alpha(0.5), coefficients=(
+            ConformableFn.from_expr("0.4"), ConformableFn.from_expr("0.2*t")))
+        return IvpSpec(op, ConformableFn.from_expr("exp(-t)"), 1.0, (0.5, -0.2))
+
+    want = solve_full(spec(), 2.5, steps=600)
+    before = _bindings()
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert ivp._rk4_solve is not before[("confrac.ivp", "_rk4_solve")]
+        got = ivp.solve_full(spec(), 2.5, steps=600)
+    finally:
+        tracer.uninstall()
+    assert got == want
+    assert tracer.calls["ivp.solve"] == 1
+    assert tracer.calls["ivp.rk4"] == 1
     after = _bindings()
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]

@@ -147,6 +147,27 @@ class TestFuzz:
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), argv
         assert "internal error" not in err, (argv, err)
 
+    # below alpha = 0.05 the default step count (512 per unit of u) grows
+    # past what 5 s can step: alpha 1e-4 over [0, 4] takes 5 million steps
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 3),
+           alpha=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           start=st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    def test_solve_documented_exit_codes_quickly(self, seed, order, alpha, start):
+        rng = random.Random(seed)
+        argv = ["solve", "--order", str(order), "--alpha", repr(alpha),
+                "--from", repr(start), "--to", repr(rng.uniform(0.0, 4.0)),
+                "--init", ",".join(repr(round(rng.uniform(-2.0, 2.0), 3))
+                                   for _ in range(order)),
+                "--rhs", ex.to_text(random_tree(rng))]
+        if rng.random() < 0.7:
+            argv += ["--coeffs", ";".join(ex.to_text(random_tree(rng)) for _ in range(order))]
+        begin = time.perf_counter()
+        code, _, err = invoke(argv)
+        assert time.perf_counter() - begin < 5.0, argv
+        assert code in (EXIT_OK, EXIT_NUMERIC), argv
+        assert "internal error" not in err, (argv, err)
+
 
 class TestIntegrate:
     def test_singular_weight(self):
@@ -220,6 +241,21 @@ class TestSolve:
                                "--init", "1"])
         assert code == EXIT_OK
         assert float(out) == pytest.approx(math.exp(-1.5), abs=1e-6)
+
+    def test_voc_fallback_for_forcing_singular_at_zero(self):
+        code, out, _ = invoke(["solve", "--order", "2", "--coeffs", "1;t", "--rhs", "ln(t)",
+                               "--alpha", "0.5", "--from", "0", "--to", "1"])
+        assert code == EXIT_OK
+        assert out.strip() == "-2.56384136012"
+
+    @pytest.mark.parametrize("alpha", ["5e-324", "1e-306"])
+    def test_alpha_too_small_to_step(self, alpha):
+        # the default step count, 512 per unit of u = t^alpha/alpha, is
+        # beyond float range at t = 1: a numeric failure
+        code, _, err = invoke(["solve", "--order", "1", "--coeffs", "1", "--alpha", alpha,
+                               "--from", "0", "--to", "1"])
+        assert code == EXIT_NUMERIC
+        assert "internal error" not in err
 
     def test_coeff_count_mismatch(self):
         code, _, _ = invoke(["solve", "--order", "2", "--coeffs", "1",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -6,6 +7,7 @@ from scipy.integrate import quad, solve_ivp
 from confrac import functions as fam
 from confrac import ivp
 from confrac.calculus import Alpha, ConformableFn
+from confrac.errors import EvalDomainError, SolverError
 from confrac.ivp import IvpSpec, LinearOperator, cauchy_function, solve_full, solve_voc
 from confrac.taylor import taylor_poly
 
@@ -303,3 +305,213 @@ class TestOnePassSolve:
                        epsabs=1e-13, epsrel=1e-13)
         want = y0 * math.exp(-c * t) + tail
         assert solve_full(spec, t, steps=32) == pytest.approx(want, abs=1e-8)
+
+
+def stepwise_rk4(op, forcing, s, t, init, m):
+    """The step-by-step form of the shared-node RK4 pass: each node evaluated
+    once, when its step reaches it (the forcing, then p_1..p_n), u clamped at
+    0, the state checked after every step.  Kept as the reference for the
+    errors of the chunked pass and for windows that end at t = 0."""
+    a, n = op.alpha.value, op.order
+    us, ut = math.pow(s, a) / a, math.pow(t, a) / a
+    h = (ut - us) / m
+
+    def node(u):
+        u = max(u, 0.0)
+        tv = math.pow(a * u, 1.0 / a) if a != 1.0 else u
+        return (forcing.value(tv, a) if forcing is not None else 0.0,
+                [p.value(tv, a) for p in op.coefficients])
+
+    def rhs(at, z):
+        top, ps = at
+        for i, p in enumerate(ps, start=1):
+            top -= p * z[n - i]
+        return z[1:] + [top]
+
+    z, u, at_u = list(init), us, node(us)
+    for _ in range(m):
+        at_mid, at_end = node(u + 0.5 * h), node(u + h)
+        k1 = rhs(at_u, z)
+        k2 = rhs(at_mid, [z[j] + 0.5 * h * k1[j] for j in range(n)])
+        k3 = rhs(at_mid, [z[j] + 0.5 * h * k2[j] for j in range(n)])
+        k4 = rhs(at_end, [z[j] + h * k3[j] for j in range(n)])
+        z = [z[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+             for j in range(n)]
+        u += h
+        at_u = at_end
+        if not all(math.isfinite(v) for v in z):
+            raise SolverError(f"non-finite state at u={u!r} while stepping")
+    return z
+
+
+def outcome(call, *args):
+    """The value a call returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def operator(alpha, *texts):
+    return LinearOperator(order=len(texts), alpha=Alpha(alpha),
+                          coefficients=tuple(ConformableFn.from_expr(p) for p in texts))
+
+
+class TestChunkedErrors:
+    def test_state_overflow_before_a_later_fault(self):
+        # y grows about 12-fold per step and overflows near u = 0.93, in the
+        # second chunk; ln(1.5 - t) fails from u = 1.5 on, later in that chunk
+        op = operator(1.0, "-800")
+        f = ConformableFn.from_expr("ln(1.5-t)")
+        want = outcome(stepwise_rk4, op, f, 0.0, 2.0, (1.0,), 600)
+        assert want[0] == "SolverError"
+        assert outcome(ivp._rk4_solve, op, 0.0, 2.0, [1.0], 600, f) == want
+        assert outcome(solve_full, IvpSpec(op, f, 0.0, (1.0,)), 2.0, 600) == want
+
+    def test_coefficient_fault_at_an_earlier_node_than_the_forcing(self):
+        # in the second chunk (t in (0.427, 0.853]) p_2 fails from t = 0.6
+        # and the forcing, evaluated first at each node, overflows after 0.81
+        op = operator(1.0, "0.4", "ln(0.6-t)")
+        f = ConformableFn.from_expr("exp(1000*(t-0.1))")
+        want = outcome(stepwise_rk4, op, f, 0.0, 1.0, [0.5, -0.2], 600)
+        assert want == ("EvalDomainError", "math domain error")
+        assert outcome(ivp._rk4_solve, op, 0.0, 1.0, [0.5, -0.2], 600, f) == want
+        with pytest.raises(EvalDomainError, match="overflow"):
+            f.value(0.82, 1.0)
+
+    def test_fault_in_the_second_chunk_after_the_first_chunks_steps(self, monkeypatch):
+        # node k sits at t = k/600; the first one past 1.2025 is k = 722, the
+        # end of step 361, so 360 steps come first: 256 in the first chunk
+        taken = []
+        stepper = ivp._stepper
+
+        def spy(n, coefficients):
+            step = stepper(n, coefficients)
+
+            def counted(z, h, ends, fs, ps):
+                taken.append(len(ends))
+                return step(z, h, ends, fs, ps)
+            return counted
+
+        monkeypatch.setattr(ivp, "_stepper", spy)
+        op = op_02(1.0)
+        f = ConformableFn.from_expr("ln(1.2025-t)")
+        want = outcome(stepwise_rk4, op, f, 0.0, 2.0, [0.5, -0.2], 600)
+        assert want[0] == "EvalDomainError"
+        assert outcome(ivp._rk4_solve, op, 0.0, 2.0, [0.5, -0.2], 600, f) == want
+        assert taken == [ivp._CHUNK_STEPS, 360 - ivp._CHUNK_STEPS]
+
+    def test_fault_at_the_first_node_takes_no_step(self, monkeypatch):
+        monkeypatch.setattr(ivp, "_stepper", lambda n, c: pytest.fail("stepped"))
+        op = op_02(0.5)
+        f = ConformableFn.from_expr("ln(t)")
+        want = outcome(stepwise_rk4, op, f, 0.0, 1.0, [0.0, 0.0], 64)
+        assert outcome(ivp._rk4_solve, op, 0.0, 1.0, [0.0, 0.0], 64, f) == want
+
+
+class TestChunkedBitIdentity:
+    @pytest.mark.parametrize("order", [1, 3, 4])
+    @pytest.mark.parametrize("forcing", [None, "exp(-t)"])
+    def test_orders(self, order, forcing):
+        op = operator(0.6, *("0.4", "0.2*t", "cos(t)", "0.1*t^2")[:order])
+        f = ConformableFn.from_expr(forcing) if forcing else None
+        init = tuple(0.5 - 0.3 * k for k in range(order))
+        for s, t in ((1.0, 2.5), (0.0, 1.5), (2.0, 0.7)):
+            got = solve_full(IvpSpec(op, f, s, init), t, steps=50)
+            assert got == reference_rk4(op, f, s, t, init, 50)
+
+    def test_callable_coefficient_without_batch_form(self):
+        p = ConformableFn.from_callable(lambda t: 0.3 + 0.1 * math.sin(t))
+        op = LinearOperator(order=2, alpha=Alpha(0.5),
+                            coefficients=(p, ConformableFn.from_expr("0.2*t")))
+        f = ConformableFn.from_expr("cos(t)")
+        got = solve_full(IvpSpec(op, f, 0.5, (1.0, 0.0)), 2.0, steps=300)
+        assert got == reference_rk4(op, f, 0.5, 2.0, (1.0, 0.0), 300)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_coefficient_free_kernel(self, order):
+        op = op_free(order, 0.7)
+        init = [0.0] * (order - 1) + [1.0]
+        for s, t in ((0.5, 2.0), (2.0, 0.3)):
+            got = cauchy_function(op, s, t, steps=300, method="rk4")
+            assert got == reference_rk4(op, None, s, t, init, 300)
+
+    @pytest.mark.parametrize("steps", [255, 256, 257, 600])
+    def test_step_counts_across_chunk_boundaries(self, steps):
+        op = op_02(0.5)
+        f = ConformableFn.from_expr("exp(-t)")
+        for s, t in ((1.0, 2.5), (2.5, 1.0)):
+            got = solve_full(IvpSpec(op, f, s, (0.5, -0.2)), t, steps=steps)
+            assert got == reference_rk4(op, f, s, t, (0.5, -0.2), steps)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0])
+    def test_backward_solve_to_zero(self, alpha):
+        # the last nodes may fall within rounding below u = 0, where both the
+        # pass and the step-by-step reference evaluate at t = 0
+        op = op_02(alpha)
+        f, points = counting("cos(t)")
+        for s, steps in ((0.4, 64), (2.0, 300), (1.3, 700)):
+            points.clear()
+            want = stepwise_rk4(op, f, s, 0.0, (0.5, -0.2), steps)[0]
+            want_points = points[:]
+            points.clear()
+            got = solve_full(IvpSpec(op, f, s, (0.5, -0.2)), 0.0, steps=steps)
+            assert got == want
+            # the same nodes in the same order, the last ones at t = 0 exactly
+            assert points == want_points
+            assert stepwise_rk4(op, f, s, 0.1, (0.5, -0.2), steps)[0] == \
+                reference_rk4(op, f, s, 0.1, (0.5, -0.2), steps)
+
+    def test_one_evaluation_per_node_across_chunks(self, monkeypatch):
+        p1, p1_points = counting("0.4")
+        p2, p2_points = counting("0.2*t")
+        f, f_points = counting("exp(-t)")
+        op = LinearOperator(order=2, alpha=Alpha(0.5), coefficients=(p1, p2))
+        passes = []
+        rk4 = ivp._rk4_solve
+
+        def counted(*args, **kwargs):
+            passes.append(args)
+            return rk4(*args, **kwargs)
+
+        monkeypatch.setattr(ivp, "_rk4_solve", counted)
+        m = 2 * ivp._CHUNK_STEPS + 88
+        solve_full(IvpSpec(op, f, 1.0, (0.5, -0.2)), 2.5, steps=m)
+        assert len(passes) == 1
+        assert len(p1_points) == len(p2_points) == len(f_points) == 2 * m + 1
+        assert len(set(f_points)) == len(set(p1_points)) == 2 * m + 1
+
+
+class TestGeneratedStepper:
+    def test_order_300(self):
+        op = LinearOperator(order=300, alpha=Alpha(0.8), coefficients=tuple(
+            ConformableFn.from_expr(f"{0.001 * (k % 5 + 1)!r}*t") for k in range(300)))
+        f = ConformableFn.from_expr("cos(t)")
+        init = (1.0, 0.5) + (0.0,) * 298
+        got = solve_full(IvpSpec(op, f, 1.0, init), 1.5, steps=16)
+        assert got == reference_rk4(op, f, 1.0, 1.5, init, 16)
+        assert math.isfinite(got) and got != init[0]
+
+    def test_cache_is_bounded(self):
+        size = ivp._stepper.cache_info().maxsize
+        assert size == ivp._STEPPER_CACHE_SIZE
+        for n in range(1, size + 6):
+            ivp._stepper(n, False)
+        assert ivp._stepper.cache_info().currsize == size
+
+    def test_memory_does_not_grow_with_steps(self):
+        # a chunk holds its nodes, their times and one column per function;
+        # tracing costs about 10 us per step, so the operator is the cheapest
+        # one that still evaluates a column
+        op, f = op_free(1, 1.0), fam.constant(1.0)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                ivp._rk4_solve(op, 0.0, 1.0, [0.0], steps, f)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20_000)  # compiles the stepper
+        assert peak(200_000) <= 1.5 * peak(20_000)
