@@ -1,20 +1,15 @@
 """Compiled Taylor mode: the series pass of expr.taylor_series as Python code.
 
-compile_jet emits, for one expression tree and one order n <= _JET_UNROLL_MAX,
-the pass as straight Python: every node of the walk becomes statements in
-walk order, t-free subtrees become scalar statements, t^c (t itself,
-sqrt(t)) enters as its binomial series at t > 0 in h = u - u0,
-u = t^alpha/alpha, every coefficient is its own local, and each recurrence
-is written out term by term in the order the expr._jet_* helpers sum it, so
-the values are the pass's own.  Literals are lifted into parameters, as in
-expr._pysource, and one compile() per shape source builds both functions.
-Above the threshold the functions run the pass itself: an unrolled source
-grows with n^2 per node.  Measured on exp(-t)*cos(t),
-sin(t)*exp(t^alpha/alpha)/(1+t^2) and two battery texts, the compiled form
-evaluates 6-27x faster per point than the pass at orders 1-4 and compiles
-in 0.6-2.6 ms, which a 257-point grid repays; the inequality checkers
-sample derivatives of orders 1-3 (of 300 benchmark battery operations, 158
-use order 1, 15 order 2 and 27 order 3).
+compile_jet emits, for one expression tree and one order n, the pass as
+straight Python: every node of the walk becomes statements in walk order,
+t-free subtrees become scalar statements, t^c (t itself, sqrt(t)) enters as
+its binomial series at t > 0 in h = u - u0, u = t^alpha/alpha, every
+coefficient is its own local, and each recurrence is written out term by
+term in the order the expr._jet_* helpers sum it, so the values are the
+pass's own.  Literals are lifted into parameters, as in expr._pysource, and
+one compile() per shape source builds both functions.  The source grows
+with n^2 per node, so calculus.frac_deriv_fn compiles only low orders
+(calculus._JET_UNROLL_MAX) and runs the pass itself above them.
 
 The package imports this module on first use: compiling its own source
 takes about 7 ms where no bytecode is cached, which every start-up that
@@ -24,13 +19,11 @@ never samples a derivative function would pay.
 from __future__ import annotations
 
 import functools
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
-from .expr import (ALPHA, FUNCTIONS, T, Call, Expr, Neg, Num, Pow, _ARITHMETIC_FAULTS,
-                   _EVAL_GLOBALS, _PY_FUNC, _PY_OP, _Binary, _as_number, _depth_guarded,
-                   _domain_error, _jet_pow_const, _jet_pow_var, t_power_at, taylor_series)
+from .expr import (ALPHA, FUNCTIONS, T, Call, Expr, Neg, Num, Pow, _EVAL_GLOBALS, _PY_FUNC,
+                   _PY_OP, _Binary, _as_number, _depth_guarded, _jet_pow_const, _jet_pow_var)
 
-_JET_UNROLL_MAX = 4
 _JET_CACHE_SIZE = 256
 
 
@@ -278,8 +271,7 @@ class _JetWriter:
         return "\n".join(src)
 
 
-_JET_GLOBALS = dict(_EVAL_GLOBALS, _FAULTS=_ARITHMETIC_FAULTS, _domain_error=_domain_error,
-                    _jet_pow_const=_jet_pow_const, _jet_pow_var=_jet_pow_var,
+_JET_GLOBALS = dict(_EVAL_GLOBALS, _jet_pow_const=_jet_pow_const, _jet_pow_var=_jet_pow_var,
                     ZeroDivisionError=ZeroDivisionError)
 
 
@@ -292,30 +284,14 @@ def _jet_factory(source: str) -> Callable:
 
 @_depth_guarded
 def compile_jet(e: Expr, n: int) -> Jets:
-    """The Taylor-mode functions of e at order n >= 0 (see Jets).
+    """The Taylor-mode functions of e at order n >= 0 (see Jets), compiled.
 
-    Up to _JET_UNROLL_MAX they are compiled, and a tree of a shape compiled
-    before at this order (the same tree up to its literals) costs no call
-    to Python's compiler; above it they run taylor_series.  Where a
-    derivative the series encodes is undefined, the functions raise as
-    taylor_series does, with arithmetic faults as EvalDomainError."""
+    A tree of a shape compiled before at this order (the same tree up to
+    its literals) costs no call to Python's compiler.  Where a derivative
+    the series encodes is undefined, the functions raise as taylor_series
+    does, with arithmetic faults as EvalDomainError."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n > _JET_UNROLL_MAX:
-        return _interpreted_jets(e, n)
     writer = _JetWriter(n)
     source = writer.source(e)
     return Jets(*_jet_factory(source)(*writer.consts))
-
-
-def _interpreted_jets(e: Expr, n: int) -> Jets:
-    def top(t: float, alpha: float) -> float:
-        try:
-            return taylor_series(e, n, alpha, t_power_at(t, alpha, n))[n]
-        except _ARITHMETIC_FAULTS as exc:
-            raise _domain_error(exc) from None
-
-    def batch(ts: Sequence[float], alpha: float, scale: float = 1.0) -> list:
-        return [top(t, alpha) * scale for t in ts]
-
-    return Jets(top, batch)

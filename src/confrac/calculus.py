@@ -8,10 +8,11 @@ weight t^(alpha-1).
 With u = t^alpha/alpha the conformable derivative is d/du, so D^k f(t) =
 k! c_k with c_k the Taylor coefficients of f(t(u)) at u(t).  For a function
 with an expression tree one truncated power-series pass over the tree gives
-c_0..c_n (_series); frac_deriv_fn runs the same pass as compiled code, one
-compilation per expression shape and order.  Where that series does not
-exist, the exact symbolic chain D^1..D^n (frac_expr) is the fallback, with
-its limit handling at t = 0.  Plain callables use finite differences.
+c_0..c_n (_series), D f = c_1 included; frac_deriv_fn runs the same pass as
+compiled code, one compilation per expression shape and low order.  Where
+that series does not exist, the exact symbolic chain D^1..D^n (frac_expr) is
+the fallback, with its limit handling at t = 0.  Plain callables use finite
+differences.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class ConformableFn:
     derivatives D^k f(t) = k! c_k come from the Taylor coefficients c_k of
     f(t(u)) in u = t^alpha/alpha, which one series pass carries through the
     tree; the derivative functions of frac_deriv_fn compile that pass, once
-    per order, on first use at t > 0.  The exact symbolic chain D^1..D^n is
+    per low order, on first use at t > 0.  The exact symbolic chain D^1..D^n is
     built only on request (frac_expr) and where that series does not exist.
     Built from a plain callable it may carry explicit classical-derivative
     callables and a declared smoothness order; beyond those, central finite
@@ -139,8 +140,8 @@ class ConformableFn:
     """
 
     __slots__ = ("_eval", "_batch", "expr", "derivatives", "smoothness", "name",
-                 "_frac_chain", "_chain_sizes", "_frac_compiled", "_ddt_compiled",
-                 "_lock", "_derivative_of")
+                 "_frac_chain", "_chain_sizes", "_frac_compiled", "_lock",
+                 "_derivative_of")
 
     def __init__(self, evaluator: Callable[[float, float], float], *,
                  expr: Optional[ex.Expr] = None,
@@ -159,7 +160,6 @@ class ConformableFn:
         # per order k >= 1: the Taylor-mode functions of order k (None until
         # first needed); index 0 is the function's own evaluator
         self._frac_compiled = [evaluator] if expr is not None else None
-        self._ddt_compiled = None
         self._lock = threading.Lock() if expr is not None else None
         self._derivative_of = None  # (f, n) for frac_deriv_fn(f, n)
 
@@ -195,9 +195,7 @@ class ConformableFn:
     def classical_derivative(self, t: float, alpha: float = 1.0) -> float:
         """f'(t): exact when an expression or derivative callable exists."""
         if self.expr is not None:
-            if self._ddt_compiled is None:
-                self._ddt_compiled = ex.compile_expr(ex.diff_classical(self.expr))
-            return self._ddt_compiled(t, alpha)
+            return ex.evaluate_at(ex.diff_classical(self.expr), t, alpha)
         if self.derivatives:
             return float(self.derivatives[0](t))
         return _central_fd(lambda x: self._eval(x, alpha), t)
@@ -524,26 +522,13 @@ def _chain_derivative(f: ConformableFn, a: float, n: int, t: float) -> float:
 # operations
 
 def frac_deriv(f: ConformableFn, alpha: Union[Alpha, float], t: float) -> float:
-    """Conformable derivative D_alpha f at t >= 0.
+    """Conformable derivative D_alpha f at t >= 0, frac_deriv_n at order 1.
 
-    At t > 0 it is t^(1-alpha) f'(t).  At t = 0 the value is the right-hand
-    limit of D_alpha f: for a symbolic f it is frac_deriv_n's, otherwise it
-    is evaluated directly when the derivative formula is regular there, and
-    else by sequence acceleration over t_k = 1e-2 * 2^-k; a LimitError
-    reports non-existence.
+    At t > 0 it is t^(1-alpha) f'(t), for a symbolic f the coefficient c_1
+    of the series pass.  At t = 0 it is the right-hand limit, and a
+    LimitError reports non-existence.
     """
-    a = _alpha_value(alpha)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if f._derivative_of is not None or (t == 0.0 and f.is_symbolic):
-        return frac_deriv_n(f, a, 1, t)
-    if t == 0.0:
-        g = lambda s: math.pow(s, 1.0 - a) * f.classical_derivative(s, a)
-        return _value_at_zero(g, bool(f.derivatives))
-    value = math.pow(t, 1.0 - a) * f.classical_derivative(t, a)
-    if not math.isfinite(value):
-        raise EvalDomainError(f"derivative evaluation at t={t!r} is not finite")
-    return value
+    return frac_deriv_n(f, alpha, 1, t)
 
 
 def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float) -> float:
@@ -585,7 +570,7 @@ def _frac_deriv_n_numeric(f: ConformableFn, a: float, n: int, t: float) -> float
 
     top = level(n)
     if t == 0.0:
-        return _limit_at_zero(top)
+        return _value_at_zero(top, n == 1 and bool(f.derivatives))
     value = top(t)
     if not math.isfinite(value):
         raise EvalDomainError(
@@ -602,15 +587,23 @@ def _frac_deriv_n_numeric(f: ConformableFn, a: float, n: int, t: float) -> float
     return value
 
 
+# the orders frac_deriv_fn compiles (the source grows with n^2 per node):
+# there the compiled pass is 6-27x faster per point than the interpreted one
+# and compiles in 0.6-2.6 ms, which a 257-point grid repays; the checkers
+# sample orders 1-3
+_JET_UNROLL_MAX = 4
+
+
 def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
     """The n-th conformable derivative as a function object.
 
-    For a symbolic f its point and batch forms at t > 0 come from f's
-    compiled Taylor-mode code of order n (compiled on first use), as n! c_n.
-    A point at 0, or one where that series does not exist or leaves float
-    range, takes frac_deriv_n, and a batch meeting such a point is
-    evaluated point by point, so it always returns what the point form
-    returns.  Derivatives of the result are derivatives of f.
+    For a symbolic f and n <= _JET_UNROLL_MAX its point and batch forms at
+    t > 0 come from f's compiled Taylor-mode code of order n (compiled on
+    first use), as n! c_n.  Other orders, a point at 0, or one where that
+    series does not exist or leaves float range take frac_deriv_n, and a
+    batch meeting such a point is evaluated point by point, so it always
+    returns what the point form returns.  Derivatives of the result are
+    derivatives of f.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -619,8 +612,13 @@ def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
     if f._derivative_of is not None:
         base, k = f._derivative_of
         return frac_deriv_fn(base, k + n)
-    if f.is_symbolic:
-        fact = _FACTORIALS[n] if n <= _FLOAT_FACTORIAL_MAX else math.inf
+    evaluator = lambda t, alpha=1.0: frac_deriv_n(f, alpha, n, t)
+    if not f.is_symbolic:
+        remaining = None if f.smoothness is None else max(f.smoothness - n, 0)
+        return ConformableFn(evaluator, smoothness=remaining, name=f"D^{n}[{f.name or 'fn'}]")
+    batch = None
+    if n <= _JET_UNROLL_MAX:
+        fact = _FACTORIALS[n]
         jets = None
 
         def evaluator(t: float, alpha: float = 1.0) -> float:
@@ -650,13 +648,9 @@ def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
                     return out
             return [evaluator(t, alpha) for t in ts]
 
-        d = ConformableFn(evaluator, batch=batch,
-                          name=f"D^{n}[{f.name or ex.to_text(f.expr)}]")
-        d._derivative_of = (f, n)
-        return d
-    remaining = None if f.smoothness is None else max(f.smoothness - n, 0)
-    return ConformableFn(lambda t, alpha=1.0: frac_deriv_n(f, alpha, n, t),
-                         smoothness=remaining, name=f"D^{n}[{f.name or 'fn'}]")
+    d = ConformableFn(evaluator, batch=batch, name=f"D^{n}[{f.name or ex.to_text(f.expr)}]")
+    d._derivative_of = (f, n)
+    return d
 
 
 def frac_integral(f: ConformableFn, alpha: Union[Alpha, float], window: Window,

@@ -521,7 +521,7 @@ _COMMANDS = {
 
 # flags whose values may begin with '-' (expressions like "-1" or
 # "-exp(...)", negative bounds, comma pairs); fused into --flag=value so
-# argparse never mistakes the value for an option
+# argparse never mistakes the value for an option; "--", which argparse drops, is refused
 _VALUE_FLAGS = ("--expr", "--f", "--g", "--w", "--F", "--rhs", "--coeffs",
                 "--init", "--m", "--M", "--alphas")
 
@@ -532,11 +532,12 @@ def _fuse_values(argv):
     while i < len(argv):
         tok = argv[i]
         if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            fused.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            fused.append(tok)
             i += 1
+            tok = f"{tok}={argv[i]}"
+        if tok.startswith("--") and tok.endswith("=--"):
+            raise _UsageError(f"{tok[:-3]} expects a value, got '--'")
+        fused.append(tok)
+        i += 1
     return fused
 
 

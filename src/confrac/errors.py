@@ -44,7 +44,7 @@ class HypothesisError(ConfracError):
 
 
 class SolverError(ConfracError):
-    """Numerical time stepping produced a non-finite state."""
+    """Time stepping produced a non-finite state or needs too many default steps."""
 
 
 class InstabilityWarning(UserWarning):

@@ -791,11 +791,23 @@ def taylor_series(e: Expr, n: int, alpha: float,
         del walk, pow_series, call_series
 
 
+_ARITHMETIC_FAULTS = (ZeroDivisionError, ValueError, OverflowError)
+
+
+def _domain_error(exc: Exception) -> EvalDomainError:
+    if isinstance(exc, ZeroDivisionError):
+        return EvalDomainError("division by zero")
+    if isinstance(exc, OverflowError):
+        return EvalDomainError(f"overflow: {exc}")
+    return EvalDomainError(str(exc))
+
+
 # Compiled fast path.  Semantics match evaluate(): math.pow is used so a
 # negative base with fractional exponent raises instead of going complex.
 _EVAL_GLOBALS = {"__builtins__": {}, "pow": math.pow, "sin": math.sin,
                  "cos": math.cos, "exp": math.exp, "log": math.log,
-                 "sqrt": math.sqrt, "abs": abs, "float": float}
+                 "sqrt": math.sqrt, "abs": abs, "float": float,
+                 "_FAULTS": _ARITHMETIC_FAULTS, "_domain_error": _domain_error}
 _PY_FUNC = {"ln": "log"}
 _PY_OP = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
@@ -871,25 +883,32 @@ def _pysource(root: Expr) -> tuple[str, list]:
     return emit(root), consts
 
 
+# a tree's point and batch evaluators, which map arithmetic faults themselves
+_MAKE = """def make({params}):
+ def point(t, alpha=1.0):
+  try:
+   return float({source})
+  except _FAULTS as exc:
+   raise _domain_error(exc) from None
+ def values(ts, alpha=1.0):
+  try:
+   return {batch}
+  except _FAULTS as exc:
+   raise _domain_error(exc) from None
+ return point, values"""
+
+
 def _make_factory(shape: str) -> Callable:
     try:
-        code = compile(shape, "<expr>", "eval")
+        code = compile(shape, "<expr>", "exec")
     except SyntaxError as exc:
         raise ExprDepthError(f"expression too deep to compile: {exc.msg}") from None
-    return eval(code, _EVAL_GLOBALS)
+    namespace: dict = {}
+    exec(code, _EVAL_GLOBALS, namespace)
+    return namespace["make"]
 
 
 _shape_factory = functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)(_make_factory)
-
-_ARITHMETIC_FAULTS = (ZeroDivisionError, ValueError, OverflowError)
-
-
-def _domain_error(exc: Exception) -> EvalDomainError:
-    if isinstance(exc, ZeroDivisionError):
-        return EvalDomainError("division by zero")
-    if isinstance(exc, OverflowError):
-        return EvalDomainError(f"overflow: {exc}")
-    return EvalDomainError(str(exc))
 
 
 def _compiled(e: Expr) -> tuple:
@@ -898,28 +917,12 @@ def _compiled(e: Expr) -> tuple:
     if pair is not None:
         return pair
     source, consts = _pysource(e)
-    params = ",".join(f"c{k}" for k in range(len(consts)))
-    if len(source) <= _SHAPE_SOURCE_CAP:
-        fn, batch = _shape_factory(
-            f"lambda {params}: (lambda t, alpha: {source}, "
-            f"lambda ts, alpha: [float({source}) for t in ts])")(*consts)
-    else:
-        fn = _make_factory(f"lambda {params}: lambda t, alpha: {source}")(*consts)
-        batch = lambda ts, alpha: [float(fn(t, alpha)) for t in ts]
-
-    def evaluator(t: float, alpha: float = 1.0) -> float:
-        try:
-            return float(fn(t, alpha))
-        except _ARITHMETIC_FAULTS as exc:
-            raise _domain_error(exc) from None
-
-    def values(ts: Sequence[float], alpha: float = 1.0) -> list[float]:
-        try:
-            return batch(ts, alpha)
-        except _ARITHMETIC_FAULTS as exc:
-            raise _domain_error(exc) from None
-
-    pair = evaluator, values
+    params = ", ".join(f"c{k}" for k in range(len(consts)))
+    cached = len(source) <= _SHAPE_SOURCE_CAP
+    batch = f"[float({source}) for t in ts]" if cached else "[point(t, alpha) for t in ts]"
+    make = (_shape_factory if cached else _make_factory)(
+        _MAKE.format(params=params, source=source, batch=batch))
+    pair = make(*consts)
     _SET(e, "_code", pair)
     return pair
 

@@ -25,8 +25,8 @@ from typing import Optional, Union
 
 from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
                        _alpha_value, frac_deriv_fn, frac_integral)
-from .errors import HypothesisError
-from .taylor import _kernel_integral
+from .errors import EvalDomainError, HypothesisError
+from .taylor import _kernel_integral, _power
 
 __all__ = [
     "BoundsPair", "HypothesisCheck", "MontgomeryKernel", "SteffensenEll",
@@ -256,8 +256,17 @@ def _product(f: ConformableFn, g: ConformableFn) -> ConformableFn:
     return ConformableFn(lambda t, alpha=1.0: f.value(t, alpha) * g.value(t, alpha))
 
 
+def _span(a: float, window: Interval) -> float:
+    """b^a - a^a, alpha times the window's length in u; 0 raises EvalDomainError."""
+    span = math.pow(window.b, a) - math.pow(window.a, a)
+    if span == 0.0:
+        raise EvalDomainError(f"window [{window.a!r}, {window.b!r}] has zero length "
+                              f"in u = t^alpha/alpha at alpha={a!r}")
+    return span
+
+
 def _avg_factor(a: float, window: Interval) -> float:
-    return a / (math.pow(window.b, a) - math.pow(window.a, a))
+    return a / _span(a, window)
 
 
 def _mean_value(f: ConformableFn, a: float, window: Interval,
@@ -269,6 +278,7 @@ def _ell_raw(g: ConformableFn, a: float, window: Interval,
              cfg: Optional[QuadratureConfig]) -> float:
     # the normalizer (b^a - a^a)/alpha equals the weighted integral of 1;
     # computing it with the same rule makes the ratio exact for constant g
+    _span(a, window)  # raises where that normalizer is 0
     mass = frac_integral(g, a, window, cfg)
     unit = frac_integral(_ONE, a, window, cfg)
     ell = window.width * mass / unit
@@ -394,7 +404,7 @@ def remainder_mm_bounds(f: ConformableFn, alpha: AlphaLike, n: int,
     dn1 = frac_deriv_fn(f, n + 1)
     hyps = [_hyp(f"m <= D^{n + 1} f <= M", dn1, a, window, "bounded", grid_n, bounds)]
 
-    span = math.pow(window.b, a) - math.pow(window.a, a)
+    span = _span(a, window)
     q = span / a
     ell = (a * window.width / (span * (M - m))
            * (dn.value(window.b, a) - dn.value(window.a, a) - m * q))
@@ -402,8 +412,8 @@ def remainder_mm_bounds(f: ConformableFn, alpha: AlphaLike, n: int,
     qb = (math.pow(window.b, a) - math.pow(window.b - ell, a)) / a
     qa = (math.pow(window.b, a) - math.pow(window.a + ell, a)) / a
     fact = math.factorial(n + 2)
-    lower = m / fact * q ** (n + 2) + (M - m) / fact * qb ** (n + 2)
-    upper = M / fact * q ** (n + 2) + (m - M) / fact * qa ** (n + 2)
+    lower = m / fact * _power(q, n + 2) + (M - m) / fact * _power(qb, n + 2)
+    upper = M / fact * _power(q, n + 2) + (m - M) / fact * _power(qa, n + 2)
     actual = _kernel_integral(f, a, n, window, window.b, cfg)
     return _make_report("mm-bounds", a, window, hyps, lower, actual, upper)
 
@@ -471,8 +481,8 @@ def remainder_cebysev(f: ConformableFn, alpha: AlphaLike, n: int, window,
     q = (math.pow(window.b, a) - math.pow(window.a, a)) / a
     fact = math.factorial(n + 2)
     middle = (_kernel_integral(f, a, n, window, window.b, cfg)
-              - (dn.value(window.b, a) - dn.value(window.a, a)) / fact * q ** (n + 1))
-    edge = (dn1.value(window.a, a) - dn1.value(window.b, a)) / fact * q ** (n + 2)
+              - (dn.value(window.b, a) - dn.value(window.a, a)) / fact * _power(q, n + 1))
+    edge = (dn1.value(window.a, a) - dn1.value(window.b, a)) / fact * _power(q, n + 2)
     if inc:
         return _make_report("rem-cebysev", a, window, hyps, edge, middle, 0.0)
     return _make_report("rem-cebysev", a, window, hyps, 0.0, middle, edge)
@@ -560,7 +570,7 @@ def ostrowski(f: ConformableFn, alpha: AlphaLike, window, t: float,
         hyps.append(HypothesisCheck("M supplied as sup |D f|", True, None, grid_n))
     actual = abs(f.value(t, a) - _mean_value(f, a, window, cfg))
     t_pow, a_pow, b_pow = math.pow(t, a), math.pow(window.a, a), math.pow(window.b, a)
-    upper = (M / (2.0 * a * (b_pow - a_pow))
+    upper = (M / (2.0 * a * _span(a, window))
              * ((t_pow - a_pow) ** 2 + (b_pow - t_pow) ** 2))
     return _make_report("ostrowski", a, window, hyps, None, actual, upper)
 
@@ -633,7 +643,7 @@ def gruss_montgomery(f: ConformableFn, alpha: AlphaLike, window, t: float,
     hyps = [_hyp("m <= D f <= M", d1, a, window, "bounded", grid_n, bounds)]
     a_pow, b_pow, t_pow = (math.pow(window.a, a), math.pow(window.b, a),
                            math.pow(t, a))
-    correction = ((2.0 * t_pow - a_pow - b_pow) / (2.0 * (b_pow - a_pow))
+    correction = ((2.0 * t_pow - a_pow - b_pow) / (2.0 * _span(a, window))
                   * (f.value(window.b, a) - f.value(window.a, a)))
     actual = abs(f.value(t, a) - _mean_value(f, a, window, cfg) - correction)
     upper = 0.25 * (b_pow - a_pow) / a * bounds.spread

@@ -29,6 +29,9 @@ __all__ = ["LinearOperator", "IvpSpec", "cauchy_function", "solve_voc", "solve_f
 
 STEPS_PER_UNIT = 512
 MIN_STEPS = 16
+# u = t^alpha/alpha grows as 1/alpha: alpha 1e-4 over [0, 4] would take 5.1
+# million default steps (8 s); explicit steps are the caller's choice
+MAX_DEFAULT_STEPS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,9 @@ def _step_count(us: float, ut: float, steps: Optional[int]) -> int:
     count = STEPS_PER_UNIT * abs(ut - us)
     if not math.isfinite(count):  # an alpha within rounding of 0
         raise SolverError(f"cannot step from u={us!r} to u={ut!r}")
+    if count > MAX_DEFAULT_STEPS:
+        raise SolverError(f"stepping from u={us!r} to u={ut!r} takes {math.ceil(count)} "
+                          f"steps by default, more than {MAX_DEFAULT_STEPS}")
     return max(64, math.ceil(count))
 
 

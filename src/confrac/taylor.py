@@ -28,6 +28,7 @@ from typing import Callable, Optional, Union
 from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
                        _alpha_value, _chain_derivative, _derivatives,
                        _float_factorials, _series, frac_deriv_n, frac_integral)
+from .errors import EvalDomainError
 
 __all__ = [
     "TaylorExpansion", "EndpointIdentity", "cauchy_kernel", "expand",
@@ -38,6 +39,14 @@ __all__ = [
 AlphaLike = Union[Alpha, float]
 
 
+def _power(z: float, k: int) -> float:
+    """z ** k, with an overflow (z grows as 1/alpha) as EvalDomainError."""
+    try:
+        return z ** k
+    except OverflowError:
+        raise EvalDomainError(f"{z!r} ** {k} is out of float range") from None
+
+
 def cauchy_kernel(n: int, alpha: AlphaLike, t: float, s: float) -> float:
     """Closed-form kernel ((t^a - s^a)/a)^(n-1) / (n-1)! for D_alpha^n = 0."""
     if n < 1:
@@ -46,7 +55,7 @@ def cauchy_kernel(n: int, alpha: AlphaLike, t: float, s: float) -> float:
         raise ValueError("t and s must be >= 0")
     a = _alpha_value(alpha)
     z = (math.pow(t, a) - math.pow(s, a)) / a
-    return z ** (n - 1) / math.factorial(n - 1)
+    return _power(z, n - 1) / math.factorial(n - 1)
 
 
 @dataclass(frozen=True)
@@ -113,8 +122,8 @@ def _scaled_derivative(f: ConformableFn, a: float, m: int) -> Callable[[float], 
     """tau -> D^m f(tau) / m!, the integrand factor of the remainder forms.
 
     A symbolic f takes it as the coefficient c_m of a series pass at each
-    tau, with no factorial; where that series does not exist, and for a
-    plain callable, it is frac_deriv_n's value over m!.
+    tau, with no factorial, and where it does not exist the chain's value
+    over m!; a plain callable takes frac_deriv_n's value over m!.
     """
     if m == 0:
         return lambda tau: f.value(tau, a)
@@ -124,7 +133,7 @@ def _scaled_derivative(f: ConformableFn, a: float, m: int) -> Callable[[float], 
 
     def coefficient(tau: float) -> float:
         coeffs = _series(f, a, m, tau)
-        return frac_deriv_n(f, a, m, tau) / fact if coeffs is None else coeffs[m]
+        return _chain_derivative(f, a, m, tau) / fact if coeffs is None else coeffs[m]
 
     return coefficient
 
@@ -138,7 +147,7 @@ def _kernel_integral(f: ConformableFn, a: float, n: int, window: Interval,
 
     def integrand(s: float, _alpha: float = a) -> float:
         z = (anchor_pow - math.pow(s, a)) / a
-        return top(s) * z ** (n + 1)
+        return top(s) * _power(z, n + 1)
 
     return frac_integral(ConformableFn(integrand), a, window, cfg)
 
@@ -164,7 +173,7 @@ def taylor_remainder(f: ConformableFn, alpha: AlphaLike, n: int,
 
     def integrand(tau: float, _alpha: float = a) -> float:
         z = (at_pow - math.pow(tau, a)) / a
-        return (n + 1) * top(tau) * z ** n
+        return (n + 1) * top(tau) * _power(z, n)
 
     return frac_integral(ConformableFn(integrand), a, (center, at), cfg)
 

@@ -4,7 +4,8 @@ perfbench/tracing.py wraps module-level functions of every layer, the
 ConformableFn.frac_expr method and index 0 of _frac_compiled of the
 function objects built at import time.  This test installs it, runs one
 traced derivative grid and checks that uninstalling puts every original
-back, and does the same around one solve of a linear IVP.
+back, and does the same around one solve of a linear IVP and around first
+derivatives of an expression function.
 """
 
 import importlib.util
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 from confrac import calculus, cli, inequalities, ivp  # noqa: F401 (the tracer wraps cli too)
-from confrac.calculus import Alpha, ConformableFn, frac_deriv_fn
+from confrac.calculus import Alpha, ConformableFn, frac_deriv, frac_deriv_fn
 from confrac.ivp import IvpSpec, LinearOperator, solve_full
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -77,6 +78,28 @@ def test_tracer_counts_one_rk4_pass_per_solve():
     assert got == want
     assert tracer.calls["ivp.solve"] == 1
     assert tracer.calls["ivp.rk4"] == 1
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key in before if after[key] is not before[key]]
+    assert changed == []
+
+
+def test_tracer_sees_first_derivatives_build_and_compile_nothing():
+    f = ConformableFn.from_expr("sin(t)*exp(-t^alpha/alpha)/(1+t^2)")
+    ts = [0.3, 1.0, 2.5]
+    want = [frac_deriv(f, 0.5, t) for t in ts]
+    before = _bindings()
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        got = [calculus.frac_deriv(f, 0.5, t) for t in ts]
+    finally:
+        tracer.uninstall()
+    assert got == want
+    # D f is the series pass's c_1: no d/dt tree, no compilation
+    assert tracer.calls["calculus.deriv"] == len(ts)
+    assert tracer.calls["expr.diff"] == 0
+    assert tracer.calls["expr.compile"] == 0
     after = _bindings()
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]

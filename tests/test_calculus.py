@@ -101,6 +101,49 @@ class TestFracDeriv:
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+def _outcome(fn):
+    """The value's bits, or the error's type and message."""
+    try:
+        return fn().hex()
+    except ConfracError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneRouteToFirstDerivative:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from(ALPHAS),
+           t=st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+           kind=st.sampled_from(("expr", "deriv_fn", "callable", "with_derivative")))
+    def test_frac_deriv_is_frac_deriv_n_at_order_one(self, seed, alpha, t, kind):
+        rng = random.Random(seed)
+        g = ConformableFn.from_expr(random_tree(rng, 3))
+        if kind == "expr":
+            f = g
+        elif kind == "deriv_fn":
+            f = frac_deriv_fn(g, rng.randint(1, 3))
+        elif kind == "callable":
+            f = ConformableFn.from_callable(lambda s: g.value(s, alpha))
+        else:
+            f = ConformableFn.from_callable(lambda s: g.value(s, alpha),
+                                            derivatives=[lambda s: g.classical_derivative(s, alpha)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InstabilityWarning)
+            assert _outcome(lambda: frac_deriv(f, alpha, t)) == \
+                _outcome(lambda: frac_deriv_n(f, alpha, 1, t))
+
+    def test_derivative_callables_substitute_at_zero(self):
+        # t^(1/2) cos(t) at 0 is exactly 0; extrapolating samples gave -3.5e-19
+        f = ConformableFn.from_callable(math.sin, derivatives=[math.cos])
+        assert frac_deriv_n(f, 0.5, 1, 0.0) == 0.0
+        assert frac_deriv(f, 0.5, 0.0) == 0.0
+
+    def test_smoothness_zero_callable_has_no_derivative(self):
+        f = ConformableFn.from_callable(abs, smoothness=0)
+        for t in (0.0, 1.0):
+            with pytest.raises(SmoothnessError, match="smoothness is 0"):
+                frac_deriv(f, 0.5, t)
+
+
 class TestFracDerivN:
     def test_n_zero_identity(self):
         f = ConformableFn.from_expr("sin(t)")
@@ -276,8 +319,9 @@ class TestTaylorModeDerivatives:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert all(g == want for g in got)
-        # one slot per order, none appended twice
-        assert len(f._frac_compiled) == 6 and None not in f._frac_compiled
+        # one slot per compiled order (order 5 runs the pass), none appended twice
+        assert len(f._frac_compiled) == calculus._JET_UNROLL_MAX + 1 == 5
+        assert None not in f._frac_compiled
 
     def test_chain_stops_at_its_node_budget(self):
         f = ConformableFn.from_expr("exp(t)")

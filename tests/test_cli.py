@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import confrac
-from confrac import expr as ex
+from confrac import cli, expr as ex
 
 from confrac.cli import (CSV_HEADER, EXIT_HYPOTHESIS, EXIT_NUMERIC, EXIT_OK,
                          EXIT_USAGE, EXIT_VIOLATED, emit_report, run)
@@ -147,8 +147,8 @@ class TestFuzz:
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), argv
         assert "internal error" not in err, (argv, err)
 
-    # below alpha = 0.05 the default step count (512 per unit of u) grows
-    # past what 5 s can step: alpha 1e-4 over [0, 4] takes 5 million steps
+    # below alpha = 0.05 the default step count (512 per unit of u, up to
+    # ivp.MAX_DEFAULT_STEPS) can take longer than 5 s to step
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 3),
            alpha=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
@@ -168,6 +168,58 @@ class TestFuzz:
         assert code in (EXIT_OK, EXIT_NUMERIC), argv
         assert "internal error" not in err, (argv, err)
 
+    # integrate, ell, and check or sweep for each of the 14 inequality ids:
+    # 5 examples each, 80 in all
+    @pytest.mark.parametrize("target", ("integrate", "ell") + tuple(sorted(cli._CHECKS)))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), sweep=st.booleans(),
+           alpha=st.floats(0.0, 1.0, exclude_min=True),
+           a=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           width=st.floats(0.01, 3.0))
+    def test_window_commands_documented_exit_codes_quickly(self, target, seed, sweep,
+                                                           alpha, a, width):
+        rng = random.Random(f"{target}:{seed}")
+        command, ineq = target, None
+        if target in cli._CHECKS:
+            command, ineq = ("sweep" if sweep else "check"), target
+
+        texts = [ex.to_text(random_tree(rng)) for _ in range(1 if ineq is None else 4)]
+        if rng.random() < 0.2:  # a damaged text exercises the parser's errors
+            k = rng.randrange(len(texts))
+            cut = rng.randrange(len(texts[k]))
+            texts[k] = texts[k][:cut] + texts[k][cut + rng.randint(1, 3):]
+        window = ["--a", repr(a), "--b", repr(a + width)]
+        if command == "integrate":
+            argv = ["integrate", "--expr", texts[0], "--alpha", repr(alpha)] + window
+        elif command == "ell":
+            argv = ["ell", "--g", texts[0], "--alpha", repr(alpha)] + window
+        else:
+            argv = [command, "--ineq", ineq] + window
+            for flag, text in zip(("--f", "--g", "--w", "--F"), texts):
+                argv += [flag, text]
+            if command == "check":
+                argv += ["--alpha", repr(alpha)]
+            else:
+                alphas = [alpha] + [1.0 - rng.random() for _ in range(rng.randint(0, 2))]
+                argv += ["--alphas", ",".join(map(repr, alphas))]
+            if rng.random() < 0.5:
+                argv += ["--n", str(rng.randint(0, 4))]
+            if rng.random() < 0.5:  # mostly m < M, one or two of each
+                m = [round(rng.uniform(-2.0, 1.0), 3) for _ in range(2)]
+                M = [round(v + rng.uniform(-0.5, 3.0), 3) for v in m]
+                count = 1 + (rng.random() < 0.3)
+                argv += ["--m", ",".join(map(repr, m[:count])),
+                         "--M", ",".join(map(repr, M[:count]))]
+            if rng.random() < 0.5:
+                argv += ["--t", repr(rng.uniform(a, a + width))]
+            argv += rng.choice(([], ["--json"], ["--csv"]))
+        start = time.perf_counter()
+        code, _, err = invoke(argv)
+        assert time.perf_counter() - start < 5.0, argv
+        assert code in (EXIT_OK, EXIT_VIOLATED, EXIT_HYPOTHESIS, EXIT_USAGE,
+                        EXIT_NUMERIC), argv
+        assert "internal error" not in err, (argv, err)
+
 
 class TestIntegrate:
     def test_singular_weight(self):
@@ -180,6 +232,17 @@ class TestIntegrate:
         code, _, _ = invoke(["integrate", "--expr", "1", "--alpha", "0.5",
                              "--a", "2", "--b", "1"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--expr", "--", "--alpha", "0.5", "--a", "0", "--b", "1"],
+        ["integrate", "--expr=--", "--alpha", "0.5", "--a", "0", "--b", "1"],
+        ["integrate", "--expr", "t", "--alpha=--", "--a", "0", "--b", "1"],
+        ["check", "--ineq=--", "--f", "t", "--alpha", "0.5", "--a", "0", "--b", "1"]])
+    def test_double_dash_value_is_a_usage_error(self, argv):
+        # argparse drops a "--" value and stores an empty list
+        code, _, err = invoke(argv)
+        assert code == EXIT_USAGE
+        assert "expects a value, got '--'" in err
 
     def test_numeric_failure(self):
         code, _, err = invoke(["integrate", "--expr", "1/t", "--alpha", "1",
@@ -255,6 +318,18 @@ class TestSolve:
         code, _, err = invoke(["solve", "--order", "1", "--coeffs", "1", "--alpha", alpha,
                                "--from", "0", "--to", "1"])
         assert code == EXIT_NUMERIC
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("alpha", ["1e-4", "1e-10"])
+    def test_default_step_count_is_capped(self, alpha):
+        # u(4) is about 1e4 or 1e10: 5 million or 5e12 default steps, refused
+        # before stepping instead of running for seconds or without end
+        start = time.perf_counter()
+        code, _, err = invoke(["solve", "--order", "2", "--coeffs", "1;t", "--rhs", "cos(t)",
+                               "--alpha", alpha, "--from", "0", "--to", "4"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_NUMERIC
+        assert "more than 1048576" in err
         assert "internal error" not in err
 
     def test_coeff_count_mismatch(self):

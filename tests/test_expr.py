@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confrac import _taylor_mode as tm, expr as ex
-from confrac.calculus import ConformableFn, frac_deriv_n
-from confrac.errors import EvalDomainError, ExprDepthError, ExprSyntaxError
+from confrac.calculus import _JET_UNROLL_MAX, ConformableFn, frac_deriv_fn, frac_deriv_n
+from confrac.errors import ConfracError, EvalDomainError, ExprDepthError, ExprSyntaxError
 
 from conftest import central_fd, random_safe_tree, random_tree
 
@@ -472,6 +472,14 @@ def _interpreted(tree, n, t, alpha):
         raise ex._domain_error(exc) from None
 
 
+def _value_outcome(fn):
+    """The value's bits, or the error's type and message."""
+    try:
+        return fn().hex()
+    except ConfracError as exc:
+        return type(exc), str(exc)
+
+
 class TestCompiledJets:
     @settings(max_examples=400, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6),
@@ -479,6 +487,21 @@ class TestCompiledJets:
            ts=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=6))
     def test_equal_the_interpretive_pass(self, seed, n, t, alpha, ts):
         tree = random_tree(random.Random(seed))
+        if n > _JET_UNROLL_MAX:
+            # not compiled: frac_deriv_fn's point form is frac_deriv_n, bit
+            # for bit or with its error, and its batch form is the point loop
+            f = ConformableFn.from_expr(tree)
+            d = frac_deriv_fn(f, n)
+            want = _value_outcome(lambda: frac_deriv_n(f, alpha, n, t))
+            assert _value_outcome(lambda: d.value(t, alpha)) == want
+            try:
+                loop = [d.value(s, alpha) for s in ts]
+            except ConfracError as exc:
+                with pytest.raises(type(exc)):
+                    d.values(ts, alpha)
+                return
+            assert _bits(d.values(ts, alpha)) == _bits(loop)
+            return
         jets = tm.compile_jet(tree, n)
         want = _jet_outcome(lambda: _interpreted(tree, n, t, alpha))
         got = _jet_outcome(lambda: [jets.top(t, alpha)])
@@ -498,7 +521,7 @@ class TestCompiledJets:
             return
         assert _bits(jets.batch(ts, alpha, 3.0)) == _bits(loop)
 
-    @pytest.mark.parametrize("n", (1, tm._JET_UNROLL_MAX, tm._JET_UNROLL_MAX + 1, 16))
+    @pytest.mark.parametrize("n", (1, _JET_UNROLL_MAX, _JET_UNROLL_MAX + 1, 16))
     def test_one_compile_per_shape_and_order(self, monkeypatch, n):
         tm._jet_factory.cache_clear()
         calls = []
@@ -511,11 +534,18 @@ class TestCompiledJets:
         first = ex.parse("3.5*sin(2.25*t)*exp(-t^alpha/alpha)/(1+t^2)")
         second = ex.parse("1.5*sin(4*t)*exp(-t^alpha/alpha)/(7+t^2)")
         for tree in (first, second):
-            got = tm.compile_jet(tree, n).top(1.3, 0.5)
-            assert got == _interpreted(tree, n, 1.3, 0.5)[n]
+            if n <= _JET_UNROLL_MAX:
+                got = tm.compile_jet(tree, n).top(1.3, 0.5)
+                assert got == _interpreted(tree, n, 1.3, 0.5)[n]
+            f = ConformableFn.from_expr(tree)
+            d = frac_deriv_fn(f, n)
+            want = [frac_deriv_n(f, 0.5, n, s) for s in (1.3, 2.1)]
+            assert _bits([d.value(1.3, 0.5)]) == _bits(want[:1])
+            assert _bits(d.values([1.3, 2.1], 0.5)) == _bits(want)
         # unrolled up to the threshold, one compilation per shape; above it
-        # the pass itself runs, and its cost does not include a compilation
-        assert len(calls) == (1 if n <= tm._JET_UNROLL_MAX else 0)
+        # frac_deriv_fn runs the pass itself, and its cost does not include
+        # a compilation
+        assert len(calls) == (1 if n <= _JET_UNROLL_MAX else 0)
 
     @pytest.mark.parametrize("text, n", [("(t-1)^0.5", 3), ("(t-1)^(-2)", 2),
                                          ("sqrt(t-1)", 1), ("abs(t-1)", 2),

@@ -436,6 +436,15 @@ class TestChunkedBitIdentity:
             got = cauchy_function(op, s, t, steps=300, method="rk4")
             assert got == reference_rk4(op, None, s, t, init, 300)
 
+    def test_default_step_count_is_capped(self):
+        per_unit = ivp.STEPS_PER_UNIT
+        cap = ivp.MAX_DEFAULT_STEPS
+        assert ivp._step_count(0.0, cap / per_unit, None) == cap
+        with pytest.raises(SolverError, match=f"more than {cap}"):
+            ivp._step_count(0.0, 2 * cap / per_unit, None)
+        # an explicit count stays the caller's choice
+        assert ivp._step_count(0.0, 2 * cap / per_unit, 4 * cap) == 4 * cap
+
     @pytest.mark.parametrize("steps", [255, 256, 257, 600])
     def test_step_counts_across_chunk_boundaries(self, steps):
         op = op_02(0.5)
