@@ -401,14 +401,14 @@ def _value_at_zero(g: Callable[[float], float], exact: bool) -> float:
     When g comes from an exact formula, direct substitution at 0 equals the
     limit wherever the formula stays real and finite (powers follow the
     0^0 = 1 convention); the accelerated limit is the fallback for the
-    genuinely singular forms.
+    genuinely singular forms and for callables that raise at exactly 0.
     """
     if exact:
         try:
             v = g(0.0)
             if math.isfinite(v):
                 return v
-        except EvalDomainError:
+        except (EvalDomainError, ArithmeticError, ValueError):
             pass
     return _limit_at_zero(g)
 

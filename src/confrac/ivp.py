@@ -76,8 +76,8 @@ def _step_count(us: float, ut: float, steps: Optional[int]) -> int:
     if not math.isfinite(count):  # an alpha within rounding of 0
         raise SolverError(f"cannot step from u={us!r} to u={ut!r}")
     if count > MAX_DEFAULT_STEPS:
-        raise SolverError(f"stepping from u={us!r} to u={ut!r} takes {math.ceil(count)} "
-                          f"steps by default, more than {MAX_DEFAULT_STEPS}")
+        raise SolverError(f"stepping from u={us!r} to u={ut!r} takes {math.ceil(count)} steps "
+                          f"by default, more than {MAX_DEFAULT_STEPS}; pass steps (--steps)")
     return max(64, math.ceil(count))
 
 

@@ -137,6 +137,17 @@ class TestOneRouteToFirstDerivative:
         assert frac_deriv_n(f, 0.5, 1, 0.0) == 0.0
         assert frac_deriv(f, 0.5, 0.0) == 0.0
 
+    @pytest.mark.parametrize("fn, derivative, want", [
+        # 0.0 ** -0.5 raises ZeroDivisionError, math.log(0.0) ValueError
+        (lambda s: s ** 0.5, lambda s: 0.5 * s ** -0.5, 0.5),
+        (lambda s: s ** 1.5, lambda s: 1.5 * math.exp(0.5 * math.log(s)), 0.0),
+    ], ids=["zero-division", "value-error"])
+    def test_derivative_callable_singular_at_zero_takes_the_limit(self, fn, derivative, want):
+        f = ConformableFn.from_callable(fn, derivatives=[derivative])
+        assert frac_deriv(f, 0.5, 0.0) == pytest.approx(want, abs=1e-8)
+        assert frac_deriv_n(f, 0.5, 1, 0.0) == frac_deriv(f, 0.5, 0.0)
+        assert frac_deriv_fn(f, 1).value(0.0, 0.5) == frac_deriv(f, 0.5, 0.0)
+
     def test_smoothness_zero_callable_has_no_derivative(self):
         f = ConformableFn.from_callable(abs, smoothness=0)
         for t in (0.0, 1.0):

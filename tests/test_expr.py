@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from confrac import _taylor_mode as tm, expr as ex
 from confrac.calculus import _JET_UNROLL_MAX, ConformableFn, frac_deriv_fn, frac_deriv_n
-from confrac.errors import ConfracError, EvalDomainError, ExprDepthError, ExprSyntaxError
+from confrac.errors import EvalDomainError, ExprDepthError, ExprSyntaxError
 
 from conftest import central_fd, random_safe_tree, random_tree
 
@@ -472,36 +472,15 @@ def _interpreted(tree, n, t, alpha):
         raise ex._domain_error(exc) from None
 
 
-def _value_outcome(fn):
-    """The value's bits, or the error's type and message."""
-    try:
-        return fn().hex()
-    except ConfracError as exc:
-        return type(exc), str(exc)
-
-
 class TestCompiledJets:
     @settings(max_examples=400, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6),
+    # the compiled orders; test_one_compile_per_shape_and_order checks that
+    # frac_deriv_fn compiles nothing above them
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, _JET_UNROLL_MAX),
            t=st.floats(0.05, 4.0), alpha=st.floats(0.05, 1.0),
            ts=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=6))
     def test_equal_the_interpretive_pass(self, seed, n, t, alpha, ts):
         tree = random_tree(random.Random(seed))
-        if n > _JET_UNROLL_MAX:
-            # not compiled: frac_deriv_fn's point form is frac_deriv_n, bit
-            # for bit or with its error, and its batch form is the point loop
-            f = ConformableFn.from_expr(tree)
-            d = frac_deriv_fn(f, n)
-            want = _value_outcome(lambda: frac_deriv_n(f, alpha, n, t))
-            assert _value_outcome(lambda: d.value(t, alpha)) == want
-            try:
-                loop = [d.value(s, alpha) for s in ts]
-            except ConfracError as exc:
-                with pytest.raises(type(exc)):
-                    d.values(ts, alpha)
-                return
-            assert _bits(d.values(ts, alpha)) == _bits(loop)
-            return
         jets = tm.compile_jet(tree, n)
         want = _jet_outcome(lambda: _interpreted(tree, n, t, alpha))
         got = _jet_outcome(lambda: [jets.top(t, alpha)])
