@@ -225,40 +225,50 @@ class EvalEnv:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), i))
-        i = m.end()
-    tokens.append(("end", "", n))
-    return tokens
-
+_TOKEN = (r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+          r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+          r"|(?P<op>[-+*/^()])")
+# one token after optional whitespace; a token is the first alternative of
+# _TOKEN that matches where it starts
+_SCAN_RE = re.compile(rf"\s*(?:{_TOKEN})")
+# the longest run of whitespace and tokens from a position, split as
+# _SCAN_RE splits it: a lookahead is atomic, so (?=(X))\1 takes X's first
+# match and never backtracks into it ((?>X) needs Python 3.11); the run ends
+# at the first character that starts no token, or at the end of the text
+_LEXICAL_RE = re.compile(rf"(?:(?=(\s|{_TOKEN}))\1)*")
 
 MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent over tokens read one at a time, so a parse error
+    stops reading where it is raised; a character that starts no token is
+    still reported first, wherever it stands (check_lexical).  An operator
+    token is told by its text alone: no other token is "+", "(" and so on."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.next_match = _SCAN_RE.scanner(text).match  # matches back to back
+        self.read = 0  # where the next token's scan starts
         self.depth = 0
+        self.token = self.scan()
+
+    def scan(self) -> tuple[str, str, int]:
+        """The next (kind, text, offset) token, ("end", "", len(text)) last."""
+        m = self.next_match()
+        if m is None:
+            self.check_lexical()  # only whitespace may be left
+            return "end", "", len(self.text)
+        kind = m.lastgroup
+        self.read = m.end()
+        return kind, m.group(kind), m.start(kind)
+
+    def check_lexical(self) -> None:
+        """Raise at the first character after those read that starts no token."""
+        text = self.text
+        bad = _LEXICAL_RE.match(text, self.read).end()
+        if bad < len(text):
+            raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad) from None
 
     def descend(self, off: int) -> None:
         """Enter one nesting level; the caller leaves it after parsing."""
@@ -266,29 +276,30 @@ class _Parser:
             raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", off)
         self.depth += 1
 
-    def peek(self):
-        return self.tokens[self.pos]
-
     def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.token
+        self.token = self.scan()
         return tok
 
     def fail(self, message):
-        raise ExprSyntaxError(message, self.peek()[2])
+        raise ExprSyntaxError(message, self.token[2])
 
     def parse(self) -> Expr:
-        if self.peek()[0] == "end":
-            self.fail("empty input")
-        e = self.expr()
-        kind, text, off = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected token {text!r}", off)
-        return e
+        try:
+            if self.token[0] == "end":
+                self.fail("empty input")
+            e = self.expr()
+            kind, text, off = self.token
+            if kind != "end":
+                raise ExprSyntaxError(f"unexpected token {text!r}", off)
+            return e
+        except ExprSyntaxError:
+            self.check_lexical()
+            raise
 
     def expr(self) -> Expr:
         e = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+        while self.token[1] in ("+", "-"):
             op = self.advance()[1]
             rhs = self.term()
             e = Add(e, rhs) if op == "+" else Sub(e, rhs)
@@ -296,14 +307,14 @@ class _Parser:
 
     def term(self) -> Expr:
         e = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
+        while self.token[1] in ("*", "/"):
             op = self.advance()[1]
             rhs = self.unary()
             e = Mul(e, rhs) if op == "*" else Div(e, rhs)
         return e
 
     def unary(self) -> Expr:
-        if self.peek()[:2] == ("op", "-"):
+        if self.token[1] == "-":
             self.descend(self.advance()[2])
             operand = self.unary()
             self.depth -= 1
@@ -312,7 +323,7 @@ class _Parser:
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.peek()[:2] == ("op", "^"):
+        if self.token[1] == "^":
             self.descend(self.advance()[2])
             exponent = self.unary()
             self.depth -= 1
@@ -320,7 +331,7 @@ class _Parser:
         return base
 
     def atom(self) -> Expr:
-        kind, text, off = self.peek()
+        kind, text, off = self.token
         if kind == "num":
             self.advance()
             value = float(text)
@@ -335,21 +346,21 @@ class _Parser:
                 return ALPHA
             if text in _CONSTANTS:
                 return Num(_CONSTANTS[text])
-            if self.peek()[:2] != ("op", "("):
+            if self.token[1] != "(":
                 raise ExprSyntaxError(f"unknown identifier {text!r}", off)
             if text not in FUNCTIONS:
                 raise ExprSyntaxError(f"unknown function {text!r}", off)
             self.descend(self.advance()[2])
             arg = self.expr()
-            if self.peek()[:2] != ("op", ")"):
+            if self.token[1] != ")":
                 self.fail("expected ')'")
             self.advance()
             self.depth -= 1
             return Call(text, arg)
-        if kind == "op" and text == "(":
+        if text == "(":
             self.descend(self.advance()[2])
             e = self.expr()
-            if self.peek()[:2] != ("op", ")"):
+            if self.token[1] != ")":
                 self.fail("expected ')'")
             self.advance()
             self.depth -= 1
@@ -364,7 +375,10 @@ def parse(text: str) -> Expr:
 
     Nesting (parentheses, call arguments, unary minus, ``^`` exponents) is
     limited to MAX_NESTING levels, so deep input fails with a syntax error
-    instead of exhausting the interpreter stack.
+    instead of exhausting the interpreter stack.  Tokens are read as the
+    parse needs them, so an error stops the reading; a character that starts
+    no token is reported before any parse error, as if the whole text had
+    been tokenized first.
     """
     return _Parser(text).parse()
 

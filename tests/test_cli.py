@@ -557,6 +557,137 @@ class TestSweep:
         assert [r["alpha"] for r in arr] == [0.5, 1.0]
 
 
+class TestSweepBuildsEachFunctionOnce:
+    ALPHAS = ("0.1", "0.5", "0.75", "1")
+    FLAT_CHAIN = "+".join(["t"] * 300)  # parses, then is too deep to compile
+    # (id, flags, a, b); every id, with rows that hold, are violated, fail a
+    # hypothesis (a report or a HypothesisError) or fail numerically (in the
+    # check, or in building the function)
+    CASES = [
+        ("steffensen", ["--f", "exp(-t)", "--g", "t/2"], "0", "1"),
+        ("steffensen", ["--f", "-1", "--g", "0.5"], "0", "1"),
+        ("sandwich", ["--g", "t/2"], "0", "1"),
+        ("rem-steffensen", ["--f", "exp(-t)", "--n", "1"], "1", "2"),
+        ("hh1", ["--f", "t^2"], "0.5", "2"),
+        ("hh1", ["--f", FLAT_CHAIN], "0.5", "2"),
+        ("mm-bounds", ["--f", "exp(-t)", "--n", "1", "--m", "-1", "--M", "1"], "1", "2"),
+        ("cebysev", ["--f", "exp(t)", "--g", "t"], "0", "2"),
+        ("rem-cebysev", ["--f", "exp(t)", "--n", "1"], "0.5", "1.5"),
+        ("hh2", ["--f", "t^0.5"], "0", "1"),
+        ("hh2", ["--f", "sin(t)"], "0.5", "2"),
+        ("montgomery", ["--f", "sin(t)"], "0", "2"),
+        ("ostrowski", ["--f", "exp(-t)", "--t", "0.5", "--M", "1"], "0", "1"),
+        ("jensen", ["--w", "1", "--g", "t", "--F", "t^2"], "0", "1"),
+        ("gruss", ["--f", "sin(t)", "--g", "cos(t)", "--m", "-1,-1", "--M", "1,1"], "0", "3"),
+        ("gruss-montgomery", ["--f", "exp(-t)", "--m", "-1", "--M", "1"], "0.5", "1.5"),
+        ("hh3", ["--f", "t^2", "--m", "0", "--M", "4"], "0.5", "2"),
+    ]
+    FORMATS = {"text": [], "json": ["--json"], "csv": ["--csv"]}
+
+    def test_cases_cover_every_id(self):
+        assert {case[0] for case in self.CASES} == set(cli._CHECKS)
+
+    @staticmethod
+    def expected_row(ineq, alpha, a, b, fmt, check):
+        """The sweep row (text line, JSON object or CSV row) and stderr line
+        that stand for `check` run at alpha."""
+        code, out, err = check
+        if out:
+            if fmt == "json":
+                return json.loads(out), None
+            if fmt == "csv":
+                return out.splitlines()[1], None
+            status, sides = out.splitlines()[-1].split("  ", 1)
+            unverified = "  (hypotheses not verified)"
+            if sides.endswith(unverified):
+                sides, status = sides[:-len(unverified)], status + unverified[1:]
+            return f"alpha={alpha}  {sides}  {status}", None
+        # the check raised: the sweep flags the row with the same message
+        prefix, message = err.rstrip("\n").split(": ", 2)[1:]
+        assert (code, prefix) in ((EXIT_HYPOTHESIS, "hypothesis failed"),
+                                  (EXIT_NUMERIC, "numeric failure"), (EXIT_NUMERIC, "error"))
+        reason = message if code == EXIT_HYPOTHESIS else f"numeric failure: {message}"
+        if fmt == "json":
+            row = {"theorem": ineq, "alpha": float(alpha), "a": float(a), "b": float(b),
+                   "hypotheses": [{"name": reason, "verified": False, "witness": None}],
+                   "lower": None, "actual": None, "upper": None, "slack_low": None,
+                   "slack_high": None, "holds": False}
+        elif fmt == "csv":
+            row = ",".join([ineq, alpha, a, b, "", "nan", "", "", "", "false",
+                            f"{reason}=FAIL@"])
+        else:
+            row = f"alpha={alpha}  nan  VIOLATED (hypotheses not verified)"
+        return row, f"confrac: alpha={alpha}: {reason}"
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    @pytest.mark.parametrize("ineq, flags, a, b", CASES)
+    def test_each_row_is_the_check_at_its_alpha(self, ineq, flags, a, b, fmt):
+        common = ["--ineq", ineq, *flags, "--a", a, "--b", b, *self.FORMATS[fmt]]
+        code, out, err = invoke(["sweep", *common, "--alphas", ",".join(self.ALPHAS)])
+        checks = [invoke(["check", *common, "--alpha", alpha]) for alpha in self.ALPHAS]
+        want = [self.expected_row(ineq, alpha, a, b, fmt, check)
+                for alpha, check in zip(self.ALPHAS, checks)]
+        if fmt == "json":
+            rows = json.loads(out)
+        else:
+            rows = out.splitlines()[1 if fmt == "csv" else 0:]
+        assert rows == [row for row, _ in want]
+        flagged = "".join(f"{line}\n" for _, line in want if line is not None)
+        assert err == ("" if fmt != "text" else flagged)
+        codes = {check[0] for check in checks}
+        for worst in (EXIT_NUMERIC, EXIT_HYPOTHESIS, EXIT_VIOLATED, EXIT_OK):
+            if worst in codes:
+                assert code == worst
+                break
+
+    @pytest.mark.parametrize("ineq, flags, a, b", CASES)
+    def test_one_function_per_flag_per_sweep(self, monkeypatch, ineq, flags, a, b):
+        built = []
+        from_expr = ConformableFn.from_expr
+
+        def counted(cls, source, name=None):
+            built.append(source)
+            return from_expr(source, name)
+
+        monkeypatch.setattr(ConformableFn, "from_expr", classmethod(counted))
+        invoke(["sweep", "--ineq", ineq, *flags, "--a", a, "--b", b,
+                "--alphas", ",".join(self.ALPHAS)])
+        texts = [flags[i + 1] for i in range(0, len(flags), 2)
+                 if flags[i] in ("--f", "--g", "--w", "--F")]
+        assert built == texts
+
+    # the flags an id reads before its functions are built are still read first
+    @pytest.mark.parametrize("flags, message", [
+        (["--ineq", "gruss", "--f", "sin(t", "--g", "t", "--m", "x", "--M", "1"],
+         "--m expects a number or comma pair, got 'x'"),
+        (["--ineq", "gruss", "--f", "sin(t", "--g", "t"], "--ineq gruss requires --m, --M"),
+        (["--ineq", "ostrowski", "--f", "sin(t", "--M", "1,2"],
+         "ostrowski takes a single --M value"),
+        (["--ineq", "hh3", "--f", "sin(t"],
+         "--f 'sin(t': expected ')' (offset 5)"),
+        (["--ineq", "mm-bounds", "--f", "exp(t)", "--n", "-1"], "--n must be >= 0, got -1"),
+        (["--ineq", "jensen", "--w", "1", "--g", "t", "--F", "t^"],
+         "--F 't^': unexpected end of input (offset 2)"),
+    ])
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_usage_errors_in_their_order(self, command, flags, message):
+        grid = ["--alpha", "0.5"] if command == "check" else ["--alphas", "0.5,1"]
+        code, out, err = invoke([command, *flags, "--a", "0.5", "--b", "2", *grid])
+        assert (code, out, err) == (EXIT_USAGE, "", f"confrac: usage error: {message}\n")
+
+    def test_a_function_that_fails_to_build_hides_later_usage_errors(self):
+        # as when each alpha built its own functions: --n is never read
+        flags = ["--ineq", "mm-bounds", "--f", self.FLAT_CHAIN, "--n", "-1",
+                 "--a", "0.5", "--b", "2"]
+        code, out, err = invoke(["sweep", *flags, "--alphas", "0.5,1", "--csv"])
+        assert code == EXIT_NUMERIC and err == ""
+        reason = "expression too deep to compile: too many nested parentheses"
+        assert [row.split(",")[-1] for row in out.splitlines()[1:]] == [
+            f"numeric failure: {reason}=FAIL@"] * 2
+        assert invoke(["check", *flags, "--alpha", "0.5"]) == (
+            EXIT_NUMERIC, "", f"confrac: error: {reason}\n")
+
+
 class TestEmitReport:
     def setup_method(self):
         self.report = steffensen(ConformableFn.from_expr("exp(-t)"),

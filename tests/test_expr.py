@@ -1,15 +1,17 @@
 import copy
 import gc
+import io
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confrac import _taylor_mode as tm, expr as ex
+from confrac import _taylor_mode as tm, cli, expr as ex
 from confrac.calculus import _JET_UNROLL_MAX, ConformableFn, frac_deriv_fn, frac_deriv_n
 from confrac.errors import EvalDomainError, ExprDepthError, ExprSyntaxError
 
@@ -103,6 +105,109 @@ class TestParse:
         ex.parse(ok)
         with pytest.raises(ExprSyntaxError, match="nesting"):
             ex.parse("(" + ok + ")")
+
+
+# the tokenizer of the parser that tokenized the whole text before parsing,
+# kept as the reference for the tokens read on demand
+_TOKEN_RE = re.compile(
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])"
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(), i))
+        i = m.end()
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _EagerParser(ex._Parser):
+    """The grammar over the list of all tokens, made before parsing starts."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        self.token = self.tokens[0]
+
+    def advance(self):
+        tok = self.token
+        self.pos += 1
+        self.token = self.tokens[self.pos]
+        return tok
+
+    def check_lexical(self):
+        pass  # _tokenize has checked the whole text
+
+
+def _outcome(parse, text):
+    """The tree (hash-consed, so equal trees are one object) or the error."""
+    try:
+        return parse(text)
+    except ExprSyntaxError as exc:
+        return str(exc), exc.offset
+
+
+_PIECES = ["0", "1", "9", "42", ".", "..", "e", "E", "e+", "E-", "1e5", "2.5e-3", "1e309",
+           "+", "-", "*", "/", "^", "(", ")", "((", " ", "\t", "\n", "\x1c", "\x1f",
+           "　", "\xa0", " ", "t", "alpha", "pi", "sin", "exp(", "sqrt", "x",
+           "_", "t1", "@", "#", ",", "٣", "\xe9", "\x00"]
+_TEXTS = st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)
+
+
+class TestTokensOnDemand:
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(text=st.one_of(
+        _TEXTS,
+        # bad characters, parse errors and valid tails after a deep prefix
+        st.tuples(st.integers(ex.MAX_NESTING - 2, ex.MAX_NESTING + 2), _TEXTS).map(
+            lambda p: "(" * p[0] + p[1]),
+        st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0 　", max_size=4)))
+    def test_same_tree_or_error_as_the_whole_text_tokenized_first(self, text):
+        assert _outcome(ex.parse, text) == _outcome(lambda s: _EagerParser(s).parse(), text)
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("1 2 @", "unexpected character '@'", 4),
+        ("sin(t)) + #", "unexpected character '#'", 10),
+        ("(" * 2000 + "t" + ")" * 1999 + "$", "unexpected character '$'", 4000),
+        ("(" * 2000 + "t" + ")" * 2000, f"nesting deeper than {ex.MAX_NESTING} levels",
+         ex.MAX_NESTING),
+    ])
+    def test_a_bad_character_is_reported_before_a_parse_error(self, text, message, offset):
+        with pytest.raises(ExprSyntaxError) as err:
+            ex.parse(text)
+        assert str(err.value) == f"{message} (offset {offset})"
+
+    def test_deep_input_stops_reading_at_the_nesting_limit(self, monkeypatch):
+        drawn = []
+        scan = ex._Parser.scan
+
+        def counted(parser):
+            drawn.append(scan(parser))
+            return drawn[-1]
+
+        monkeypatch.setattr(ex._Parser, "scan", counted)
+        out, err = io.StringIO(), io.StringIO()
+        text = "(" * 2000 + "t" + ")" * 2000
+        assert cli.run(["deriv", "--expr", text, "--alpha", "0.5", "--at", "1"],
+                       out, err) == cli.EXIT_USAGE
+        assert "nesting deeper than" in err.getvalue()
+        # of 4,001 tokens: the parentheses up to the one past the limit, and
+        # the one after it, read as that one was consumed
+        assert len(drawn) == ex.MAX_NESTING + 2
 
 
 class TestDeepTrees:
