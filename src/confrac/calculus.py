@@ -534,11 +534,9 @@ def frac_deriv(f: ConformableFn, alpha: Union[Alpha, float], t: float) -> float:
 def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float) -> float:
     """Iterated conformable derivative D_alpha^n f at t; n = 0 returns f(t).
 
-    A symbolic f takes D^n f(t) = n! c_n from the compiled Taylor-mode code
-    of order n where frac_deriv_fn has compiled it and t > 0, otherwise (or
-    where that code meets no series, a domain error or a value out of float
-    range) from the series pass of _series, and from the symbolic chain
-    (_chain_derivative) where that series does not exist.
+    A symbolic f takes D^n f(t) = n! c_n from the series pass of _series,
+    and from the symbolic chain (_chain_derivative) where that series does
+    not exist.
     """
     a = _alpha_value(alpha)
     if n < 0:
@@ -551,11 +549,6 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
         base, k = f._derivative_of
         return frac_deriv_n(base, a, k + n, t)
     if f.is_symbolic:
-        fns = f._frac_compiled
-        if t > 0.0 and n < len(fns) and fns[n] is not None:
-            v = _jet_derivative(fns[n], n, t, a)
-            if v is not None:
-                return v
         d = _derivatives(f, a, n, t)
         return d[n] if d is not None else _chain_derivative(f, a, n, t)
     return _frac_deriv_n_numeric(f, a, n, t)
@@ -601,16 +594,6 @@ def _frac_deriv_n_numeric(f: ConformableFn, a: float, n: int, t: float) -> float
 _JET_UNROLL_MAX = 4
 
 
-def _jet_derivative(jets, n: int, t: float, a: float) -> Optional[float]:
-    """n! c_n at t > 0 from f's compiled Taylor mode of order n, or None
-    where it meets no series, a domain error or a value out of float range."""
-    try:
-        v = _FACTORIALS[n] * jets.top(t, a)
-    except (ex.NoTaylorSeries, EvalDomainError):
-        return None
-    return v if math.isfinite(v) else None
-
-
 def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
     """The n-th conformable derivative as a function object.
 
@@ -643,9 +626,13 @@ def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
             if t > 0.0:
                 if jets is None:
                     jets = f._jets(n)
-                v = _jet_derivative(jets, n, t, alpha)
-                if v is not None:
-                    return v
+                try:
+                    v = fact * jets.top(t, alpha)
+                except (ex.NoTaylorSeries, EvalDomainError):
+                    pass
+                else:
+                    if math.isfinite(v):
+                        return v
             return frac_deriv_n(f, alpha, n, t)
 
         def batch(ts: Sequence[float], alpha: float = 1.0) -> list[float]:

@@ -14,7 +14,7 @@ import argparse
 import io
 import math
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from .calculus import Alpha, ConformableFn, Interval, QuadratureConfig, frac_deriv_n, frac_integral
 from .errors import (ConfracError, EvalDomainError, ExprSyntaxError, HypothesisError,
@@ -236,6 +236,21 @@ def _fn(text: str, flag: str) -> ConformableFn:
         raise _UsageError(f"{flag} {text!r}: {exc}") from exc
 
 
+def _built(args, flag: str) -> ConformableFn:
+    """The function of --flag, built once per command: a sweep runs every
+    alpha on the same object, whose compiled code takes alpha as an argument.
+    A ConfracError from building it is raised again at every alpha."""
+    built = vars(args).setdefault("built", {})
+    if flag not in built:
+        try:
+            built[flag] = _fn(getattr(args, flag), f"--{flag}")
+        except ConfracError as exc:
+            built[flag] = exc
+    if isinstance(built[flag], ConfracError):
+        raise built[flag]
+    return built[flag]
+
+
 def _require(args, *flags: str):
     missing = [f"--{f}" for f in flags if getattr(args, f) is None]
     if missing:
@@ -285,70 +300,60 @@ def _nonneg_n(args) -> int:
     return args.n
 
 
-def _ostrowski_bound(args) -> Optional[float]:
-    if args.M is None:
-        return None
-    vals = _parse_bound(args.M, "--M")
-    if len(vals) != 1:
-        raise _UsageError("ostrowski takes a single --M value")
-    return vals[0]
+def _ostrowski(args, alpha: float, window: Interval,
+               cfg: Optional[QuadratureConfig]) -> InequalityReport:
+    M = None
+    if args.M is not None:
+        vals = _parse_bound(args.M, "--M")
+        if len(vals) != 1:
+            raise _UsageError("ostrowski takes a single --M value")
+        M = vals[0]
+    return ostrowski(_built(args, "f"), alpha, window, _point(args, window), cfg, M=M)
 
 
-# inequality id -> (the function flags, required and built in this order;
-# the reader of the flags read before the functions are built, or None;
-# builder(args, functions, read value, alpha, window, cfg)).  The builders
-# check the other flags their helpers read (--n, --m, --M, --t) themselves
+def _gruss(args, alpha: float, window: Interval,
+           cfg: Optional[QuadratureConfig]) -> InequalityReport:
+    b1, b2 = _pair_bounds(args)
+    return gruss(_built(args, "f"), _built(args, "g"), alpha, window, b1, b2, cfg)
+
+
+# inequality id -> (flags checked before anything is built, builder); the
+# builders check the flags their helpers read (--n, --m, --M, --t) themselves
 _CHECKS = {
-    "steffensen": (("f", "g"), None, lambda args, fns, _, alpha, window, cfg: steffensen(
-        *fns, alpha, window, cfg)),
-    "sandwich": (("g",), None, lambda args, fns, _, alpha, window, cfg: check_sandwich_lemma(
-        *fns, alpha, window, cfg)),
-    "rem-steffensen": (("f",), None, lambda args, fns, _, alpha, window, cfg:
-                       remainder_steffensen(*fns, alpha, _nonneg_n(args), window, cfg)),
-    "hh1": (("f",), None, lambda args, fns, _, alpha, window, cfg: hermite_hadamard_1(
-        *fns, alpha, window, cfg)),
-    "mm-bounds": (("f",), None, lambda args, fns, _, alpha, window, cfg: remainder_mm_bounds(
-        *fns, alpha, _nonneg_n(args), _single_bounds(args), window, cfg)),
-    "cebysev": (("f", "g"), None, lambda args, fns, _, alpha, window, cfg: cebysev(
-        *fns, alpha, window, cfg)),
-    "rem-cebysev": (("f",), None, lambda args, fns, _, alpha, window, cfg: remainder_cebysev(
-        *fns, alpha, _nonneg_n(args), window, cfg)),
-    "hh2": (("f",), None, lambda args, fns, _, alpha, window, cfg: hermite_hadamard_2(
-        *fns, alpha, window, cfg)),
-    "montgomery": (("f",), None, lambda args, fns, _, alpha, window, cfg: montgomery_check(
-        *fns, alpha, window, _point(args, window), cfg)),
-    "ostrowski": (("f",), _ostrowski_bound, lambda args, fns, M, alpha, window, cfg: ostrowski(
-        *fns, alpha, window, _point(args, window), cfg, M=M)),
-    "jensen": (("w", "g", "F"), None, lambda args, fns, _, alpha, window, cfg: jensen(
-        *fns, alpha, window, cfg)),
-    "gruss": (("f", "g"), _pair_bounds, lambda args, fns, bounds, alpha, window, cfg: gruss(
-        *fns, alpha, window, *bounds, cfg)),
-    "gruss-montgomery": (("f",), None, lambda args, fns, _, alpha, window, cfg:
-                         gruss_montgomery(*fns, alpha, window, _point(args, window),
-                                          _single_bounds(args), cfg)),
-    "hh3": (("f",), None, lambda args, fns, _, alpha, window, cfg: hermite_hadamard_3(
-        *fns, alpha, window, _single_bounds(args), cfg)),
+    "steffensen": (("f", "g"), lambda args, alpha, window, cfg: steffensen(
+        _built(args, "f"), _built(args, "g"), alpha, window, cfg)),
+    "sandwich": (("g",), lambda args, alpha, window, cfg: check_sandwich_lemma(
+        _built(args, "g"), alpha, window, cfg)),
+    "rem-steffensen": (("f",), lambda args, alpha, window, cfg: remainder_steffensen(
+        _built(args, "f"), alpha, _nonneg_n(args), window, cfg)),
+    "hh1": (("f",), lambda args, alpha, window, cfg: hermite_hadamard_1(
+        _built(args, "f"), alpha, window, cfg)),
+    "mm-bounds": (("f",), lambda args, alpha, window, cfg: remainder_mm_bounds(
+        _built(args, "f"), alpha, _nonneg_n(args), _single_bounds(args), window, cfg)),
+    "cebysev": (("f", "g"), lambda args, alpha, window, cfg: cebysev(
+        _built(args, "f"), _built(args, "g"), alpha, window, cfg)),
+    "rem-cebysev": (("f",), lambda args, alpha, window, cfg: remainder_cebysev(
+        _built(args, "f"), alpha, _nonneg_n(args), window, cfg)),
+    "hh2": (("f",), lambda args, alpha, window, cfg: hermite_hadamard_2(
+        _built(args, "f"), alpha, window, cfg)),
+    "montgomery": (("f",), lambda args, alpha, window, cfg: montgomery_check(
+        _built(args, "f"), alpha, window, _point(args, window), cfg)),
+    "ostrowski": (("f",), _ostrowski),
+    "jensen": (("w", "g", "F"), lambda args, alpha, window, cfg: jensen(
+        _built(args, "w"), _built(args, "g"), _built(args, "F"), alpha, window, cfg)),
+    "gruss": (("f", "g"), _gruss),
+    "gruss-montgomery": (("f",), lambda args, alpha, window, cfg: gruss_montgomery(
+        _built(args, "f"), alpha, window, _point(args, window), _single_bounds(args), cfg)),
+    "hh3": (("f",), lambda args, alpha, window, cfg: hermite_hadamard_3(
+        _built(args, "f"), alpha, window, _single_bounds(args), cfg)),
 }
 
 
-def _checker(args, window: Interval,
-             cfg: Optional[QuadratureConfig]) -> Callable[[float], InequalityReport]:
-    """The check of args.ineq as a function of alpha, with the functions of
-    its flags built once: a sweep runs every alpha on the same objects, and
-    their compiled code takes alpha as an argument.  A ConfracError from
-    building them is raised by every call, so a sweep flags each row."""
-    flags, read, build = _CHECKS[args.ineq]
+def _run_check(args, alpha: float, window: Interval,
+               cfg: Optional[QuadratureConfig]) -> InequalityReport:
+    flags, build = _CHECKS[args.ineq]
     _require(args, *flags)
-    value = read(args) if read is not None else None
-    try:
-        fns = tuple(_fn(getattr(args, flag), f"--{flag}") for flag in flags)
-    except ConfracError as exc:
-        error = exc  # the except clause unbinds exc
-
-        def failed(alpha: float) -> InequalityReport:
-            raise error.with_traceback(None)
-        return failed
-    return lambda alpha: build(args, fns, value, alpha, window, cfg)
+    return build(args, alpha, window, cfg)
 
 
 def _report_exit(r: InequalityReport) -> int:
@@ -468,7 +473,7 @@ def _cmd_ell(args, out, err) -> int:
 def _cmd_check(args, out, err) -> int:
     alpha = Alpha(args.alpha)
     window = Interval(args.a, args.b)
-    report = _checker(args, window, _make_cfg(args.tol))(alpha.value)
+    report = _run_check(args, alpha.value, window, _make_cfg(args.tol))
     fmt = "json" if args.json else "csv" if args.csv else "text"
     print(emit_report(report, fmt), file=out)
     return _report_exit(report)
@@ -477,13 +482,13 @@ def _cmd_check(args, out, err) -> int:
 def _cmd_sweep(args, out, err) -> int:
     window = Interval(args.a, args.b)
     alphas = _parse_alphas(args.alphas)
-    check = _checker(args, window, _make_cfg(args.tol))
+    cfg = _make_cfg(args.tol)
     reports = []
     flagged = []  # (alpha, reason) of the rows whose check raised
     numeric_failure = False
     for a in alphas:
         try:
-            reports.append(check(a))
+            reports.append(_run_check(args, a, window, cfg))
             continue
         except HypothesisError as exc:
             reason = str(exc)
