@@ -6,10 +6,18 @@ t-free subtrees become scalar statements, t^c (t itself, sqrt(t)) enters as
 its binomial series at t > 0 in h = u - u0, u = t^alpha/alpha, every
 coefficient is its own local, and each recurrence is written out term by
 term in the order the expr._jet_* helpers sum it, so the values are the
-pass's own.  Literals are lifted into parameters, as in expr._pysource, and
-one compile() per shape source builds both functions.  The source grows
-with n^2 per node, so calculus.frac_deriv_fn compiles only low orders
+pass's own (the Taylor mode of Griewank & Walther, "Evaluating Derivatives",
+2nd ed., ch. 13).  Statements whose results nothing reads, such as the
+root's coefficients below n, are left out where they cannot raise, and
+t^alpha reuses the pow(t, alpha) of u0.  The source grows with n^2 per
+node, so calculus.frac_deriv_fn compiles only low orders
 (calculus._JET_UNROLL_MAX) and runs the pass itself above them.
+
+Literals are parameters, named as in the shape that expr._compiled keeps
+for the node, so the code depends on the shape, the order and the whole
+literal exponents the writer unrolls (pow_const) only.  A bounded cache
+keyed by those three holds one factory each: a hit walks no tree, writes
+no source and calls no compiler.
 
 The package imports this module on first use: compiling its own source
 takes about 7 ms where no bytecode is cached, which every start-up that
@@ -18,13 +26,17 @@ never samples a derivative function would pay.
 
 from __future__ import annotations
 
-import functools
+import re
+import threading
 from typing import Callable, NamedTuple, Optional
 
+from .errors import ExprDepthError
 from .expr import (ALPHA, FUNCTIONS, T, Call, Expr, Neg, Num, Pow, _EVAL_GLOBALS, _PY_FUNC,
-                   _PY_OP, _Binary, _as_number, _depth_guarded, _jet_pow_const, _jet_pow_var)
+                   _PY_OP, _Binary, _as_number, _compiled, _depth_guarded, _jet_pow_const,
+                   _jet_pow_var, _pysource)
 
 _JET_CACHE_SIZE = 256
+_POW_UNROLL_MAX = 64  # a whole literal exponent up to this is unrolled
 
 
 class Jets(NamedTuple):
@@ -42,27 +54,39 @@ class Jets(NamedTuple):
     batch: Callable[..., list]
 
 
+def _unrolled(c: float) -> Optional[int]:
+    """The power a literal exponent c is unrolled to, or None."""
+    return int(c) if 0.0 <= c <= _POW_UNROLL_MAX and float(c).is_integer() else None
+
+
+# a statement that may raise: a call, or a division by other than a
+# positive literal (the recurrences divide by k >= 2 and by 1.0)
+_MAY_RAISE = re.compile(r"/ (?![1-9])|\w\(")
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+
 class _JetWriter:
     """The statements of one tree's Taylor-mode pass at one order."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, literals: dict):
         self.n = n
-        self.consts: list = []
+        self.literals = literals   # literal node -> its parameter index
         self.names: dict = {}      # t-free node -> its local or parameter
         self.jets: dict = {}       # node with t -> its coefficient locals
-        self.lines: list = []      # (t-free?, statement) in walk order
+        self.lines: list = []      # (t-free?, target or None, code) in walk order
+        self.slots: list = []      # (parameter, negated?) of each literal exponent
         self.count = 0
 
     def let(self, code: str, scalar: bool = False) -> str:
         name = f"v{self.count}"
         self.count += 1
-        self.lines.append((scalar, f"{name} = {code}"))
+        self.lines.append((scalar, name, code))
         return name
 
     def unpack(self, code: str) -> list:
         names = [f"v{self.count + k}" for k in range(self.n + 1)]
         self.count += self.n + 1
-        self.lines.append((False, f"{', '.join(names)}, = {code}"))
+        self.lines.append((False, f"{', '.join(names)},", code))
         return names
 
     def scalar(self, e: Expr) -> str:
@@ -71,8 +95,7 @@ class _JetWriter:
         if name is not None:
             return name
         if isinstance(e, Num):
-            name = f"c{len(self.consts)}"
-            self.consts.append(e.value)
+            name = f"c{self.literals[e]}"
         elif e is ALPHA:
             name = "alpha"
         elif isinstance(e, _Binary):
@@ -107,7 +130,7 @@ class _JetWriter:
             if e.base is T:
                 out = self.t_power(c)
             else:
-                out = self.pow_const(self.walk(e.base), c, _as_number(e.exponent))
+                out = self.pow_const(self.walk(e.base), c, self.literal_power(e.exponent))
         elif isinstance(e, Pow):
             base = self.walk(e.base)
             out = self.via_helper("_jet_pow_var", base, self.walk(e.exponent))
@@ -120,6 +143,15 @@ class _JetWriter:
         self.jets[e] = out
         return out
 
+    def literal_power(self, c: Expr) -> Optional[int]:
+        """The power a literal exponent (Num or negated Num) is unrolled to,
+        or None; the literal's slot goes into the cache key."""
+        num = c.operand if isinstance(c, Neg) else c
+        if not isinstance(num, Num):
+            return None
+        self.slots.append((self.literals[num], num is not c))
+        return _unrolled(_as_number(c))
+
     def via_helper(self, helper: str, *args) -> list:
         """Unpack one call of a _jet_* helper into coefficient locals."""
         lists = (a if type(a) is str else f"[{', '.join(a)}]" for a in args)
@@ -127,18 +159,19 @@ class _JetWriter:
 
     def t_power(self, c: str) -> list:
         r = self.let(f"{c} / alpha", True)
-        out = [self.let("t" if c == "1.0" else f"pow(t, {c})")]
+        # t and t^alpha are locals already; pow(t, alpha) is u0's numerator
+        out = ["t" if c == "1.0" else "ta" if c == "alpha" else self.let(f"pow(t, {c})")]
         for k in range(1, self.n + 1):
             # (r - (k - 1)) / (k u0), as _jet_tpow computes it
             step = f"{r} / u0" if k == 1 else f"{self.let(f'{r} - {k - 1}', True)} / w{k}"
             out.append(self.let(f"{out[-1]} * ({step})"))
         return out
 
-    def pow_const(self, a, c: str, static: Optional[float]) -> list:
-        """a^c: a small whole literal exponent by unrolled repeated squaring,
-        any other through _jet_pow_const itself."""
-        if static is not None and 0.0 <= static <= 64.0 and float(static).is_integer():
-            k, out = int(static), None
+    def pow_const(self, a, c: str, k: Optional[int]) -> list:
+        """a^c: a small whole literal exponent k by unrolled repeated
+        squaring, any other through _jet_pow_const itself."""
+        if k is not None:
+            out = None
             while k:
                 if k & 1:
                     out = a if out is None else self.mul(out, a)
@@ -225,7 +258,7 @@ class _JetWriter:
 
     def call_sqrt(self, a):
         # as the symbolic d/dt sqrt(u) = u'/(2 sqrt(u)) does
-        self.lines.append((False, f"if {a[0]} == 0.0: raise ZeroDivisionError"))
+        self.lines.append((False, None, f"if {a[0]} == 0.0: raise ZeroDivisionError"))
         out = [self.let(f"sqrt({a[0]})")]
         for k in range(1, self.n + 1):
             s = " + ".join(f"{out[j]} * {out[k - j]}" for j in range(1, k))
@@ -244,25 +277,27 @@ class _JetWriter:
 
     # -- the functions --------------------------------------------------------
 
-    def source(self, root: Expr) -> str:
+    def source(self, root: Expr, params: int) -> str:
         out = self.walk(root)
         n = self.n
         top = out[n] if root.contains_t else (out if n == 0 else "0.0")
-        steps = ["u0 = pow(t, alpha) / alpha"] + [f"w{k} = {k} * u0" for k in range(2, n + 1)]
-        point = steps + [line for _, line in self.lines]
-        params = ", ".join(f"c{k}" for k in range(len(self.consts)))
-        src = [f"def make({params}):", " def top(t, alpha):", "  try:"]
+        steps = [(False, "ta", "pow(t, alpha)"), (False, "u0", "ta / alpha")]
+        steps += [(False, f"w{k}", f"{k} * u0") for k in range(2, n + 1)]
+        lines = self.live(steps + self.lines, top)
+        point = [f"{target} = {code}" if target else code for _, target, code in lines]
+        loop = [line for (scalar, _, _), line in zip(lines, point) if not scalar]
+        names = ", ".join(f"c{k}" for k in range(params))
+        src = [f"def make({names}):", " def top(t, alpha):", "  try:"]
         src += [f"   {line}" for line in point]
         src.append(f"   return {top}")
         src.append("  except _FAULTS as exc:")
         src.append("   raise _domain_error(exc) from None")
         src.append(" def batch(ts, alpha, scale=1.0):")
         src.append("  try:")
-        src += [f"   {line}" for scalar, line in self.lines if scalar]
+        src += [f"   {line}" for (scalar, _, _), line in zip(lines, point) if scalar]
         src.append("   out = []")
         src.append("   for t in ts:")
-        src += [f"    {line}" for line in steps]
-        src += [f"    {line}" for scalar, line in self.lines if not scalar]
+        src += [f"    {line}" for line in loop]
         src.append(f"    out.append({top} * scale)")
         src.append("   return out")
         src.append("  except _FAULTS as exc:")
@@ -270,16 +305,74 @@ class _JetWriter:
         src.append(" return top, batch")
         return "\n".join(src)
 
+    def live(self, lines: list, top: str) -> list:
+        """lines without the statements whose results nothing reads and
+        that cannot raise: no division, no call, and no t-free operand,
+        which may be an int too large for a float.  What is left raises
+        where the full pass raises, with the same error."""
+        scalars = set(self.names.values()).union(
+            target for scalar, target, _ in lines if scalar)
+        needed = set(_NAME.findall(top))
+        kept = []
+        for line in reversed(lines):
+            _, target, code = line
+            reads = _NAME.findall(code)
+            if (target is not None and needed.isdisjoint(_NAME.findall(target))
+                    and not _MAY_RAISE.search(code) and scalars.isdisjoint(reads)):
+                continue
+            needed.update(reads)
+            kept.append(line)
+        kept.reverse()
+        return kept
+
 
 _JET_GLOBALS = dict(_EVAL_GLOBALS, _jet_pow_const=_jet_pow_const, _jet_pow_var=_jet_pow_var,
                     ZeroDivisionError=ZeroDivisionError)
 
 
-@functools.lru_cache(maxsize=_JET_CACHE_SIZE)
-def _jet_factory(source: str) -> Callable:
+def _make_factory(source: str) -> Callable:
     namespace: dict = {}
     exec(compile(source, "<jets>", "exec"), _JET_GLOBALS, namespace)
     return namespace["make"]
+
+
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+# Both bounded to _JET_CACHE_SIZE entries, the oldest dropped first.  The
+# slots of a shape and order are the literal exponents its writer met.
+_factories: dict = {}   # (shape, n, unrolled powers) -> the code's make()
+_slots: dict = {}       # (shape, n) -> ((parameter, negated?), ...)
+_counts = [0, 0]        # hits, misses
+_lock = threading.Lock()
+
+
+def _powers(consts: tuple, slots: tuple) -> tuple:
+    return tuple(_unrolled(-consts[k] if negated else consts[k]) for k, negated in slots)
+
+
+def _remember(cache: dict, key, value) -> None:
+    with _lock:
+        if len(cache) >= _JET_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = value
+
+
+def cache_info() -> CacheInfo:
+    """Hits and misses of compile_jet's factory cache; a miss is one call
+    to Python's compiler."""
+    return CacheInfo(_counts[0], _counts[1], _JET_CACHE_SIZE, len(_factories))
+
+
+def cache_clear() -> None:
+    with _lock:
+        _factories.clear()
+        _slots.clear()
+        _counts[:] = [0, 0]
 
 
 @_depth_guarded
@@ -287,11 +380,29 @@ def compile_jet(e: Expr, n: int) -> Jets:
     """The Taylor-mode functions of e at order n >= 0 (see Jets), compiled.
 
     A tree of a shape compiled before at this order (the same tree up to
-    its literals) costs no call to Python's compiler.  Where a derivative
-    the series encodes is undefined, the functions raise as taylor_series
-    does, with arithmetic faults as EvalDomainError."""
+    its literals, with the same whole literal exponents up to 64) costs no
+    tree walk and no call to Python's compiler.  Where a derivative the
+    series encodes is undefined, the functions raise as taylor_series does,
+    with arithmetic faults as EvalDomainError."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    writer = _JetWriter(n)
-    source = writer.source(e)
-    return Jets(*_jet_factory(source)(*writer.consts))
+    try:
+        shape, consts = _compiled(e)[2:]
+    except ExprDepthError:  # too deep for one Python expression, not for statements
+        shape = None
+    if shape is not None:
+        slots = _slots.get((shape, n))
+        if slots is not None:
+            make = _factories.get((shape, n, _powers(consts, slots)))
+            if make is not None:
+                _counts[0] += 1
+                return Jets(*make(*consts))
+    _counts[1] += 1
+    _, values, literals = _pysource(e)
+    writer = _JetWriter(n, {node: k for k, node in enumerate(literals)})
+    make = _make_factory(writer.source(e, len(literals)))
+    if shape is not None:
+        slots = tuple(writer.slots)
+        _remember(_slots, (shape, n), slots)
+        _remember(_factories, (shape, n, _powers(consts, slots)), make)
+    return Jets(*make(*values))

@@ -139,7 +139,7 @@ class ConformableFn:
     construction (internal caches aside) and safe to share across threads.
     """
 
-    __slots__ = ("_eval", "_batch", "expr", "derivatives", "smoothness", "name",
+    __slots__ = ("_eval", "_batch", "expr", "derivatives", "smoothness", "_name",
                  "_frac_chain", "_chain_sizes", "_frac_compiled", "_lock",
                  "_derivative_of")
 
@@ -154,7 +154,7 @@ class ConformableFn:
         self.expr = expr
         self.derivatives = tuple(derivatives)
         self.smoothness = smoothness
-        self.name = name
+        self._name = name
         self._frac_chain = [expr] if expr is not None else None
         self._chain_sizes = []  # distinct nodes per built level of the chain
         # per order k >= 1: the Taylor-mode functions of order k (None until
@@ -166,8 +166,10 @@ class ConformableFn:
     @classmethod
     def from_expr(cls, source: Union[str, ex.Expr], name: Optional[str] = None) -> "ConformableFn":
         tree = ex.parse(source) if isinstance(source, str) else source
-        return cls(ex.compile_expr(tree), expr=tree, batch=ex.compile_batch(tree),
-                   name=name if name is not None else ex.to_text(tree))
+        f = cls(ex.compile_expr(tree), expr=tree, batch=ex.compile_batch(tree), name=name)
+        if name is None:
+            f._name = lambda: ex.to_text(tree)
+        return f
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], float],
@@ -176,6 +178,15 @@ class ConformableFn:
                       name: Optional[str] = None) -> "ConformableFn":
         return cls(lambda t, alpha=1.0: float(fn(t)),
                    derivatives=derivatives, smoothness=smoothness, name=name)
+
+    @property
+    def name(self) -> Optional[str]:
+        """The function's name; from_expr and frac_deriv_fn name it after its
+        expression, printed on first read."""
+        name = self._name
+        if callable(name):
+            name = self._name = name()
+        return name
 
     @property
     def is_symbolic(self) -> bool:
@@ -460,7 +471,7 @@ def _monomial_seed(a: float, n: int) -> Callable[[float], list]:
     return t_power
 
 
-def _series(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float]]:
+def _coefficients(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float]]:
     """c_k = D^k f(t) / k!, k = 0..n, for symbolic f at t >= 0, in one pass.
 
     With u = t^a/a the conformable derivative is d/du, so these are the
@@ -469,15 +480,21 @@ def _series(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float
     series t^c (1 + h/u0)^(c/a) in h = u - u0, at t = 0 the monomial of
     _monomial_seed.  Returns None where the series does not exist or the
     pass meets a domain error (the symbolic chain may still have values
-    there); a coefficient that is not finite raises EvalDomainError.
+    there).  A coefficient may be inf or nan.
     """
     seed = ex.t_power_at(t, a, n) if t > 0.0 else _monomial_seed(a, n)
     try:
-        coeffs = ex.taylor_series(f.expr, n, a, seed)
+        return ex.taylor_series(f.expr, n, a, seed)
     except (ex.NoTaylorSeries, EvalDomainError, ZeroDivisionError, ValueError,
             OverflowError):
         return None
-    if not all(map(math.isfinite, coeffs)):
+
+
+def _series(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float]]:
+    """The coefficients of _coefficients, where a coefficient that is not
+    finite raises EvalDomainError."""
+    coeffs = _coefficients(f, a, n, t)
+    if coeffs is not None and not all(map(math.isfinite, coeffs)):
         raise EvalDomainError(f"derivatives at t={t!r} are not finite")
     return coeffs
 
@@ -536,7 +553,8 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
 
     A symbolic f takes D^n f(t) = n! c_n from the series pass of _series,
     and from the symbolic chain (_chain_derivative) where that series does
-    not exist.
+    not exist.  At t > 0 only D^n itself has to be finite, as in the
+    compiled functions of frac_deriv_fn; at t = 0 every D^k, k <= n.
     """
     a = _alpha_value(alpha)
     if n < 0:
@@ -548,10 +566,20 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
     if f._derivative_of is not None:
         base, k = f._derivative_of
         return frac_deriv_n(base, a, k + n, t)
-    if f.is_symbolic:
+    if not f.is_symbolic:
+        return _frac_deriv_n_numeric(f, a, n, t)
+    if t == 0.0:
         d = _derivatives(f, a, n, t)
         return d[n] if d is not None else _chain_derivative(f, a, n, t)
-    return _frac_deriv_n_numeric(f, a, n, t)
+    coeffs = _coefficients(f, a, n, t)
+    if coeffs is None:
+        return _chain_derivative(f, a, n, t)
+    if not math.isfinite(coeffs[n]):
+        raise EvalDomainError(f"derivatives at t={t!r} are not finite")
+    d = _times_factorial(coeffs[n], n)
+    if not math.isfinite(d):
+        raise EvalDomainError(f"a derivative of order <= {n} at {t!r} is out of float range")
+    return d
 
 
 def _frac_deriv_n_numeric(f: ConformableFn, a: float, n: int, t: float) -> float:
@@ -648,7 +676,8 @@ def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
                     return out
             return [evaluator(t, alpha) for t in ts]
 
-    d = ConformableFn(evaluator, batch=batch, name=f"D^{n}[{f.name or ex.to_text(f.expr)}]")
+    d = ConformableFn(evaluator, batch=batch)
+    d._name = lambda: f"D^{n}[{f.name or ex.to_text(f.expr)}]"
     d._derivative_of = (f, n)
     return d
 
@@ -661,7 +690,8 @@ def frac_integral(f: ConformableFn, alpha: Union[Alpha, float], window: Window,
     weight vanishes exactly and an endpoint at 0 with alpha < 1 is regular;
     "direct" mode integrates the weighted integrand as written (it falls
     back to the substitution when the window touches 0 with alpha < 1, where
-    refinement toward the singular endpoint cannot pay off).
+    refinement toward the singular endpoint cannot pay off).  A function
+    with a batch evaluator is sampled one panel per call.
     """
     a_val = _alpha_value(alpha)
     lo, hi, sign = _window_span(window)
@@ -674,19 +704,29 @@ def frac_integral(f: ConformableFn, alpha: Union[Alpha, float], window: Window,
     if mode == "direct" and lo == 0.0 and a_val < 1.0:
         mode = "transformed"
 
+    fb = f._batch
+    gb = None
     if mode == "transformed":
         if a_val == 1.0:
             g = lambda u: f.value(u, 1.0)
+            if fb is not None:
+                gb = lambda us: fb(us, 1.0)
             ua, ub = lo, hi
         else:
             inv = 1.0 / a_val
             g = lambda u: f.value(math.pow(a_val * u, inv), a_val)
+            if fb is not None:
+                gb = lambda us: fb([math.pow(a_val * u, inv) for u in us], a_val)
             ua = math.pow(lo, a_val) / a_val
             ub = math.pow(hi, a_val) / a_val
-        value = adaptive_integrate(g, ua, ub, cfg.abs_tol, cfg.rel_tol,
-                                   cfg.max_subdivisions)
     else:
         g = lambda t: f.value(t, a_val) * math.pow(t, a_val - 1.0)
-        value = adaptive_integrate(g, lo, hi, cfg.abs_tol, cfg.rel_tol,
-                                   cfg.max_subdivisions)
+        if fb is not None:
+            gb = lambda ts: [v * math.pow(t, a_val - 1.0)
+                             for t, v in zip(ts, fb(ts, a_val))]
+        ua, ub = lo, hi
+    # the batch form goes by position: a wrapper of adaptive_integrate may
+    # pass on extra positional arguments only
+    value = adaptive_integrate(g, ua, ub, cfg.abs_tol, cfg.rel_tol,
+                               cfg.max_subdivisions, gb)
     return sign * value

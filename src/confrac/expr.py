@@ -847,8 +847,9 @@ def _children(e: Expr) -> tuple:
     return ()
 
 
-def _pysource(root: Expr) -> tuple[str, list]:
-    """Python expression for root, and the values of its literals.
+def _pysource(root: Expr) -> tuple[str, list, list]:
+    """Python expression for root, the values of its literals, and the
+    literal nodes themselves, in parameter order.
 
     Each distinct literal node becomes a parameter ``cK`` whose value is the
     node's own value object (so ``1`` and ``1.0`` stay apart), which makes
@@ -867,15 +868,15 @@ def _pysource(root: Expr) -> tuple[str, list]:
             parents[node] = 1
             stack.extend(_children(node))
     names: dict = {}
-    consts: list = []
+    literals: list = []
 
     def emit(e: Expr) -> str:
         name = names.get(e)
         if name is not None:
             return name
         if isinstance(e, Num):
-            name = names[e] = f"c{len(consts)}"
-            consts.append(e.value)
+            name = names[e] = f"c{len(literals)}"
+            literals.append(e)
             return name
         if isinstance(e, Sym):
             return e.name
@@ -891,10 +892,11 @@ def _pysource(root: Expr) -> tuple[str, list]:
             raise TypeError(f"not an expression node: {e!r}")
         if parents[e] == 1:
             return code
-        name = names[e] = f"v{len(names) - len(consts)}"
+        name = names[e] = f"v{len(names) - len(literals)}"
         return f"({name}:={code})"
 
-    return emit(root), consts
+    source = emit(root)
+    return source, [node.value for node in literals], literals
 
 
 # a tree's point and batch evaluators, which map arithmetic faults themselves
@@ -926,19 +928,22 @@ _shape_factory = functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)(_make_factory)
 
 
 def _compiled(e: Expr) -> tuple:
-    """The node's (evaluator, batch evaluator), built once per node."""
-    pair = e._code
-    if pair is not None:
-        return pair
-    source, consts = _pysource(e)
+    """The node's (evaluator, batch evaluator, shape, literal values), built
+    once per node.  The shape is the literal-free source of _pysource, or
+    None where it is over _SHAPE_SOURCE_CAP and so not cached; equal shapes
+    are equal trees up to their literals, which compile_jet keys on."""
+    code = e._code
+    if code is not None:
+        return code
+    source, consts, _ = _pysource(e)
     params = ", ".join(f"c{k}" for k in range(len(consts)))
     cached = len(source) <= _SHAPE_SOURCE_CAP
     batch = f"[float({source}) for t in ts]" if cached else "[point(t, alpha) for t in ts]"
     make = (_shape_factory if cached else _make_factory)(
         _MAKE.format(params=params, source=source, batch=batch))
-    pair = make(*consts)
-    _SET(e, "_code", pair)
-    return pair
+    code = (*make(*consts), source if cached else None, tuple(consts))
+    _SET(e, "_code", code)
+    return code
 
 
 @_depth_guarded

@@ -20,7 +20,9 @@ module checks independently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Union
 
 from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
@@ -178,33 +180,30 @@ def _violation(prop: str, sample: tuple,
     """The first grid point of the sample that violates prop, or None."""
     ts, vals, tol = sample
     if prop == "nonnegative":
-        for t, v in zip(ts, vals):
-            if v < -tol:
+        lo, hi = -tol, math.inf
+    elif prop == "range01":
+        lo, hi = -tol, 1.0 + tol
+    elif prop == "bounded":
+        lo, hi = bounds.m - tol, bounds.M + tol
+    elif prop == "convex":
+        for t, prev, v, nxt in zip(islice(ts, 1, None), vals,
+                                   islice(vals, 1, None), islice(vals, 2, None)):
+            if v > 0.5 * (prev + nxt) + tol:
                 return t
         return None
-    if prop == "range01":
-        for t, v in zip(ts, vals):
-            if v < -tol or v > 1.0 + tol:
-                return t
+    else:
+        pairs = zip(islice(ts, 1, None), vals, islice(vals, 1, None))
+        if prop == "increasing":
+            for t, prev, v in pairs:
+                if v < prev - tol:
+                    return t
+        else:  # decreasing
+            for t, prev, v in pairs:
+                if v > prev + tol:
+                    return t
         return None
-    if prop == "increasing":
-        for i in range(len(vals) - 1):
-            if vals[i + 1] < vals[i] - tol:
-                return ts[i + 1]
-        return None
-    if prop == "decreasing":
-        for i in range(len(vals) - 1):
-            if vals[i + 1] > vals[i] + tol:
-                return ts[i + 1]
-        return None
-    if prop == "convex":
-        for i in range(len(vals) - 2):
-            if vals[i + 1] > 0.5 * (vals[i] + vals[i + 2]) + tol:
-                return ts[i + 1]
-        return None
-    # bounded
     for t, v in zip(ts, vals):
-        if v < bounds.m - tol or v > bounds.M + tol:
+        if v < lo or v > hi:
             return t
     return None
 
@@ -253,7 +252,19 @@ _ONE = ConformableFn.from_expr("1", name="1")
 
 
 def _product(f: ConformableFn, g: ConformableFn) -> ConformableFn:
-    return ConformableFn(lambda t, alpha=1.0: f.value(t, alpha) * g.value(t, alpha))
+    """f g, with a batch form where both have one."""
+    point = lambda t, alpha=1.0: f.value(t, alpha) * g.value(t, alpha)
+    fb, gb = f._batch, g._batch
+    if fb is None or gb is None:
+        return ConformableFn(point)
+
+    def batch(ts, alpha=1.0):
+        try:
+            return list(map(operator.mul, fb(ts, alpha), gb(ts, alpha)))
+        except Exception:  # g may fail at a point before f's first failure
+            return [point(t, alpha) for t in ts]
+
+    return ConformableFn(point, batch=batch)
 
 
 def _span(a: float, window: Interval) -> float:
@@ -520,7 +531,11 @@ def montgomery_residual(f: ConformableFn, alpha: AlphaLike, window, t: float,
     window = _as_window(window)
     kernel = MontgomeryKernel(t=t, alpha=Alpha(a), window=window)
     d1 = frac_deriv_fn(f, 1)
-    weighted = ConformableFn(lambda s, _=a: kernel(s) * d1.value(s, a))
+    d1_batch = d1._batch
+    batch = None
+    if d1_batch is not None:
+        batch = lambda ss, _=a: list(map(operator.mul, map(kernel, ss), d1_batch(ss, a)))
+    weighted = ConformableFn(lambda s, _=a: kernel(s) * d1.value(s, a), batch=batch)
     kernel_int = (frac_integral(weighted, a, (window.a, t), cfg)
                   + frac_integral(weighted, a, (t, window.b), cfg))
     factor = _avg_factor(a, window)

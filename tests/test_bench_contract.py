@@ -4,8 +4,9 @@ perfbench/tracing.py wraps module-level functions of every layer, the
 ConformableFn.frac_expr method and index 0 of _frac_compiled of the
 function objects built at import time.  This test installs it, runs one
 traced derivative grid and checks that uninstalling puts every original
-back, and does the same around one solve of a linear IVP and around first
-derivatives of an expression function.
+back, and does the same around one solve of a linear IVP, around first
+derivatives of an expression function and around three inequality checks
+whose quadrature panels are batched.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from confrac import calculus, cli, inequalities, ivp  # noqa: F401 (the tracer wraps cli too)
-from confrac.calculus import Alpha, ConformableFn, frac_deriv, frac_deriv_fn
+from confrac.calculus import Alpha, ConformableFn, Interval, frac_deriv, frac_deriv_fn
 from confrac.ivp import IvpSpec, LinearOperator, solve_full
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -100,6 +101,37 @@ def test_tracer_sees_first_derivatives_build_and_compile_nothing():
     assert tracer.calls["calculus.deriv"] == len(ts)
     assert tracer.calls["expr.diff"] == 0
     assert tracer.calls["expr.compile"] == 0
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key in before if after[key] is not before[key]]
+    assert changed == []
+
+
+def test_tracer_sees_batched_panels_and_changes_no_report():
+    # the tracer wraps adaptive_integrate(fn, a, b, *rest), so the batch
+    # integrand of a panel must pass by position, and come out unchanged
+    window = Interval(0.4, 2.2)
+
+    def reports():
+        f = ConformableFn.from_expr("exp(-t)*(2+sin(t))")
+        g = ConformableFn.from_expr("t^alpha/alpha+0.3*t")
+        return [inequalities.hermite_hadamard_1(f, 0.5, window),
+                inequalities.cebysev(f, g, 0.75, window),
+                inequalities.montgomery_residual(f, 0.5, window, 1.1)]
+
+    want = reports()
+    before = _bindings()
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert calculus.adaptive_integrate is not before[("confrac.calculus",
+                                                          "adaptive_integrate")]
+        got = reports()
+    finally:
+        tracer.uninstall()
+    assert got == want
+    assert tracer.counts["inequalities.checks"] == 3
+    assert tracer.counts["quad.integrals"] > 0
     after = _bindings()
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import warnings
+from unittest import mock
 
 import mpmath
 import pytest
@@ -12,10 +13,13 @@ from hypothesis import given, settings, strategies as st
 from confrac import functions as fam
 from confrac.calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
                               frac_deriv, frac_deriv_fn, frac_deriv_n, frac_integral)
-from confrac import _taylor_mode as tm, calculus, expr as ex
-from confrac.errors import (ConfracError, ExprDepthError, ExprSizeError,
+from confrac import _taylor_mode as tm, calculus, expr as ex, inequalities
+from confrac._quad import adaptive_integrate
+from confrac.errors import (ConfracError, EvalDomainError, ExprDepthError, ExprSizeError,
                             InstabilityWarning, LimitError, QuadratureError,
                             SmoothnessError)
+
+from confrac.taylor import expand
 
 from conftest import ALPHAS, frac_quad_oracle, random_safe_tree, random_tree, random_window
 
@@ -272,6 +276,61 @@ class TestFracDerivNIgnoresCompiledState:
         assert [_outcome(lambda: frac_deriv_n(f, 0.5, n, t)) for n in range(1, 5)] == before
 
 
+def _same_outcome(first, second) -> bool:
+    """Equal values (0.0 and -0.0 alike), or errors of one type and message."""
+    def run(fn):
+        try:
+            return fn()
+        except ConfracError as exc:
+            return type(exc), str(exc)
+    a, b = run(first), run(second)
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    return a == b
+
+
+_OVERFLOW = ex.Mul(ex.Num(1e308), ex.Num(10.0))  # inf as a value, c_0 only
+
+
+class TestOneFinitenessRule:
+    """At t > 0, frac_deriv_n raises only where D^n itself is not finite, as
+    the compiled functions of frac_deriv_fn do; expand needs every order."""
+
+    def test_an_infinite_value_leaves_the_derivatives(self):
+        f = ConformableFn.from_expr("1e308*10 + t")
+        want = frac_deriv_n(f, 0.5, 1, 1.5)
+        assert want == pytest.approx(math.sqrt(1.5), rel=1e-15)
+        assert frac_deriv_fn(f, 1).value(1.5, 0.5) == want
+        assert frac_deriv_n(f, 0.5, 1, 1.5) == want
+        for n in (2, 3, 4):
+            assert frac_deriv_n(f, 0.5, n, 1.5) == frac_deriv_fn(f, n).value(1.5, 0.5)
+        with pytest.raises(EvalDomainError, match="not finite"):
+            expand(f, 0.5, 2, 1.5)
+
+    def test_an_infinite_top_order_still_raises(self):
+        f = ConformableFn.from_expr("t^alpha*(1e308*10)")
+        with pytest.raises(EvalDomainError, match="not finite"):
+            frac_deriv_n(f, 0.5, 1, 1.5)
+        with pytest.raises(EvalDomainError, match="not finite"):
+            frac_deriv_fn(f, 1).value(1.5, 0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           t=st.floats(0.05, 3.0), alpha=st.sampled_from(ALPHAS),
+           wrap=st.sampled_from(("none", "add", "sub")))
+    def test_both_routes_agree_on_random_trees(self, seed, n, t, alpha, wrap):
+        tree = random_tree(random.Random(seed))
+        if wrap == "add":
+            tree = ex.Add(_OVERFLOW, tree)
+        elif wrap == "sub":
+            tree = ex.Sub(tree, _OVERFLOW)
+        f = ConformableFn.from_expr(tree)
+        direct = lambda: frac_deriv_n(f, alpha, n, t)
+        assert _same_outcome(direct, lambda: frac_deriv_fn(f, n).value(t, alpha))
+        assert _same_outcome(direct, lambda: frac_deriv_n(ConformableFn.from_expr(tree),
+                                                          alpha, n, t))
+
+
 class TestTaylorModeDerivatives:
     """D^k f(t) = k! c_k from the compiled Taylor-mode code, at every order."""
 
@@ -451,6 +510,118 @@ class TestFracIntegral:
                 w = t ** (alpha - 1.0)
                 assert w <= prev + 1e-15
                 prev = w
+
+
+def _point_panels():
+    """adaptive_integrate without its batch integrand: every panel point by point."""
+    return mock.patch.object(calculus, "adaptive_integrate",
+                             lambda fn, a, b, *rest: adaptive_integrate(fn, a, b, *rest[:3]))
+
+
+def _bits_or_error(fn):
+    try:
+        return fn().hex()
+    except Exception as exc:  # the integrand's own errors pass through
+        return type(exc), str(exc)
+
+
+class TestBatchedPanels:
+    """A G7/K15 panel of a function with a batch evaluator is one batch call,
+    with the float, or the error, of the point-by-point panel."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.one_of(st.sampled_from(ALPHAS),
+                                                          st.floats(0.05, 1.0)),
+           lo=st.floats(0.0, 3.0), width=st.floats(0.01, 2.0),
+           mode=st.sampled_from(("transformed", "direct")),
+           kind=st.sampled_from(("f", "product", "derivative", "montgomery")))
+    def test_batch_equals_point_panels(self, seed, alpha, lo, width, mode, kind):
+        rng = random.Random(seed)
+        f = ConformableFn.from_expr(random_tree(rng, 3))
+        g = ConformableFn.from_expr(random_tree(rng, 3))
+        n = rng.randint(1, 3)
+        hi = lo + width
+        cfg = QuadratureConfig(mode=mode, max_subdivisions=100)
+
+        def run():
+            if kind == "f":
+                return frac_integral(f, alpha, (lo, hi), cfg)
+            if kind == "product":
+                return frac_integral(inequalities._product(f, g), alpha, (lo, hi), cfg)
+            if kind == "derivative":
+                return frac_integral(frac_deriv_fn(f, n), alpha, (lo, hi), cfg)
+            return inequalities.montgomery_residual(f, alpha, Interval(lo, hi),
+                                                    lo + 0.3 * width, cfg)
+
+        with _point_panels():
+            want = _bits_or_error(run)
+        assert _bits_or_error(run) == want
+
+    @staticmethod
+    def _integrand(nan_at, raise_at):
+        # on [0, 1] the first Kronrod pair is 0.0043 and 0.9957, after the centre
+        def fn(x):
+            if nan_at(x):
+                return math.nan
+            if raise_at(x):
+                raise ZeroDivisionError(f"fault at {x!r}")
+            return x * x
+        return fn
+
+    @pytest.mark.parametrize("raise_at", [lambda x: x > 0.99, lambda x: False],
+                             ids=["fault-after-nan", "nan-only"])
+    @pytest.mark.parametrize("batch_kind", ["loop", "no-raise"])
+    def test_faults_as_point_by_point(self, raise_at, batch_kind):
+        # a non-finite node comes first, then (or not) a node that raises
+        fn = self._integrand(lambda x: x < 0.01, raise_at)
+        if batch_kind == "loop":
+            batch = lambda xs: [fn(x) for x in xs]
+        else:  # a batch that returns where the point form raises
+            batch = lambda xs: [math.nan if x < 0.01 else math.inf if raise_at(x) else x * x
+                                for x in xs]
+        with pytest.raises(Exception) as point:
+            adaptive_integrate(fn, 0.0, 1.0, 1e-10, 1e-10, 50)
+        with pytest.raises(Exception) as batched:
+            adaptive_integrate(fn, 0.0, 1.0, 1e-10, 1e-10, 50, batch)
+        assert type(batched.value) is type(point.value)
+        assert str(batched.value) == str(point.value)
+        assert type(point.value) is (ZeroDivisionError if raise_at(1.0) else QuadratureError)
+
+    def test_one_batch_call_per_panel(self):
+        points, batches = [], []
+        fn = lambda x: points.append(x) or math.exp(-x) * math.cos(3.0 * x)
+        batch = lambda xs: batches.append(len(xs)) or [math.exp(-x) * math.cos(3.0 * x)
+                                                        for x in xs]
+        want = adaptive_integrate(fn, 0.2, 4.0, 1e-12, 1e-12, 200)
+        panels = len(points) // 15
+        del points[:]
+        assert adaptive_integrate(fn, 0.2, 4.0, 1e-12, 1e-12, 200, batch) == want
+        assert points == [] and batches == [15] * panels
+
+    def test_product_values_fail_where_the_point_loop_fails(self):
+        # f fails at 2 only, g at every point below 1: g's error comes first
+        product = inequalities._product(ConformableFn.from_expr("1/(t-2)"),
+                                        ConformableFn.from_expr("ln(t-1)"))
+        ts = [0.5, 1.5, 2.0]
+        point = _bits_or_error(lambda: [product.value(t, 0.5) for t in ts][0])
+        assert _bits_or_error(lambda: product.values(ts, 0.5)[0]) == point
+        assert point[1] != "division by zero"
+
+    def test_grids_still_sample_through_values_only(self):
+        # quadrature takes the batch evaluator itself, not the overridable values()
+        calls = []
+
+        class Counting(ConformableFn):
+            __slots__ = ()
+
+            def values(self, ts, alpha=1.0):
+                calls.append(len(ts))
+                return super().values(ts, alpha)
+
+        f = Counting.from_expr("exp(-t)*cos(t)")
+        assert frac_integral(f, 0.5, (0.5, 2.0)) == frac_integral(
+            ConformableFn.from_expr("exp(-t)*cos(t)"), 0.5, (0.5, 2.0))
+        assert calls == []
 
 
 class TestInstabilityWarning:

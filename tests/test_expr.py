@@ -587,15 +587,14 @@ class TestCompiledJets:
     def test_equal_the_interpretive_pass(self, seed, n, t, alpha, ts):
         tree = random_tree(random.Random(seed))
         jets = tm.compile_jet(tree, n)
-        want = _jet_outcome(lambda: _interpreted(tree, n, t, alpha))
+        # the statements left out are the ones nothing reads and that cannot
+        # raise, so c_n, or the error, is the pass's own
+        want = _jet_outcome(lambda: [_interpreted(tree, n, t, alpha)[n]])
         got = _jet_outcome(lambda: [jets.top(t, alpha)])
         if isinstance(want, type) or isinstance(got, type):
             assert got is want
         else:
-            # D^n = n! c_n, held to the largest D^j, j <= n, of the pass
-            scale = max(abs(c) * math.factorial(k) for k, c in enumerate(want))
-            assert got[0] == pytest.approx(want[n], rel=1e-12,
-                                           abs=1e-12 * scale / math.factorial(n))
+            assert got == want
         # the batch is the point loop, bit for bit, or fails where it fails
         try:
             loop = [jets.top(s, alpha) * 3.0 for s in ts]
@@ -607,7 +606,7 @@ class TestCompiledJets:
 
     @pytest.mark.parametrize("n", (1, _JET_UNROLL_MAX, _JET_UNROLL_MAX + 1, 16))
     def test_one_compile_per_shape_and_order(self, monkeypatch, n):
-        tm._jet_factory.cache_clear()
+        tm.cache_clear()
         calls = []
 
         def counting(*args):
@@ -639,3 +638,74 @@ class TestCompiledJets:
         want = _jet_outcome(lambda: _interpreted(tree, n, 1.0, 0.5))
         assert isinstance(want, type)
         assert _jet_outcome(lambda: [tm.compile_jet(tree, n).top(1.0, 0.5)]) is want
+
+
+def _counting_compiler(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(tm, "compile", lambda *args: calls.append(args[0]) or compile(*args),
+                        raising=False)
+    return calls
+
+
+class TestShapeKeyedJets:
+    """compile_jet keys its factories on the node's shape, the order and the
+    whole literal exponents it unrolls; a hit writes and compiles nothing."""
+
+    FIRST = "2.5*exp(-0.3*t)*(1+t)^3 + sin(alpha*t)/(7+t^2)"
+    SECOND = "0.5*exp(-1.7*t)*(4+t)^3 + sin(alpha*t)/(9+t^2)"   # same shape
+
+    @pytest.mark.parametrize("n", range(1, _JET_UNROLL_MAX + 1))
+    def test_same_shape_reuses_the_factory(self, monkeypatch, n):
+        tm.cache_clear()
+        calls = _counting_compiler(monkeypatch)
+        first, second = ex.parse(self.FIRST), ex.parse(self.SECOND)
+        assert ex._compiled(first)[2] == ex._compiled(second)[2]
+        tm.compile_jet(first, n)
+        assert (tm.cache_info().misses, len(calls)) == (1, 1)
+        reused = tm.compile_jet(second, n)
+        assert (tm.cache_info().hits, tm.cache_info().misses, len(calls)) == (1, 1, 1)
+        # the values of a fresh compilation of the second tree
+        tm.cache_clear()
+        fresh = tm.compile_jet(second, n)
+        assert len(calls) == 2
+        ts = [0.3, 1.1, 2.7]
+        for alpha in (0.35, 1.0):
+            assert _bits([reused.top(t, alpha) for t in ts]) == \
+                _bits([fresh.top(t, alpha) for t in ts])
+            assert _bits(reused.batch(ts, alpha, 2.0)) == _bits(fresh.batch(ts, alpha, 2.0))
+
+    def test_unrolled_exponents_never_share(self, monkeypatch):
+        # (1+t)^k unrolls a whole k, so each exponent is its own code;
+        # t^c takes c as a parameter of one binomial series, so t^2, t^3
+        # and t^2.5 are one code, and each is still its own pass
+        tm.cache_clear()
+        calls = _counting_compiler(monkeypatch)
+        for texts, compiles in ((("(1+t)^2", "(1+t)^3", "(1+t)^2.5"), 3),
+                                (("t^2", "t^3", "t^2.5"), 1)):
+            before = len(calls)
+            for text in texts:
+                tree = ex.parse(text)
+                for t in (0.4, 1.7):
+                    assert tm.compile_jet(tree, 3).top(t, 0.5) == \
+                        _interpreted(tree, 3, t, 0.5)[3], text
+            assert len(calls) - before == compiles
+
+    def test_cache_is_bounded(self):
+        tm.cache_clear()
+        rng = random.Random(23)
+        for _ in range(700):
+            tm.compile_jet(random_tree(rng, 5), 1)
+        info = tm.cache_info()
+        assert info.misses > tm._JET_CACHE_SIZE  # the bound was exercised
+        assert info.currsize <= info.maxsize == tm._JET_CACHE_SIZE
+        assert len(tm._slots) <= tm._JET_CACHE_SIZE
+
+    def test_a_tree_too_deep_to_compile_as_one_expression(self):
+        # the evaluator's source nests too deep for Python; the jets' does not
+        tree = ex.T
+        for k in range(300):
+            tree = ex.Add(tree, ex.Mul(ex.Num(float(k)), ex.T))
+        with pytest.raises(ExprDepthError):
+            ex.compile_expr(tree)
+        got = tm.compile_jet(tree, 1).top(1.3, 0.5)
+        assert got == _interpreted(tree, 1, 1.3, 0.5)[1]
