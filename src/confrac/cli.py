@@ -6,14 +6,24 @@ digits) or CSV (fixed header, one row per report).  Exit codes: 0 success /
 inequality holds, 1 inequality violated, 2 hypothesis check failed,
 3 usage or parse error, 4 numeric failure, an expression too deep to
 compile, or any other internal fault.
+
+Command lines are read from one table (``_build_parser``) by ``_parse``,
+with the rules argparse gave this tool and its messages: a long flag may be
+shortened to any unique prefix, ``--flag=value`` equals ``--flag value``,
+the last occurrence of a flag wins, and ``-h``/``--help`` prints help from
+the table to stdout (exit 0).  The expression and list flags (``dash_value``
+in the table) take the next argument whatever it is, so their values may
+begin with '-'; the number flags take negative numbers but not arguments
+that look like flags.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import math
+import re
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from .calculus import Alpha, ConformableFn, Interval, QuadratureConfig, frac_deriv_n, frac_integral
@@ -45,11 +55,6 @@ CSV_HEADER = ["theorem", "alpha", "a", "b", "lower", "actual", "upper",
 
 class _UsageError(Exception):
     pass
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _fmt(x: Optional[float]) -> str:
@@ -150,78 +155,6 @@ def emit_report(r: InequalityReport, format: str = "text") -> str:
 
 # ---------------------------------------------------------------------------
 # argument plumbing
-
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="confrac",
-                             description="conformable fractional calculus toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("deriv", help="conformable derivative at a point")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--at", type=float, required=True)
-    p.add_argument("--order", type=int, default=1)
-
-    p = sub.add_parser("integrate", help="weighted fractional integral")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
-
-    p = sub.add_parser("taylor", help="fractional Taylor polynomial (and remainder)")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--center", type=float, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--at", type=float, required=True)
-    p.add_argument("--remainder", action="store_true")
-
-    p = sub.add_parser("solve", help="linear fractional initial value problem")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--coeffs", default=None,
-                   help="semicolon-separated coefficient expressions p1;...;pN")
-    p.add_argument("--rhs", default=None, help="forcing expression (omit for 0)")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--from", dest="from_", type=float, required=True)
-    p.add_argument("--to", type=float, required=True)
-    p.add_argument("--init", default=None, help="comma-separated initial values")
-    p.add_argument("--steps", type=int, default=None)
-
-    p = sub.add_parser("ell", help="Steffensen comparison-window length")
-    p.add_argument("--g", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-
-    for name in ("check", "sweep"):
-        p = sub.add_parser(name, help="verify an inequality" if name == "check"
-                           else "verify an inequality over an alpha grid")
-        p.add_argument("--ineq", required=True, choices=sorted(_CHECKS))
-        p.add_argument("--f", default=None)
-        p.add_argument("--g", default=None)
-        p.add_argument("--w", default=None)
-        p.add_argument("--F", default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--m", default=None,
-                       help="lower bound(s); two comma-separated values for gruss")
-        p.add_argument("--M", default=None,
-                       help="upper bound(s); two comma-separated values for gruss")
-        p.add_argument("--t", type=float, default=None,
-                       help="evaluation point (defaults to the window midpoint)")
-        p.add_argument("--a", type=float, required=True)
-        p.add_argument("--b", type=float, required=True)
-        p.add_argument("--tol", type=float, default=None)
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true")
-        fmt.add_argument("--csv", action="store_true")
-        if name == "check":
-            p.add_argument("--alpha", type=float, required=True)
-        else:
-            p.add_argument("--alphas", required=True,
-                           help="grid start:stop:step or comma-separated values")
-    return parser
-
 
 def _make_cfg(tol: Optional[float]) -> Optional[QuadratureConfig]:
     if tol is None:
@@ -534,34 +467,377 @@ _COMMANDS = {
 }
 
 
-# flags whose values may begin with '-' (expressions like "-1" or
-# "-exp(...)", negative bounds, comma pairs); fused into --flag=value so
-# argparse never mistakes the value for an option; "--", which argparse drops, is refused
-_VALUE_FLAGS = ("--expr", "--f", "--g", "--w", "--F", "--rhs", "--coeffs",
-                "--init", "--m", "--M", "--alphas")
+# ---------------------------------------------------------------------------
+# command-line table and parser
+
+class _Help(Exception):
+    """-h/--help was read: print the help of ``command`` (None: the top level)."""
+
+    def __init__(self, command):
+        super().__init__(command)
+        self.command = command
 
 
-def _fuse_values(argv):
-    fused = []
+class _Flag:
+    """One flag of a subcommand.  ``type`` is str, float, int, bool (a
+    switch, default False) or None (-h/--help); ``exclusive`` flags (--json,
+    --csv) exclude each other; a ``dash_value`` flag takes the next argument
+    as its value whatever it is, so expressions and bounds may begin with '-'."""
+
+    __slots__ = ("option", "name", "dest", "type", "required", "default", "choices",
+                 "exclusive", "dash_value", "help")
+
+    def __init__(self, option, type=str, *, required=False, default=None, choices=None,
+                 exclusive=False, dash_value=False, dest=None, help=""):
+        self.option = option
+        self.name = option                 # as error messages name it
+        self.dest = dest or option.lstrip("-")
+        self.type = type
+        self.required = required
+        self.default = False if type is bool else default
+        self.choices = choices
+        self.exclusive = exclusive
+        self.dash_value = dash_value
+        self.help = help
+
+
+_HELP = _Flag("--help", None, help="show this help message and exit")
+_HELP.name = "-h/--help"
+
+
+class _Command:
+    """A subcommand: its flags in declaration order and its option table
+    ('-h', '--help', then each flag, the order ambiguity messages list)."""
+
+    __slots__ = ("name", "help", "flags", "options", "defaults")
+
+    def __init__(self, name, help, flags):
+        self.name = name
+        self.help = help
+        self.flags = tuple(flags)
+        self.options = {"-h": _HELP, "--help": _HELP}
+        self.options.update((f.option, f) for f in self.flags)
+        self.defaults = {f.dest: f.default for f in self.flags}
+
+
+class _Table:
+    """The subcommands by name, the options before a command, and the
+    dash-value options, which take the next argument wherever they stand."""
+
+    __slots__ = ("commands", "top", "dash_values")
+
+    def __init__(self, commands):
+        self.commands = {c.name: c for c in commands}
+        self.top = {"-h": _HELP, "--help": _HELP}
+        self.dash_values = frozenset(f.option for c in commands for f in c.flags
+                                     if f.dash_value)
+
+
+def _build_parser() -> _Table:
+    """The command-line table: the seven subcommands and their flags."""
+    def expr(option, **kw):
+        return _Flag(option, dash_value=True, **kw)
+
+    def req(option, type=float):
+        return _Flag(option, type, required=True)
+
+    commands = [
+        _Command("deriv", "conformable derivative at a point", [
+            expr("--expr", required=True), req("--alpha"), req("--at"),
+            _Flag("--order", int, default=1)]),
+        _Command("integrate", "weighted fractional integral", [
+            expr("--expr", required=True), req("--alpha"), req("--a"), req("--b"),
+            _Flag("--tol", float)]),
+        _Command("taylor", "fractional Taylor polynomial (and remainder)", [
+            expr("--expr", required=True), req("--alpha"), req("--center"),
+            req("--degree", int), req("--at"), _Flag("--remainder", bool)]),
+        _Command("solve", "linear fractional initial value problem", [
+            req("--order", int),
+            expr("--coeffs", help="semicolon-separated coefficient expressions p1;...;pN"),
+            expr("--rhs", help="forcing expression (omit for 0)"),
+            req("--alpha"), _Flag("--from", float, required=True, dest="from_"),
+            req("--to"), expr("--init", help="comma-separated initial values"),
+            _Flag("--steps", int)]),
+        _Command("ell", "Steffensen comparison-window length", [
+            expr("--g", required=True), req("--alpha"), req("--a"), req("--b")]),
+    ]
+    for name in ("check", "sweep"):
+        grid = (req("--alpha") if name == "check" else
+                expr("--alphas", required=True,
+                     help="grid start:stop:step or comma-separated values"))
+        commands.append(_Command(name, "verify an inequality" if name == "check"
+                                 else "verify an inequality over an alpha grid", [
+            _Flag("--ineq", required=True, choices=sorted(_CHECKS)),
+            expr("--f"), expr("--g"), expr("--w"), expr("--F"), _Flag("--n", int),
+            expr("--m", help="lower bound(s); two comma-separated values for gruss"),
+            expr("--M", help="upper bound(s); two comma-separated values for gruss"),
+            _Flag("--t", float, help="evaluation point (defaults to the window midpoint)"),
+            req("--a"), req("--b"), _Flag("--tol", float),
+            _Flag("--json", bool, exclusive=True), _Flag("--csv", bool, exclusive=True),
+            grid]))
+    return _Table(commands)
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+
+
+def _classify(arg: str, options: dict):
+    """None if ``arg`` is a value, else (flag or None if unknown, option
+    string, the value after '=' or None).  A long option may be shortened to
+    any unique prefix; an ambiguous one is a usage error."""
+    if not arg or arg[0] != "-":
+        return None
+    flag = options.get(arg)
+    if flag is not None:
+        return flag, arg, None
+    if len(arg) == 1:
+        return None
+    option, eq, value = arg.partition("=")
+    explicit = value if eq else None
+    if eq and option in options:
+        return options[option], option, value
+    if arg[1] == "-":
+        matches = [(options[o], o, explicit) for o in options if o.startswith(option)]
+    else:   # '-hVALUE': a one-letter option and its value
+        short = options.get(arg[:2])
+        matches = [(short, arg[:2], arg[2:])] if short is not None else []
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {arg} could match "
+                          f"{', '.join(m[1] for m in matches)}")
+    if matches:
+        return matches[0]
+    if _NEGATIVE_NUMBER(arg) or " " in arg:
+        return None
+    return None, arg, None
+
+
+def _store(values: dict, flag: _Flag, text: str) -> None:
+    value = text
+    if flag.type is not str:
+        try:
+            value = flag.type(text)
+        except (TypeError, ValueError):
+            raise _UsageError(f"argument {flag.name}: invalid {flag.type.__name__} "
+                              f"value: {text!r}") from None
+    if flag.choices is not None and value not in flag.choices:
+        raise _UsageError(f"argument {flag.name}: invalid choice: {value!r} (choose from "
+                          f"{', '.join(map(repr, flag.choices))})")
+    values[flag.dest] = value
+
+
+def _expected(flag: _Flag) -> _UsageError:
+    return _UsageError(f"argument {flag.name}: expected one argument")
+
+
+def _ignored(flag: _Flag, text: str) -> _UsageError:
+    return _UsageError(f"argument {flag.name}: ignored explicit argument {text!r}")
+
+
+def _invalid_command(table: _Table, arg: str) -> _UsageError:
+    return _UsageError(f"argument command: invalid choice: {arg!r} (choose from "
+                       f"{', '.join(map(repr, table.commands))})")
+
+
+def _parse(table: _Table, argv: list):
+    """Read a command line in one pass over its arguments.
+
+    Errors are reported in a fixed order, wherever they stand on the line:
+    a '--' value first, then an error before the command, an invalid or
+    missing command, an ambiguous option, the first error in reading the
+    flags (where -h/--help comes first, help is printed instead), missing
+    required flags, and unrecognized arguments last.  A dash-value flag
+    takes the next argument as its value, as if written --flag=value.
+    """
+    dash_values = table.dash_values
+    options = table.top      # None once only a '--' value can still be reported
+    command = None
+    values = None
+    failure = None           # the first error (or _Help), raised at the end
+    reading = True           # flags are read until the first failure
+    dashes = False           # a '--' was read: nothing after it is a flag
+    pending = None           # a flag waiting for its value
+    exclusive = None         # the --json/--csv flag given
+    extras = []
+    n = len(argv)
     i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            i += 1
-            tok = f"{tok}={argv[i]}"
-        if tok.startswith("--") and tok.endswith("=--"):
-            raise _UsageError(f"{tok[:-3]} expects a value, got '--'")
-        fused.append(tok)
+    while i < n:
+        arg = argv[i]
         i += 1
-    return fused
+        name = None
+        if arg in dash_values and i < n:
+            name, value = arg, argv[i]
+            i += 1
+            arg = f"{name}={value}"
+        if arg.endswith("=--") and arg.startswith("--"):
+            raise _UsageError(f"{arg[:-3]} expects a value, got '--'")
+        if options is None:
+            continue
+        if dashes:
+            extras.append(arg)
+            continue
+        if arg == "--":
+            # nothing after it is a flag; before the command it is taken as
+            # the command when anything follows
+            if not reading:
+                options = None
+            elif pending is not None or (command is None and i < n):
+                failure = (_expected(pending) if pending is not None
+                           else _invalid_command(table, arg))
+                reading, options = False, None
+            else:
+                dashes = True
+                extras.append(arg)
+            continue
+        if name is not None and name in options:
+            item = (options[name], name, value)
+        else:
+            try:
+                item = _classify(arg, options)
+            except _UsageError as exc:    # found before any flag is read
+                failure, reading, options = exc, False, None
+                continue
+        if not reading:
+            continue
+        try:
+            if item is None:
+                if pending is not None:
+                    _store(values, pending, arg)
+                    pending = None
+                elif command is None:     # the first value is the command
+                    command = table.commands.get(arg)
+                    if command is None:
+                        raise _invalid_command(table, arg)
+                    options = command.options
+                    values = dict(command.defaults)
+                else:
+                    extras.append(arg)
+                continue
+            flag, option, explicit = item
+            if pending is not None:
+                raise _expected(pending)
+            if flag is None:
+                extras.append(arg)
+            elif flag.type is None:
+                if explicit is not None:
+                    # '-hh' is -h twice; '-hx', '-h=' and '--help=x' are errors
+                    rest = explicit.lstrip("h") if option == "-h" else explicit
+                    if rest or not explicit:
+                        raise _ignored(flag, rest)
+                raise _Help(command)
+            elif flag.type is bool:
+                if explicit is not None:
+                    raise _ignored(flag, explicit)
+                if flag.exclusive:
+                    if exclusive is not None and exclusive is not flag:
+                        raise _UsageError(f"argument {flag.name}: not allowed with "
+                                          f"argument {exclusive.name}")
+                    exclusive = flag
+                values[flag.dest] = True
+            elif explicit is None:
+                pending = flag
+            else:
+                _store(values, flag, explicit)
+        except (_UsageError, _Help) as exc:
+            failure, reading = exc, False
+            if command is None:
+                options = None
+    if pending is not None and reading:
+        failure = _expected(pending)
+    if failure is not None:
+        raise failure
+    if command is None:
+        raise _UsageError("the following arguments are required: command")
+    missing = [f.name for f in command.flags if f.required and values[f.dest] is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command.name, **values)
 
 
-_PARSER: Optional[_ArgumentParser] = None
+def _wrap(words: list, first: str, indent: str, width: int = 79) -> list:
+    """``words`` joined by spaces into lines of at most ``width`` characters
+    where that is possible, the first after ``first``, the others after ``indent``."""
+    lines, line = [], first
+    for word in words:
+        if len(line) + 1 + len(word) > width and line not in (first, indent):
+            lines.append(line)
+            line = indent
+        line += word if line.endswith(" ") else " " + word
+    return lines + [line]
 
 
-def _parser() -> _ArgumentParser:
-    """The command-line parser, built on first use and reused: parsing
-    leaves it unchanged, and building it costs more than most commands."""
+def _metavar(flag: _Flag) -> str:
+    if flag.type is None:
+        return "-h, --help"
+    if flag.type is bool:
+        return flag.option
+    return f"{flag.option} {'ID' if flag.choices else flag.option.lstrip('-').upper()}"
+
+
+def _describe(flag: _Flag, command: _Command) -> str:
+    notes = [flag.help] if flag.help else []
+    if flag.choices:
+        notes.append(f"one of {', '.join(flag.choices)}")
+    if flag.type in (float, int):
+        notes.append("a number" if flag.type is float else "an integer")
+    if flag.required:
+        notes.append("required")
+    elif flag.default not in (None, False):
+        notes.append(f"default {flag.default}")
+    if flag.dash_value:
+        notes.append("may begin with '-'")
+    if flag.exclusive:
+        notes.append("not with " + " or ".join(
+            f.option for f in command.flags if f.exclusive and f is not flag))
+    return "; ".join(notes)
+
+
+def _help_text(table: _Table, command: Optional[_Command]) -> str:
+    """Help for the top level (command None) or for one subcommand."""
+    if command is None:
+        names = ",".join(table.commands)
+        rows = [(name, c.help) for name, c in table.commands.items()]
+        return "\n".join([
+            f"usage: confrac [-h] {{{names}}} ...", "",
+            "conformable fractional calculus toolkit", "",
+            "commands:", *_rows(rows), "",
+            "options:", *_rows([(_metavar(_HELP), _HELP.help)]), "",
+            "Run 'confrac COMMAND -h' for the flags of a command.  Long flags may be",
+            "shortened to any unique prefix and written --flag=value; a flag given",
+            "twice keeps its last value.", ""])
+    words = ["[-h]"]
+    exclusive = [f.option for f in command.flags if f.exclusive]
+    for flag in command.flags:
+        if flag.required:
+            words.append(_metavar(flag))
+        elif not flag.exclusive:
+            words.append(f"[{_metavar(flag)}]")
+        elif flag.option == exclusive[0]:
+            words.append(f"[{' | '.join(exclusive)}]")
+    rows = [(_metavar(_HELP), _HELP.help)] + [(_metavar(f), _describe(f, command))
+                                               for f in command.flags]
+    first = f"usage: confrac {command.name}"
+    return "\n".join([*_wrap(words, first, " " * (len(first) + 1)), "",
+                      command.help, "", "options:", *_rows(rows), ""])
+
+
+def _rows(rows: list) -> list:
+    """Two columns: the flags or commands, and their descriptions."""
+    width = max(len(left) for left, _ in rows) + 4    # two before, two after
+    lines = []
+    for left, right in rows:
+        first = f"  {left}".ljust(width)
+        lines += [line.rstrip() for line in _wrap(right.split(), first, " " * width)]
+    return lines
+
+
+_PARSER: Optional[_Table] = None
+
+
+def _parser() -> _Table:
+    """The command-line table, built on first use and reused: parsing
+    leaves it unchanged."""
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
@@ -573,8 +849,11 @@ def run(argv, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _parser().parse_args(_fuse_values(list(argv)))
+        args = _parse(_parser(), list(argv))
         return _COMMANDS[args.command](args, out, err)
+    except _Help as exc:
+        print(_help_text(_parser(), exc.command), end="", file=out)
+        return EXIT_OK
     except _UsageError as exc:
         print(f"confrac: usage error: {exc}", file=err)
         return EXIT_USAGE

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import io
 import json
 import math
@@ -722,3 +724,305 @@ class TestEmitReport:
                                   Interval(0.0, 1.0))
         obj2 = json.loads(emit_report(rep2, "json"))
         assert obj2["lower"] is None and obj2["slack_low"] is None
+
+
+# ---------------------------------------------------------------------------
+# the command-line table against the argparse configuration it replaced
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise cli._UsageError(message)
+
+
+def _reference_parser():
+    """The argparse configuration the CLI had before its own table: the
+    reference of the differential test below."""
+    parser = _ReferenceParser(prog="confrac",
+                              description="conformable fractional calculus toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("deriv")
+    p.add_argument("--expr", required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--at", type=float, required=True)
+    p.add_argument("--order", type=int, default=1)
+    p = sub.add_parser("integrate")
+    p.add_argument("--expr", required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--tol", type=float, default=None)
+    p = sub.add_parser("taylor")
+    p.add_argument("--expr", required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--center", type=float, required=True)
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--at", type=float, required=True)
+    p.add_argument("--remainder", action="store_true")
+    p = sub.add_parser("solve")
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--coeffs", default=None)
+    p.add_argument("--rhs", default=None)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--from", dest="from_", type=float, required=True)
+    p.add_argument("--to", type=float, required=True)
+    p.add_argument("--init", default=None)
+    p.add_argument("--steps", type=int, default=None)
+    p = sub.add_parser("ell")
+    p.add_argument("--g", required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--b", type=float, required=True)
+    for name in ("check", "sweep"):
+        p = sub.add_parser(name)
+        p.add_argument("--ineq", required=True, choices=sorted(cli._CHECKS))
+        p.add_argument("--f", default=None)
+        p.add_argument("--g", default=None)
+        p.add_argument("--w", default=None)
+        p.add_argument("--F", default=None)
+        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--m", default=None)
+        p.add_argument("--M", default=None)
+        p.add_argument("--t", type=float, default=None)
+        p.add_argument("--a", type=float, required=True)
+        p.add_argument("--b", type=float, required=True)
+        p.add_argument("--tol", type=float, default=None)
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true")
+        fmt.add_argument("--csv", action="store_true")
+        if name == "check":
+            p.add_argument("--alpha", type=float, required=True)
+        else:
+            p.add_argument("--alphas", required=True)
+    return parser
+
+
+_REFERENCE_VALUE_FLAGS = ("--expr", "--f", "--g", "--w", "--F", "--rhs", "--coeffs",
+                          "--init", "--m", "--M", "--alphas")
+
+
+def _reference_fuse(argv):
+    """Each value flag fused with the next argument into --flag=value, so
+    that argparse takes a value beginning with '-'; a '--' value is refused."""
+    fused = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in _REFERENCE_VALUE_FLAGS and i + 1 < len(argv):
+            i += 1
+            tok = f"{tok}={argv[i]}"
+        if tok.startswith("--") and tok.endswith("=--"):
+            raise cli._UsageError(f"{tok[:-3]} expects a value, got '--'")
+        fused.append(tok)
+        i += 1
+    return fused
+
+
+_REFERENCE = _reference_parser()
+
+
+def _invoke_through(parse, argv):
+    """invoke(argv) with cli._parse replaced by ``parse``; a help request
+    that exits is returned as ("exit", code, stdout)."""
+    saved = cli._parse
+    cli._parse = parse
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            return invoke(argv)
+    except SystemExit as exc:
+        return ("exit", exc.code, printed.getvalue())
+    finally:
+        cli._parse = saved
+
+
+def _reference_parse(table, argv):
+    return _REFERENCE.parse_args(_reference_fuse(argv))
+
+
+# a valid line per command, as (flag, value) groups; every command runs quickly
+_VALID = {
+    "deriv": [["--expr", "t"], ["--alpha", "0.5"], ["--at", "1"], ["--order", "2"]],
+    "integrate": [["--expr", "-t"], ["--alpha", "0.5"], ["--a", "0"], ["--b", "1"],
+                  ["--tol", "1e-8"]],
+    "taylor": [["--expr", "exp(t)"], ["--alpha", "0.5"], ["--center", "0.5"],
+               ["--degree", "2"], ["--at", "1"], ["--remainder"]],
+    "solve": [["--order", "1"], ["--rhs", "1"], ["--alpha", "0.5"], ["--from", "0"],
+              ["--to", "1"], ["--init", "-1"], ["--coeffs", "-1"], ["--steps", "64"]],
+    "ell": [["--g", "0.5"], ["--alpha", "0.5"], ["--a", "0"], ["--b", "1"]],
+    "check": [["--ineq", "hh2"], ["--f", "exp(-t)"], ["--alpha", "0.5"], ["--a", "0.5"],
+              ["--b", "1"], ["--json"]],
+    "sweep": [["--ineq", "hh2"], ["--f", "-exp(-t)"], ["--alphas", "0.5,1"],
+              ["--a", "0.5"], ["--b", "1"], ["--csv"]],
+}
+_FLAGS = sorted({g[0] for groups in _VALID.values() for g in groups}
+                | {"--ineq", "--g", "--w", "--F", "--n", "--m", "--M", "--t", "--json",
+                   "--csv", "--alphas", "--alpha"})
+_VALUES = ["0.5", "1", "2", "-1", "-0.5", "-.5", "-1e-3", "-x", "--", "x", "", "a b", "t",
+           "-exp(-t)", "1,2", "0.25,0.75", "hh1", "gruss", "-3", "x=--", "a=b", "--alpha",
+           "--expr", "-5\n", "1_0", " 2", "inf", "1.5"]
+_JUNK = ["--", "-", "", "x", "--zz", "-x", "--=x", "--a", "--al", "--c", "--cs", "--js",
+         "-5", "--e", "--ex=t", "a b", "--json=1", "--expr", "--json", "--csv", "-h", "-hh",
+         "-hx", "--he=1"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A valid line with up to four edits, or a few junk arguments (and
+    sometimes a command that does not exist) in front of it."""
+    command = draw(st.sampled_from(sorted(_VALID)))
+    groups = [list(g) for g in _VALID[command]]
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(("drop", "abbreviate", "equals", "value", "no-value",
+                                     "duplicate", "junk", "flag", "format")))
+        k = draw(st.integers(0, len(groups) - 1)) if groups else None
+        if edit == "drop" and groups:
+            del groups[k]
+        elif edit == "abbreviate" and groups and len(groups[k][0]) > 3:
+            groups[k][0] = groups[k][0][:draw(st.integers(2, len(groups[k][0]) - 1))]
+        elif edit == "equals" and groups and len(groups[k]) == 2:
+            groups[k] = ["=".join(groups[k])]
+        elif edit == "value" and groups and len(groups[k]) == 2:
+            groups[k][1] = draw(st.sampled_from(_VALUES))
+        elif edit == "no-value" and groups and len(groups[k]) == 2:
+            groups[k] = groups[k][:1]
+        else:
+            extra = {"duplicate": st.sampled_from(_VALID[command]).map(list),
+                     "junk": st.sampled_from(_JUNK).map(lambda s: [s]),
+                     "flag": st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES))
+                     .map(list),
+                     "format": st.sampled_from((["--json"], ["--csv"])),
+                     }.get(edit, st.just(["--zz"]))
+            groups.insert(draw(st.integers(0, len(groups))), draw(extra))
+    if draw(st.integers(0, 9)) == 0:
+        command = draw(st.sampled_from(("bogus", "", "--", "-", "de", "DERIV", command)))
+    head = draw(st.lists(st.sampled_from(_JUNK + _VALUES), max_size=2)
+                if draw(st.integers(0, 9)) == 0 else st.just([]))
+    return head + [command] + [arg for g in groups for arg in g]
+
+
+class TestCommandLineTable:
+    """The parser reads the table in one pass and says what argparse said."""
+
+    # the reference is the argparse of Python 3.10-3.12; 3.13 changed how
+    # it reads '-hVALUE', so the two differ there by design
+    @pytest.mark.skipif(sys.version_info >= (3, 13),
+                        reason="the reference is argparse as of Python 3.10-3.12")
+    @settings(max_examples=3000, deadline=None, derandomize=True)
+    @given(argv=_command_lines())
+    def test_same_outcome_as_argparse(self, argv):
+        expected = _invoke_through(_reference_parse, argv)
+        got = invoke(argv)
+        if expected[0] == "exit":   # help: tested on its own below
+            assert expected[1] == 0
+            assert got[0] == EXIT_OK and got[1].startswith("usage: confrac") and got[2] == ""
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["--expr", "t"], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'deriv', "
+                    "'integrate', 'taylor', 'solve', 'ell', 'check', 'sweep')"),
+        (["--", "deriv"], "argument command: invalid choice: '--' (choose from 'deriv', "
+                          "'integrate', 'taylor', 'solve', 'ell', 'check', 'sweep')"),
+        (["deriv", "--order", "2", "x", "--alpha", "1"],
+         "the following arguments are required: --expr, --at"),
+        (["deriv", "--alpha", "one", "--expr", "t", "--at", "1"],
+         "argument --alpha: invalid float value: 'one'"),
+        (["deriv", "--expr", "t", "--alpha", "1", "--at", "1", "--order", "2.0"],
+         "argument --order: invalid int value: '2.0'"),
+        (["check", "--ineq", "hh4", "--f", "t"],
+         "argument --ineq: invalid choice: 'hh4' (choose from 'cebysev', 'gruss', "
+         "'gruss-montgomery', 'hh1', 'hh2', 'hh3', 'jensen', 'mm-bounds', 'montgomery', "
+         "'ostrowski', 'rem-cebysev', 'rem-steffensen', 'sandwich', 'steffensen')"),
+        (["deriv", "--expr", "t", "--at", "--alpha", "1"],
+         "argument --at: expected one argument"),
+        (["deriv", "--expr", "t", "--alpha", "1", "--at", "-1e-3"],
+         "argument --at: expected one argument"),
+        (["deriv", "--expr", "t", "--a", "1"],
+         "ambiguous option: --a could match --alpha, --at"),
+        (["deriv", "--alpha", "x", "--a", "1"],
+         "ambiguous option: --a could match --alpha, --at"),
+        (["taylor", "--rem=yes"], "argument --remainder: ignored explicit argument 'yes'"),
+        (["deriv", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+        (["check", "--json", "--csv"], "argument --csv: not allowed with argument --json"),
+        (["check", "--csv", "--js"], "argument --json: not allowed with argument --csv"),
+        (["deriv", "--expr", "t", "--alpha", "1", "--at", "1", "x", "--", "--order"],
+         "unrecognized arguments: x -- --order"),
+        (["deriv", "--b", "1", "--expr", "t"],
+         "the following arguments are required: --alpha, --at"),
+        (["deriv", "--alpha", "x", "--expr", "--"], "--expr expects a value, got '--'"),
+    ])
+    def test_usage_errors(self, argv, message):
+        assert invoke(argv) == (EXIT_USAGE, "", f"confrac: usage error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["deriv", "--expr", "t", "--alpha", "0.5", "--at", "4"],
+        ["deriv", "--exp", "t", "--alph", "0.5", "--at=4"],
+        ["deriv", "--expr=t", "--alpha=0.5", "--at", "4", "--ord", "1"],
+        ["deriv", "--at", "1", "--expr", "-t", "--alpha", "0.5", "--at", "4", "--expr", "t"],
+    ])
+    def test_abbreviations_equals_and_the_last_occurrence(self, argv):
+        assert invoke(argv) == (EXIT_OK, "2\n", "")
+
+    def test_the_table_is_built_once(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+        for _ in range(3):
+            invoke(["deriv", "--expr", "t", "--alpha", "0.5", "--at", "4"])
+        assert built == [1]
+        assert cli._parser() is cli._parser()
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he", "deriv"]])
+    def test_top_level(self, argv, capsys):
+        code, out, err = invoke(argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: confrac [-h] {deriv,integrate,taylor,solve,ell,check,"
+                              "sweep} ...\n")
+        for name, command in cli._parser().commands.items():
+            assert f"  {name}" in out and command.help in out
+        assert capsys.readouterr() == ("", "")    # nothing on sys.stdout or sys.stderr
+
+    @pytest.mark.parametrize("argv", [["deriv", "-h"], ["deriv", "--help"],
+                                      ["deriv", "--alpha", "1", "-hh", "--bogus"]])
+    def test_after_a_subcommand(self, argv, capsys):
+        code, out, err = invoke(argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: confrac deriv [-h] --expr EXPR --alpha ALPHA --at AT "
+                              "[--order ORDER]\n")
+        for flag in ("--expr", "--alpha", "--at", "--order"):
+            assert f"  {flag} " in out
+        assert "may begin with '-'" in out and "default 1" in out
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("command", sorted(_VALID))
+    def test_every_flag_is_listed_within_79_columns(self, command):
+        code, out, _ = invoke([command, "-h"])
+        assert code == EXIT_OK
+        assert max(len(line) for line in out.splitlines()) <= 79
+        for flag in cli._parser().commands[command].flags:
+            assert f"  {flag.option}" in out
+
+    def test_errors_before_the_help_flag_come_first(self):
+        assert invoke(["deriv", "--alpha", "x", "-h"])[0] == EXIT_USAGE
+        assert invoke(["deriv", "-h", "--a"])[0] == EXIT_USAGE   # ambiguous
+        assert invoke(["deriv", "-h", "--alpha", "x"])[0] == EXIT_OK
+
+
+class TestStartUp:
+    def test_no_argparse_or_gettext_and_python_m_still_runs(self):
+        src = str(Path(confrac.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, confrac, confrac.cli; "
+                 "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+        done = subprocess.run([sys.executable, "-m", "confrac", "deriv", "--expr", "sin(t)",
+                               "--alpha", "0.5", "--at", "1"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert float(done.stdout) == pytest.approx(math.cos(1.0), rel=1e-11)

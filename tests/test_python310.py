@@ -34,6 +34,19 @@ out, err = io.StringIO(), io.StringIO()
 code = cli.run(["sweep", "--ineq", "hh2", "--f", "t^0.5", "--alphas", "0.25,0.75,1",
                 "--a", "0", "--b", "1", "--json"], out, err)
 results["sweep"] = [code, out.getvalue(), err.getvalue()]
+# usage errors and abbreviated flags: the command-line table, not argparse
+for argv in [["deriv", "--exp", "-t", "--alph", "0.5", "--at=4", "--ord", "1"],
+             ["sweep", "--alpha", "0.5,1", "--ineq", "hh2", "--f", "-exp(-t)", "--a", "0.5",
+              "--b", "1", "--cs"],
+             [], ["bogus"], ["deriv", "--a", "1"], ["deriv", "--expr", "--"],
+             ["deriv", "--alpha", "x", "--expr", "t", "--at", "1"], ["deriv", "--at"],
+             ["deriv", "--expr", "t", "--alpha", "1", "--at", "1", "--order", "2.0"],
+             ["check", "--ineq", "hh4"], ["check", "--json", "--csv"], ["taylor", "--rem=1"],
+             ["deriv", "-hx"], ["deriv", "--expr", "t", "--alpha", "1", "--at", "1", "x"],
+             ["deriv", "-h"]]:
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(argv, out, err)
+    results[json.dumps(argv)] = [code, out.getvalue(), err.getvalue()]
 print(json.dumps({"version": sys.version_info[:2], "results": results}, sort_keys=True))
 '''
 
@@ -76,3 +89,7 @@ def test_parse_and_sweep_on_python_3_10():
     assert old["results"] == here["results"]
     code, out, _ = here["results"]["sweep"]
     assert code == 4 and len(json.loads(out)) == 3
+    assert here["results"][json.dumps(["deriv", "--a", "1"])] == [
+        3, "", "confrac: usage error: ambiguous option: --a could match --alpha, --at\n"]
+    code, out, _ = here["results"][json.dumps(["deriv", "-h"])]
+    assert code == 0 and out.startswith("usage: confrac deriv")
