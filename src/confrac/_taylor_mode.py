@@ -5,9 +5,10 @@ straight Python: every node of the walk becomes statements in walk order,
 t-free subtrees become scalar statements, t^c (t itself, sqrt(t)) enters as
 its binomial series at t > 0 in h = u - u0, u = t^alpha/alpha, every
 coefficient is its own local, and each recurrence is written out term by
-term in the order the expr._jet_* helpers sum it, so the values are the
-pass's own (the Taylor mode of Griewank & Walther, "Evaluating Derivatives",
-2nd ed., ch. 13).  Statements whose results nothing reads, such as the
+term in the order the expr._jet_* helpers sum it, from 0.0 as sum()
+starts, so the values are the pass's own, to the sign of an exact zero
+(the Taylor mode of Griewank & Walther, "Evaluating Derivatives", 2nd ed.,
+ch. 13).  Statements whose results nothing reads, such as the
 root's coefficients below n, are left out where they cannot raise, and
 t^alpha reuses the pow(t, alpha) of u0.  The source grows with n^2 per
 node, so calculus.frac_deriv_fn compiles only low orders
@@ -181,9 +182,15 @@ class _JetWriter:
             return ["1.0"] + ["0.0"] * self.n if out is None else out
         return self.via_helper("_jet_pow_const", a, c)
 
+    @staticmethod
+    def total(terms) -> str:
+        """The terms summed in order from 0.0, as sum() starts them, so an
+        exact zero has the sign of the interpreted pass's."""
+        return f"(0.0 + {' + '.join(terms)})"
+
     def conv(self, a: list, b: list, k: int, lo: int = 1) -> str:
         """a_lo b_(k-lo) + ... + a_k b_0, summed in that order."""
-        return " + ".join(f"{a[j]} * {b[k - j]}" for j in range(lo, k + 1))
+        return self.total(f"{a[j]} * {b[k - j]}" for j in range(lo, k + 1))
 
     def weighted(self, a: list) -> list:
         """j a_j (index 0 unused), the derivative weights of the recurrences."""
@@ -219,7 +226,7 @@ class _JetWriter:
             a = [a] + ["0.0"] * self.n
         out = [self.let(f"{a[0]} / {b[0]}")]
         for k in range(1, self.n + 1):
-            out.append(self.let(f"({a[k]} - ({self.conv(b, out, k)})) / {b[0]}"))
+            out.append(self.let(f"({a[k]} - {self.conv(b, out, k)}) / {b[0]}"))
         return out
 
     def call_exp(self, a):
@@ -251,8 +258,8 @@ class _JetWriter:
             if k == 1:
                 out.append(self.let(f"{a[1]} / {a[0]}"))
             else:
-                s = " + ".join(f"{jl[j]} * {a[k - j]}" for j in range(1, k))
-                out.append(self.let(f"({a[k]} - ({s}) / {k}) / {a[0]}"))
+                s = self.total(f"{jl[j]} * {a[k - j]}" for j in range(1, k))
+                out.append(self.let(f"({a[k]} - {s} / {k}) / {a[0]}"))
             jl.append(out[k] if k == 1 else self.let(f"{k} * {out[k]}"))
         return out
 
@@ -261,8 +268,8 @@ class _JetWriter:
         self.lines.append((False, None, f"if {a[0]} == 0.0: raise ZeroDivisionError"))
         out = [self.let(f"sqrt({a[0]})")]
         for k in range(1, self.n + 1):
-            s = " + ".join(f"{out[j]} * {out[k - j]}" for j in range(1, k))
-            num = f"({a[k]} - ({s}))" if s else a[k]
+            s = self.total(f"{out[j]} * {out[k - j]}" for j in range(1, k))
+            num = f"({a[k]} - {s})" if k > 1 else a[k]
             out.append(self.let(f"{num} / (2.0 * {out[0]})"))
         return out
 
@@ -273,7 +280,7 @@ class _JetWriter:
 
     @staticmethod
     def over(code: str, k: int) -> str:
-        return f"({code}) / {k}" if k > 1 else code
+        return f"{code} / {k}" if k > 1 else code
 
     # -- the functions --------------------------------------------------------
 

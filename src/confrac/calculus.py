@@ -499,6 +499,19 @@ def _series(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float
     return coeffs
 
 
+def _top_coefficient(f: ConformableFn, a: float, n: int, t: float) -> Optional[float]:
+    """c_n of the series pass at t, or None where there is no series.  At
+    t > 0 only c_n has to be finite, as in the compiled Taylor-mode code, at
+    t = 0 every c_k, k <= n (see _series); EvalDomainError where one is not."""
+    if t == 0.0:
+        coeffs = _series(f, a, n, t)
+    else:
+        coeffs = _coefficients(f, a, n, t)
+        if coeffs is not None and not math.isfinite(coeffs[n]):
+            raise EvalDomainError(f"derivatives at t={t!r} are not finite")
+    return None if coeffs is None else coeffs[n]
+
+
 def _derivatives(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float]]:
     """D^k f(t) = k! c_k for k = 0..n from one series pass (see _series), or
     None where there is no series; a D^k out of float range raises
@@ -571,12 +584,10 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
     if t == 0.0:
         d = _derivatives(f, a, n, t)
         return d[n] if d is not None else _chain_derivative(f, a, n, t)
-    coeffs = _coefficients(f, a, n, t)
-    if coeffs is None:
+    c = _top_coefficient(f, a, n, t)
+    if c is None:
         return _chain_derivative(f, a, n, t)
-    if not math.isfinite(coeffs[n]):
-        raise EvalDomainError(f"derivatives at t={t!r} are not finite")
-    d = _times_factorial(coeffs[n], n)
+    d = _times_factorial(c, n)
     if not math.isfinite(d):
         raise EvalDomainError(f"a derivative of order <= {n} at {t!r} is out of float range")
     return d

@@ -236,6 +236,10 @@ _SCAN_RE = re.compile(rf"\s*(?:{_TOKEN})")
 # match and never backtracks into it ((?>X) needs Python 3.11); the run ends
 # at the first character that starts no token, or at the end of the text
 _LEXICAL_RE = re.compile(rf"(?:(?=(\s|{_TOKEN}))\1)*")
+# text where every character starts or continues a token or is whitespace
+# (no ".", which starts a number only before a digit), so _LEXICAL_RE would
+# run to its end
+_PLAIN_RE = re.compile(r"[A-Za-z0-9_+\-*/^() \t\n\r\f\v]*")
 
 MAX_NESTING = 100
 
@@ -266,6 +270,8 @@ class _Parser:
     def check_lexical(self) -> None:
         """Raise at the first character after those read that starts no token."""
         text = self.text
+        if _PLAIN_RE.fullmatch(text, self.read):
+            return
         bad = _LEXICAL_RE.match(text, self.read).end()
         if bad < len(text):
             raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad) from None
@@ -820,7 +826,7 @@ def _domain_error(exc: Exception) -> EvalDomainError:
 # negative base with fractional exponent raises instead of going complex.
 _EVAL_GLOBALS = {"__builtins__": {}, "pow": math.pow, "sin": math.sin,
                  "cos": math.cos, "exp": math.exp, "log": math.log,
-                 "sqrt": math.sqrt, "abs": abs, "float": float,
+                 "sqrt": math.sqrt, "abs": abs, "float": float, "len": len,
                  "_FAULTS": _ARITHMETIC_FAULTS, "_domain_error": _domain_error}
 _PY_FUNC = {"ln": "log"}
 _PY_OP = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
@@ -938,7 +944,12 @@ def _compiled(e: Expr) -> tuple:
     source, consts, _ = _pysource(e)
     params = ", ".join(f"c{k}" for k in range(len(consts)))
     cached = len(source) <= _SHAPE_SOURCE_CAP
-    batch = f"[float({source}) for t in ts]" if cached else "[point(t, alpha) for t in ts]"
+    if not cached:
+        batch = "[point(t, alpha) for t in ts]"
+    elif e.contains_t:
+        batch = f"[float({source}) for t in ts]"
+    else:  # one value for every point, evaluated where there is one
+        batch = f"[float({source})] * len(ts) if len(ts) else []"
     make = (_shape_factory if cached else _make_factory)(
         _MAKE.format(params=params, source=source, batch=batch))
     code = (*make(*consts), source if cached else None, tuple(consts))

@@ -147,6 +147,17 @@ def _make_report(theorem: str, alpha: float, window: Interval,
                             slack_high=slack_high, holds=holds)
 
 
+def _remainder_report(theorem: str, alpha: float, window: Interval,
+                      hypotheses: list[HypothesisCheck], lower: Optional[float],
+                      actual: float, upper: Optional[float]) -> InequalityReport:
+    """_make_report for a remainder bound, which has no verdict where a side
+    is NaN (an infinite D^n f at both ends, say): EvalDomainError there."""
+    for side, value in (("lower", lower), ("actual", actual), ("upper", upper)):
+        if value is not None and math.isnan(value):
+            raise EvalDomainError(f"{theorem}: the {side} side is not a number")
+    return _make_report(theorem, alpha, window, hypotheses, lower, actual, upper)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis verification
 
@@ -377,7 +388,7 @@ def remainder_steffensen(f: ConformableFn, alpha: AlphaLike, n: int, window,
     upper = dn.value(window.b, a) - dn.value(window.b - ell, a)
     scale = math.factorial(n + 1) * _avg_factor(a, window) ** (n + 1)
     actual = scale * _kernel_integral(f, a, n, window, window.b, cfg)
-    return _make_report("rem-steffensen", a, window, hyps, lower, actual, upper)
+    return _remainder_report("rem-steffensen", a, window, hyps, lower, actual, upper)
 
 
 def hermite_hadamard_1(f: ConformableFn, alpha: AlphaLike, window,
@@ -426,7 +437,7 @@ def remainder_mm_bounds(f: ConformableFn, alpha: AlphaLike, n: int,
     lower = m / fact * _power(q, n + 2) + (M - m) / fact * _power(qb, n + 2)
     upper = M / fact * _power(q, n + 2) + (m - M) / fact * _power(qa, n + 2)
     actual = _kernel_integral(f, a, n, window, window.b, cfg)
-    return _make_report("mm-bounds", a, window, hyps, lower, actual, upper)
+    return _remainder_report("mm-bounds", a, window, hyps, lower, actual, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +506,8 @@ def remainder_cebysev(f: ConformableFn, alpha: AlphaLike, n: int, window,
               - (dn.value(window.b, a) - dn.value(window.a, a)) / fact * _power(q, n + 1))
     edge = (dn1.value(window.a, a) - dn1.value(window.b, a)) / fact * _power(q, n + 2)
     if inc:
-        return _make_report("rem-cebysev", a, window, hyps, edge, middle, 0.0)
-    return _make_report("rem-cebysev", a, window, hyps, 0.0, middle, edge)
+        return _remainder_report("rem-cebysev", a, window, hyps, edge, middle, 0.0)
+    return _remainder_report("rem-cebysev", a, window, hyps, 0.0, middle, edge)
 
 
 def hermite_hadamard_2(f: ConformableFn, alpha: AlphaLike, window,

@@ -17,6 +17,10 @@ since t = (alpha u)^(1/alpha)) the symbolic chain with its limit handling
 is the fallback, and plain callables keep finite differences.  The kernel
 side of the split and endpoint identities is one weighted integral
 (_kernel_integral), which the inequality checkers' remainder bounds use too.
+Up to order _JET_UNROLL_MAX its quadrature panels take c_{n+1} at their 15
+nodes from one batch call of the compiled Taylor-mode code (the code of
+frac_deriv_fn(f, n + 1)), with the values and errors of the pass at each
+node; taylor_remainder runs the pass node by node.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
-                       _alpha_value, _chain_derivative, _derivatives,
-                       _float_factorials, _series, frac_deriv_n, frac_integral)
+from .calculus import (_JET_UNROLL_MAX, Alpha, ConformableFn, Interval, QuadratureConfig,
+                       _alpha_value, _chain_derivative, _derivatives, _float_factorials,
+                       _top_coefficient, frac_deriv_n, frac_integral)
 from .errors import EvalDomainError
 
 __all__ = [
@@ -99,13 +103,15 @@ def expand(f: ConformableFn, alpha: AlphaLike, n: int, s: float) -> TaylorExpans
     anywhere: sqrt or abs at a zero argument), each D^k f(s) comes from the
     symbolic chain with its limit handling, and a plain callable takes
     frac_deriv_n order by order.  A coefficient that overflows raises
-    EvalDomainError.
+    EvalDomainError, for a symbolic f the value too.
     """
     a = Alpha(_alpha_value(alpha))
     if not f.is_symbolic:
         coeffs = tuple(frac_deriv_n(f, a, k, s) for k in range(n + 1))
     else:
         value = f.value(s, a.value)
+        if not math.isfinite(value):  # at n = 0 too, where no series is taken
+            raise EvalDomainError(f"derivatives at t={s!r} are not finite")
         derivs = _derivatives(f, a.value, n, s) if n else None
         if derivs is None:
             derivs = [value] + [_chain_derivative(f, a.value, k, s) for k in range(1, n + 1)]
@@ -123,7 +129,8 @@ def _scaled_derivative(f: ConformableFn, a: float, m: int) -> Callable[[float], 
 
     A symbolic f takes it as the coefficient c_m of a series pass at each
     tau, with no factorial, and where it does not exist the chain's value
-    over m!; a plain callable takes frac_deriv_n's value over m!.
+    over m!; a plain callable takes frac_deriv_n's value over m!.  At
+    tau > 0 only c_m itself has to be finite, as in frac_deriv_n.
     """
     if m == 0:
         return lambda tau: f.value(tau, a)
@@ -132,8 +139,8 @@ def _scaled_derivative(f: ConformableFn, a: float, m: int) -> Callable[[float], 
         return lambda tau: frac_deriv_n(f, a, m, tau) / fact
 
     def coefficient(tau: float) -> float:
-        coeffs = _series(f, a, m, tau)
-        return _chain_derivative(f, a, m, tau) / fact if coeffs is None else coeffs[m]
+        c = _top_coefficient(f, a, m, tau)
+        return _chain_derivative(f, a, m, tau) / fact if c is None else c
 
     return coefficient
 
@@ -141,15 +148,31 @@ def _scaled_derivative(f: ConformableFn, a: float, m: int) -> Callable[[float], 
 def _kernel_integral(f: ConformableFn, a: float, n: int, window: Interval,
                      anchor: float, cfg: Optional[QuadratureConfig]) -> float:
     """int_window D^{n+1} f(s)/(n+1)! ((anchor^a - s^a)/a)^{n+1} d_a s, the
-    kernel side of the split and endpoint remainder identities."""
-    top = _scaled_derivative(f, a, n + 1)
+    kernel side of the split and endpoint remainder identities.
+
+    For a symbolic f and 1 <= n + 1 <= _JET_UNROLL_MAX the integrand has a
+    batch form: the coefficients c_{n+1} of a panel's nodes from one call of
+    f's compiled Taylor-mode code of that order (the code frac_deriv_fn(f,
+    n + 1) samples), each times the kernel power as the point form takes
+    it.  Where the batch raises or is not finite, the panel is evaluated
+    point by point, so the values and errors are those of the point form."""
+    m = n + 1
+    top = _scaled_derivative(f, a, m)
     anchor_pow = math.pow(anchor, a)
 
     def integrand(s: float, _alpha: float = a) -> float:
         z = (anchor_pow - math.pow(s, a)) / a
-        return top(s) * _power(z, n + 1)
+        return top(s) * _power(z, m)
 
-    return frac_integral(ConformableFn(integrand), a, window, cfg)
+    batch = None
+    if f.is_symbolic and 1 <= m <= _JET_UNROLL_MAX:
+        def batch(ss, _alpha: float = a) -> list:
+            # an overflowing power raises OverflowError here, and the panel
+            # is evaluated again point by point, where _power maps it
+            return [c * ((anchor_pow - math.pow(s, a)) / a) ** m
+                    for s, c in zip(ss, f._jets(m).batch(ss, a, 1.0))]
+
+    return frac_integral(ConformableFn(integrand, batch=batch), a, window, cfg)
 
 
 def taylor_remainder(f: ConformableFn, alpha: AlphaLike, n: int,

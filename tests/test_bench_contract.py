@@ -5,8 +5,8 @@ ConformableFn.frac_expr method and index 0 of _frac_compiled of the
 function objects built at import time.  This test installs it, runs one
 traced derivative grid and checks that uninstalling puts every original
 back, and does the same around one solve of a linear IVP, around first
-derivatives of an expression function and around three inequality checks
-whose quadrature panels are batched.
+derivatives of an expression function and around six inequality checks,
+three of them remainder bounds, whose quadrature panels are batched.
 """
 
 import importlib.util
@@ -117,7 +117,11 @@ def test_tracer_sees_batched_panels_and_changes_no_report():
         g = ConformableFn.from_expr("t^alpha/alpha+0.3*t")
         return [inequalities.hermite_hadamard_1(f, 0.5, window),
                 inequalities.cebysev(f, g, 0.75, window),
-                inequalities.montgomery_residual(f, 0.5, window, 1.1)]
+                inequalities.montgomery_residual(f, 0.5, window, 1.1),
+                inequalities.remainder_steffensen(f, 0.5, 1, window),
+                inequalities.remainder_mm_bounds(f, 0.75, 2, inequalities.BoundsPair(-5.0, 5.0),
+                                                 window),
+                inequalities.remainder_cebysev(g, 0.5, 0, window)]
 
     want = reports()
     before = _bindings()
@@ -130,7 +134,7 @@ def test_tracer_sees_batched_panels_and_changes_no_report():
     finally:
         tracer.uninstall()
     assert got == want
-    assert tracer.counts["inequalities.checks"] == 3
+    assert tracer.counts["inequalities.checks"] == 6
     assert tracer.counts["quad.integrals"] > 0
     after = _bindings()
     assert after.keys() == before.keys()

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from confrac import functions as fam
 from confrac.calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
                               frac_deriv, frac_deriv_fn, frac_deriv_n, frac_integral)
-from confrac import _taylor_mode as tm, calculus, expr as ex, inequalities
+from confrac import _quad, _taylor_mode as tm, calculus, expr as ex, inequalities, taylor
 from confrac._quad import adaptive_integrate
 from confrac.errors import (ConfracError, EvalDomainError, ExprDepthError, ExprSizeError,
                             InstabilityWarning, LimitError, QuadratureError,
@@ -292,6 +292,17 @@ def _same_outcome(first, second) -> bool:
 _OVERFLOW = ex.Mul(ex.Num(1e308), ex.Num(10.0))  # inf as a value, c_0 only
 
 
+def _remainder_check(check: str, f: ConformableFn, alpha: float, n: int):
+    """One of the three remainder bounds of f on [0.5, 2]."""
+    window = Interval(0.5, 2.0)
+    if check == "rem-steffensen":
+        return inequalities.remainder_steffensen(f, alpha, n, window)
+    if check == "mm-bounds":
+        bounds = inequalities.BoundsPair(-1.0, 1e3)
+        return inequalities.remainder_mm_bounds(f, alpha, n, bounds, window)
+    return inequalities.remainder_cebysev(f, alpha, n, window)
+
+
 class TestOneFinitenessRule:
     """At t > 0, frac_deriv_n raises only where D^n itself is not finite, as
     the compiled functions of frac_deriv_fn do; expand needs every order."""
@@ -304,8 +315,12 @@ class TestOneFinitenessRule:
         assert frac_deriv_n(f, 0.5, 1, 1.5) == want
         for n in (2, 3, 4):
             assert frac_deriv_n(f, 0.5, n, 1.5) == frac_deriv_fn(f, n).value(1.5, 0.5)
-        with pytest.raises(EvalDomainError, match="not finite"):
-            expand(f, 0.5, 2, 1.5)
+        for degree in (0, 2):
+            with pytest.raises(EvalDomainError, match="not finite"):
+                expand(f, 0.5, degree, 1.5)
+        # the integral remainder takes D^{n+1} f alone, as the kernel integrals do
+        assert (taylor.taylor_remainder(f, 0.5, 0, 1.0, 2.0)
+                == taylor.taylor_remainder(ConformableFn.from_expr("t"), 0.5, 0, 1.0, 2.0))
 
     def test_an_infinite_top_order_still_raises(self):
         f = ConformableFn.from_expr("t^alpha*(1e308*10)")
@@ -329,6 +344,22 @@ class TestOneFinitenessRule:
         assert _same_outcome(direct, lambda: frac_deriv_fn(f, n).value(t, alpha))
         assert _same_outcome(direct, lambda: frac_deriv_n(ConformableFn.from_expr(tree),
                                                           alpha, n, t))
+
+    @pytest.mark.parametrize("n", range(3))
+    @pytest.mark.parametrize("check", ["rem-steffensen", "mm-bounds", "rem-cebysev"])
+    def test_remainder_checks_of_an_infinite_value(self, check, n):
+        # the kernel integral needs c_{n+1} only; at n = 0 the bound takes
+        # D^0 f = f at two points, inf - inf, and a NaN side has no verdict
+        run = lambda: _remainder_check(check, ConformableFn.from_expr("1e308*10 + t"), 0.5, n)
+        if n == 0:
+            with pytest.raises(EvalDomainError, match="side is not a number"):
+                run()
+            return
+        report = run()
+        sides = [v for v in (report.lower, report.actual, report.upper) if v is not None]
+        assert all(map(math.isfinite, sides))
+        with _point_panels():
+            assert run() == report
 
 
 class TestTaylorModeDerivatives:
@@ -534,12 +565,17 @@ class TestBatchedPanels:
                                                           st.floats(0.05, 1.0)),
            lo=st.floats(0.0, 3.0), width=st.floats(0.01, 2.0),
            mode=st.sampled_from(("transformed", "direct")),
-           kind=st.sampled_from(("f", "product", "derivative", "montgomery")))
+           kind=st.sampled_from(("f", "product", "derivative", "montgomery", "kernel")))
     def test_batch_equals_point_panels(self, seed, alpha, lo, width, mode, kind):
         rng = random.Random(seed)
-        f = ConformableFn.from_expr(random_tree(rng, 3))
+        tree = random_tree(rng, 3)
+        if kind == "kernel" and rng.random() < 0.25:
+            tree = ex.Add(_OVERFLOW, tree)  # c_0 inf: the kernel reads c_m only
+        f = ConformableFn.from_expr(tree)
         g = ConformableFn.from_expr(random_tree(rng, 3))
         n = rng.randint(1, 3)
+        m = rng.randint(1, calculus._JET_UNROLL_MAX)  # the kernel's order
+        anchor = lo + rng.random() * width
         hi = lo + width
         cfg = QuadratureConfig(mode=mode, max_subdivisions=100)
 
@@ -550,6 +586,8 @@ class TestBatchedPanels:
                 return frac_integral(inequalities._product(f, g), alpha, (lo, hi), cfg)
             if kind == "derivative":
                 return frac_integral(frac_deriv_fn(f, n), alpha, (lo, hi), cfg)
+            if kind == "kernel":
+                return taylor._kernel_integral(f, alpha, m - 1, Interval(lo, hi), anchor, cfg)
             return inequalities.montgomery_residual(f, alpha, Interval(lo, hi),
                                                     lo + 0.3 * width, cfg)
 
@@ -597,6 +635,37 @@ class TestBatchedPanels:
         del points[:]
         assert adaptive_integrate(fn, 0.2, 4.0, 1e-12, 1e-12, 200, batch) == want
         assert points == [] and batches == [15] * panels
+
+    # the orders whose kernel coefficient c_{n+1} is compiled
+    @pytest.mark.parametrize("n", range(calculus._JET_UNROLL_MAX))
+    @pytest.mark.parametrize("check", ["rem-steffensen", "mm-bounds", "rem-cebysev"])
+    def test_one_batch_call_per_kernel_panel(self, monkeypatch, check, n):
+        tm.cache_clear()
+        f = ConformableFn.from_expr("exp(t)*(2+t)")
+        panels, points, batches, compiled = [], [], [], []
+        gk15 = _quad._gk15
+
+        def counted_gk15(fn, a, b, batch=None):
+            panels.append((a, b))
+            counted = lambda xs: batches.append(len(xs)) or batch(xs)
+            return gk15(lambda x: points.append(x) or fn(x), a, b,
+                        None if batch is None else counted)
+
+        def kernel_integral(*args):
+            before = tm.cache_info().misses
+            value = taylor._kernel_integral(*args)
+            compiled.append(tm.cache_info().misses - before)
+            return value
+
+        monkeypatch.setattr(_quad, "_gk15", counted_gk15)
+        monkeypatch.setattr(inequalities, "_kernel_integral", kernel_integral)
+        report = _remainder_check(check, f, 0.75, n)
+        # the kernel's c_{n+1} is the code the D^{n+1} f grid compiled
+        assert compiled == [0] and tm.cache_info().misses > 0
+        assert points == [] and len(panels) > 0 and batches == [15] * len(panels)
+        monkeypatch.undo()
+        with _point_panels():
+            assert _remainder_check(check, f, 0.75, n) == report
 
     def test_product_values_fail_where_the_point_loop_fails(self):
         # f fails at 2 only, g at every point below 1: g's error comes first

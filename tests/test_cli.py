@@ -254,6 +254,15 @@ class TestIntegrate:
 
 
 class TestTaylor:
+    @pytest.mark.parametrize("extra", [[], ["--remainder"]])
+    @pytest.mark.parametrize("degree", ["0", "1"])
+    def test_an_infinite_value_is_a_numeric_failure(self, degree, extra):
+        # the integral remainder needs D^(n+1) f alone; the polynomial needs f
+        code, out, err = invoke(["taylor", "--expr", "1e308*10+t", "--alpha", "0.5",
+                                 "--center", "1", "--degree", degree, "--at", "2"] + extra)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert "derivatives at t=1.0 are not finite" in err
+
     def test_poly_value(self):
         code, out, _ = invoke(["taylor", "--expr", "exp(t)", "--alpha", "1",
                                "--center", "0", "--degree", "4", "--at", "1"])

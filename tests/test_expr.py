@@ -191,6 +191,20 @@ class TestTokensOnDemand:
             ex.parse(text)
         assert str(err.value) == f"{message} (offset {offset})"
 
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(text=_TEXTS, data=st.data())
+    def test_plain_text_needs_no_lexical_scan(self, text, data):
+        # letters, digits, "_", operators and ASCII whitespace each start or
+        # continue a token, so the scan would run to the end of the text
+        pos = data.draw(st.integers(0, len(text)))
+        if ex._PLAIN_RE.fullmatch(text, pos):
+            assert ex._LEXICAL_RE.match(text, pos).end() == len(text)
+
+    def test_deep_input_takes_no_lexical_scan(self, monkeypatch):
+        monkeypatch.setattr(ex, "_LEXICAL_RE", None)
+        with pytest.raises(ExprSyntaxError, match="nesting deeper than"):
+            ex.parse("(" * 2000 + "t" + ")" * 2000)
+
     def test_deep_input_stops_reading_at_the_nesting_limit(self, monkeypatch):
         drawn = []
         scan = ex._Parser.scan
@@ -270,6 +284,23 @@ class TestCompileCache:
             assert ex.compile_expr(tree)(0.7, 0.5) == ex.evaluate_at(tree, 0.7, 0.5)
             assert ex.compile_batch(tree)([0.7], 0.5) == [ex.evaluate_at(tree, 0.7, 0.5)]
         assert len(calls) == 1
+
+    def test_a_t_free_batch_evaluates_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(ex._EVAL_GLOBALS, "exp", lambda x: calls.append(x) or math.exp(x))
+        ts = [0.5, 1.0, 2.0]
+        for text, evaluations in (("exp(0.25*alpha)", 1), ("exp(0.25*t)", len(ts))):
+            f = ConformableFn.from_expr(text)
+            want = [f.value(t, 0.5) for t in ts]
+            del calls[:]
+            assert _bits(f.values(ts, 0.5)) == _bits(want)
+            assert len(calls) == evaluations
+            assert f.values([], 0.5) == [] and len(calls) == evaluations
+        # evaluated only where there is a point, raising as the point form
+        f = ConformableFn.from_expr("1/(alpha-alpha)")
+        assert f.values([], 0.5) == []
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            f.values(ts, 0.5)
 
     def test_int_and_float_literals_keep_their_types(self):
         # one shape; the int literals add exactly, the float ones round
@@ -594,7 +625,8 @@ class TestCompiledJets:
         if isinstance(want, type) or isinstance(got, type):
             assert got is want
         else:
-            assert got == want
+            # bit for bit: an exact zero has the interpreted pass's sign too
+            assert _bits(got) == _bits(want)
         # the batch is the point loop, bit for bit, or fails where it fails
         try:
             loop = [jets.top(s, alpha) * 3.0 for s in ts]
@@ -603,6 +635,14 @@ class TestCompiledJets:
                 jets.batch(ts, alpha, 3.0)
             return
         assert _bits(jets.batch(ts, alpha, 3.0)) == _bits(loop)
+
+    @pytest.mark.parametrize("n", range(_JET_UNROLL_MAX + 1))
+    def test_an_exact_zero_has_the_sign_of_the_pass(self, n):
+        # the pass sums from sum()'s 0: -0.0 products add up to 0.0
+        tree = ex.parse("exp(ln(8/8)*-(alpha*t))")
+        got = tm.compile_jet(tree, n).top(2.0, 0.75)
+        assert _bits([got]) == _bits([_interpreted(tree, n, 2.0, 0.75)[n]])
+        assert _bits(tm.compile_jet(tree, n).batch([2.0], 0.75)) == _bits([got])
 
     @pytest.mark.parametrize("n", (1, _JET_UNROLL_MAX, _JET_UNROLL_MAX + 1, 16))
     def test_one_compile_per_shape_and_order(self, monkeypatch, n):

@@ -491,6 +491,19 @@ class TestChunkedBitIdentity:
         assert len(set(f_points)) == len(set(p1_points)) == 2 * m + 1
 
 
+    def test_t_free_functions_take_their_batch(self, monkeypatch):
+        # a batch that raises is evaluated again point by point, with the
+        # same values: only the fallback itself shows it
+        monkeypatch.setattr(ivp, "_first_fault",
+                            lambda *args: pytest.fail("a chunk fell back to the point loop"))
+        op = LinearOperator(order=2, alpha=Alpha(0.5), coefficients=(
+            ConformableFn.from_expr("0.4"), ConformableFn.from_expr("0.2*alpha")))
+        f = ConformableFn.from_expr("exp(-alpha)")
+        m = ivp._CHUNK_STEPS + 88
+        got = solve_full(IvpSpec(op, f, 1.0, (0.5, -0.2)), 2.5, steps=m)
+        assert got == reference_rk4(op, f, 1.0, 2.5, (0.5, -0.2), m)
+
+
 class TestGeneratedStepper:
     def test_order_300(self):
         op = LinearOperator(order=300, alpha=Alpha(0.8), coefficients=tuple(
