@@ -5,6 +5,12 @@ fractional Taylor expansions with integral remainders, linear fractional
 initial value problems, and numerically verified fractional integral
 inequalities (Steffensen, Cebysev, Hermite-Hadamard, Ostrowski, Montgomery,
 Jensen, Gruss).
+
+Importing the package loads every layer but the inequality checkers: the
+names it re-exports from ``confrac.inequalities`` are resolved on first
+access (a module ``__getattr__``), which imports that module then.  The
+value types (Alpha, Interval, InequalityReport, ...) are immutable slotted
+classes, not dataclasses.
 """
 
 from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
@@ -13,14 +19,6 @@ from .errors import (ConfracError, EvalDomainError, ExprDepthError, ExprSizeErro
                      ExprSyntaxError, HypothesisError, InstabilityWarning, LimitError,
                      QuadratureError, SmoothnessError, SolverError)
 from .expr import EvalEnv, Expr, diff_classical, evaluate, evaluate_at, parse, to_text
-from .inequalities import (BoundsPair, HypothesisCheck, InequalityReport,
-                           MontgomeryKernel, SteffensenEll, cebysev,
-                           check_sandwich_lemma, gruss,
-                           gruss_montgomery, hermite_hadamard_1, hermite_hadamard_2,
-                           hermite_hadamard_3, jensen, montgomery_check,
-                           montgomery_residual, ostrowski, remainder_cebysev,
-                           remainder_mm_bounds, remainder_steffensen, steffensen,
-                           steffensen_ell, verify_hypothesis)
 from .ivp import IvpSpec, LinearOperator, cauchy_function, solve_full, solve_voc
 from .taylor import (EndpointIdentity, TaylorExpansion, binomial_identity_residual,
                      cauchy_kernel, expand, remainder_endpoint_integral,
@@ -48,3 +46,21 @@ __all__ = [
     "solve_voc", "steffensen", "steffensen_ell", "taylor_poly",
     "taylor_remainder", "to_text", "verify_hypothesis",
 ]
+
+# every name of __all__ not bound above comes from confrac.inequalities: it
+# is resolved on each access and never stored here, so a rebinding in that
+# module shows through the package too
+_PUBLIC = frozenset(__all__)
+
+
+def __getattr__(name: str):
+    if name in _PUBLIC:
+        module = globals().get("inequalities")   # set here by its first import
+        if module is None:
+            from . import inequalities as module
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | _PUBLIC)

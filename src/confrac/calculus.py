@@ -21,11 +21,11 @@ import math
 import sys
 import threading
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from . import expr as ex
 from ._quad import adaptive_integrate
+from ._value import FrozenValue
 from .errors import (EvalDomainError, ExprSizeError, LimitError, InstabilityWarning,
                      SmoothnessError)
 
@@ -37,17 +37,17 @@ __all__ = [
 _EPS_CBRT = 6.055454452393339e-06  # cube root of machine epsilon
 
 
-@dataclass(frozen=True)
-class Alpha:
+class Alpha(FrozenValue):
     """Fractional order, restricted to (0, 1]."""
 
-    value: float
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self):
-        if not (isinstance(self.value, (int, float)) and math.isfinite(self.value)):
-            raise ValueError(f"alpha must be a finite number, got {self.value!r}")
-        if not (0.0 < self.value <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.value}")
+    def __init__(self, value: float):
+        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            raise ValueError(f"alpha must be a finite number, got {value!r}")
+        if not (0.0 < value <= 1.0):
+            raise ValueError(f"alpha must lie in (0, 1], got {value}")
+        object.__setattr__(self, "value", value)
 
 
 def _alpha_value(alpha: Union[Alpha, float]) -> float:
@@ -56,18 +56,18 @@ def _alpha_value(alpha: Union[Alpha, float]) -> float:
     return Alpha(float(alpha)).value
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(FrozenValue):
     """Window [a, b] with 0 <= a < b."""
 
-    a: float
-    b: float
+    __slots__ = __match_args__ = ("a", "b")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+    def __init__(self, a: float, b: float):
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("interval endpoints must be finite")
-        if not (0.0 <= self.a < self.b):
-            raise ValueError(f"interval requires 0 <= a < b, got [{self.a}, {self.b}]")
+        if not (0.0 <= a < b):
+            raise ValueError(f"interval requires 0 <= a < b, got [{a}, {b}]")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def width(self) -> float:
@@ -94,26 +94,27 @@ def _window_span(window: Window) -> tuple[float, float, float]:
     return hi, lo, -1.0
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(FrozenValue):
     """Tolerance and refinement policy for the weighted integral.
 
     mode "transformed" substitutes u = t^alpha/alpha, which removes the
     weight exactly; "direct" integrates f(t) t^(alpha-1) as written.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 1000
-    mode: str = "transformed"
+    __slots__ = __match_args__ = ("abs_tol", "rel_tol", "max_subdivisions", "mode")
 
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
+                 max_subdivisions: int = 1000, mode: str = "transformed"):
+        if not (abs_tol > 0.0 and rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
+        if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.mode not in ("transformed", "direct"):
-            raise ValueError(f"unknown quadrature mode {self.mode!r}")
+        if mode not in ("transformed", "direct"):
+            raise ValueError(f"unknown quadrature mode {mode!r}")
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "max_subdivisions", max_subdivisions)
+        object.__setattr__(self, "mode", mode)
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

@@ -15,6 +15,11 @@ the table to stdout (exit 0).  The expression and list flags (``dash_value``
 in the table) take the next argument whatever it is, so their values may
 begin with '-'; the number flags take negative numbers but not arguments
 that look like flags.
+
+Every command runs in a fresh interpreter, so importing this module loads
+only what every command uses: the inequality checkers (confrac.inequalities)
+are imported where check, sweep or ell first needs them (_inequalities), and
+csv and json where a report is printed in that format.
 """
 
 from __future__ import annotations
@@ -24,19 +29,16 @@ import math
 import re
 import sys
 from types import SimpleNamespace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .calculus import Alpha, ConformableFn, Interval, QuadratureConfig, frac_deriv_n, frac_integral
 from .errors import (ConfracError, EvalDomainError, ExprSyntaxError, HypothesisError,
                      LimitError, QuadratureError, SmoothnessError, SolverError)
-from .inequalities import (BoundsPair, InequalityReport, cebysev, check_sandwich_lemma,
-                           gruss, gruss_montgomery, hermite_hadamard_1,
-                           hermite_hadamard_2, hermite_hadamard_3, HypothesisCheck,
-                           jensen, montgomery_check, ostrowski, remainder_cebysev,
-                           remainder_mm_bounds, remainder_steffensen, steffensen,
-                           steffensen_ell)
 from .ivp import IvpSpec, LinearOperator, solve_full
 from .taylor import expand, taylor_remainder
+
+if TYPE_CHECKING:
+    from .inequalities import BoundsPair, InequalityReport
 
 __all__ = ["run", "main", "emit_report"]
 
@@ -55,6 +57,13 @@ CSV_HEADER = ["theorem", "alpha", "a", "b", "lower", "actual", "upper",
 
 class _UsageError(Exception):
     pass
+
+
+def _inequalities():
+    """confrac.inequalities, imported on first use: only check, sweep and
+    ell need it, and loading it is a noticeable share of start-up time."""
+    from . import inequalities
+    return inequalities
 
 
 def _fmt(x: Optional[float]) -> str:
@@ -203,7 +212,7 @@ def _single_bounds(args) -> BoundsPair:
     M = _parse_bound(args.M, "--M")
     if len(m) != 1 or len(M) != 1:
         raise _UsageError(f"--ineq {args.ineq} takes single --m and --M values")
-    return BoundsPair(m[0], M[0])
+    return _inequalities().BoundsPair(m[0], M[0])
 
 
 def _pair_bounds(args) -> tuple[BoundsPair, BoundsPair]:
@@ -216,7 +225,8 @@ def _pair_bounds(args) -> tuple[BoundsPair, BoundsPair]:
         M = M * 2
     if len(m) != 2 or len(M) != 2:
         raise _UsageError("gruss takes at most two comma-separated values for --m/--M")
-    return BoundsPair(m[0], M[0]), BoundsPair(m[1], M[1])
+    pair = _inequalities().BoundsPair
+    return pair(m[0], M[0]), pair(m[1], M[1])
 
 
 def _point(args, window: Interval) -> float:
@@ -233,7 +243,7 @@ def _nonneg_n(args) -> int:
     return args.n
 
 
-def _ostrowski(args, alpha: float, window: Interval,
+def _ostrowski(ineq, args, alpha: float, window: Interval,
                cfg: Optional[QuadratureConfig]) -> InequalityReport:
     M = None
     if args.M is not None:
@@ -241,43 +251,44 @@ def _ostrowski(args, alpha: float, window: Interval,
         if len(vals) != 1:
             raise _UsageError("ostrowski takes a single --M value")
         M = vals[0]
-    return ostrowski(_built(args, "f"), alpha, window, _point(args, window), cfg, M=M)
+    return ineq.ostrowski(_built(args, "f"), alpha, window, _point(args, window), cfg, M=M)
 
 
-def _gruss(args, alpha: float, window: Interval,
+def _gruss(ineq, args, alpha: float, window: Interval,
            cfg: Optional[QuadratureConfig]) -> InequalityReport:
     b1, b2 = _pair_bounds(args)
-    return gruss(_built(args, "f"), _built(args, "g"), alpha, window, b1, b2, cfg)
+    return ineq.gruss(_built(args, "f"), _built(args, "g"), alpha, window, b1, b2, cfg)
 
 
-# inequality id -> (flags checked before anything is built, builder); the
-# builders check the flags their helpers read (--n, --m, --M, --t) themselves
+# inequality id -> (flags checked before anything is built, builder); a
+# builder takes the confrac.inequalities module first and checks the flags
+# its helpers read (--n, --m, --M, --t) itself
 _CHECKS = {
-    "steffensen": (("f", "g"), lambda args, alpha, window, cfg: steffensen(
+    "steffensen": (("f", "g"), lambda ineq, args, alpha, window, cfg: ineq.steffensen(
         _built(args, "f"), _built(args, "g"), alpha, window, cfg)),
-    "sandwich": (("g",), lambda args, alpha, window, cfg: check_sandwich_lemma(
+    "sandwich": (("g",), lambda ineq, args, alpha, window, cfg: ineq.check_sandwich_lemma(
         _built(args, "g"), alpha, window, cfg)),
-    "rem-steffensen": (("f",), lambda args, alpha, window, cfg: remainder_steffensen(
+    "rem-steffensen": (("f",), lambda ineq, args, alpha, window, cfg: ineq.remainder_steffensen(
         _built(args, "f"), alpha, _nonneg_n(args), window, cfg)),
-    "hh1": (("f",), lambda args, alpha, window, cfg: hermite_hadamard_1(
+    "hh1": (("f",), lambda ineq, args, alpha, window, cfg: ineq.hermite_hadamard_1(
         _built(args, "f"), alpha, window, cfg)),
-    "mm-bounds": (("f",), lambda args, alpha, window, cfg: remainder_mm_bounds(
+    "mm-bounds": (("f",), lambda ineq, args, alpha, window, cfg: ineq.remainder_mm_bounds(
         _built(args, "f"), alpha, _nonneg_n(args), _single_bounds(args), window, cfg)),
-    "cebysev": (("f", "g"), lambda args, alpha, window, cfg: cebysev(
+    "cebysev": (("f", "g"), lambda ineq, args, alpha, window, cfg: ineq.cebysev(
         _built(args, "f"), _built(args, "g"), alpha, window, cfg)),
-    "rem-cebysev": (("f",), lambda args, alpha, window, cfg: remainder_cebysev(
+    "rem-cebysev": (("f",), lambda ineq, args, alpha, window, cfg: ineq.remainder_cebysev(
         _built(args, "f"), alpha, _nonneg_n(args), window, cfg)),
-    "hh2": (("f",), lambda args, alpha, window, cfg: hermite_hadamard_2(
+    "hh2": (("f",), lambda ineq, args, alpha, window, cfg: ineq.hermite_hadamard_2(
         _built(args, "f"), alpha, window, cfg)),
-    "montgomery": (("f",), lambda args, alpha, window, cfg: montgomery_check(
+    "montgomery": (("f",), lambda ineq, args, alpha, window, cfg: ineq.montgomery_check(
         _built(args, "f"), alpha, window, _point(args, window), cfg)),
     "ostrowski": (("f",), _ostrowski),
-    "jensen": (("w", "g", "F"), lambda args, alpha, window, cfg: jensen(
+    "jensen": (("w", "g", "F"), lambda ineq, args, alpha, window, cfg: ineq.jensen(
         _built(args, "w"), _built(args, "g"), _built(args, "F"), alpha, window, cfg)),
     "gruss": (("f", "g"), _gruss),
-    "gruss-montgomery": (("f",), lambda args, alpha, window, cfg: gruss_montgomery(
+    "gruss-montgomery": (("f",), lambda ineq, args, alpha, window, cfg: ineq.gruss_montgomery(
         _built(args, "f"), alpha, window, _point(args, window), _single_bounds(args), cfg)),
-    "hh3": (("f",), lambda args, alpha, window, cfg: hermite_hadamard_3(
+    "hh3": (("f",), lambda ineq, args, alpha, window, cfg: ineq.hermite_hadamard_3(
         _built(args, "f"), alpha, window, _single_bounds(args), cfg)),
 }
 
@@ -286,7 +297,7 @@ def _run_check(args, alpha: float, window: Interval,
                cfg: Optional[QuadratureConfig]) -> InequalityReport:
     flags, build = _CHECKS[args.ineq]
     _require(args, *flags)
-    return build(args, alpha, window, cfg)
+    return build(_inequalities(), args, alpha, window, cfg)
 
 
 def _report_exit(r: InequalityReport) -> int:
@@ -319,10 +330,11 @@ def _parse_alphas(grid: str) -> list[float]:
 
 
 def _failed_report(args, alpha: float, window: Interval, reason: str) -> InequalityReport:
-    return InequalityReport(theorem=args.ineq, alpha=alpha, window=window,
-                            hypotheses=(HypothesisCheck(reason, False, None, 0),),
-                            lower=None, actual=float("nan"), upper=None,
-                            slack_low=None, slack_high=None, holds=False)
+    ineq = _inequalities()
+    return ineq.InequalityReport(theorem=args.ineq, alpha=alpha, window=window,
+                                 hypotheses=(ineq.HypothesisCheck(reason, False, None, 0),),
+                                 lower=None, actual=float("nan"), upper=None,
+                                 slack_low=None, slack_high=None, holds=False)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +410,7 @@ def _cmd_solve(args, out, err) -> int:
 def _cmd_ell(args, out, err) -> int:
     alpha = Alpha(args.alpha)
     window = Interval(args.a, args.b)
-    result = steffensen_ell(_fn(args.g, "--g"), alpha, window)
+    result = _inequalities().steffensen_ell(_fn(args.g, "--g"), alpha, window)
     print(_fmt(result.ell), file=out)
     return EXIT_OK
 

@@ -47,9 +47,9 @@ import operator
 import re
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from ._value import FrozenValue
 from .errors import EvalDomainError, ExprDepthError, ExprSyntaxError
 
 __all__ = [
@@ -208,18 +208,18 @@ FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-@dataclass(frozen=True)
-class EvalEnv:
+class EvalEnv(FrozenValue):
     """Point of evaluation: the variable t and the fractional order alpha."""
 
-    t: float
-    alpha: float = 1.0
+    __slots__ = __match_args__ = ("t", "alpha")
 
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+    def __init__(self, t: float, alpha: float = 1.0):
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        if not (0.0 < alpha <= 1.0):
+            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "alpha", alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Union
 
+from ._value import FrozenValue
 from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
                        _alpha_value, frac_deriv_fn, frac_integral)
 from .errors import EvalDomainError, HypothesisError
@@ -46,58 +46,62 @@ DEFAULT_GRID = 256
 HOLDS_TOL = 1e-9  # scaled by 1 + max|side| when setting the holds flag
 
 
-@dataclass(frozen=True)
-class BoundsPair:
+class BoundsPair(FrozenValue):
     """Bounds m <= M on a function or one of its derivatives."""
 
-    m: float
-    M: float
+    __slots__ = __match_args__ = ("m", "M")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.m) and math.isfinite(self.M)):
+    def __init__(self, m: float, M: float):
+        if not (math.isfinite(m) and math.isfinite(M)):
             raise ValueError("bounds must be finite")
-        if self.m > self.M:
-            raise ValueError(f"bounds require m <= M, got m={self.m}, M={self.M}")
+        if m > M:
+            raise ValueError(f"bounds require m <= M, got m={m}, M={M}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "M", M)
 
     @property
     def spread(self) -> float:
         return self.M - self.m
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(FrozenValue):
     """Grid evidence for one hypothesis; witness is the first violating point."""
 
-    name: str
-    verified: bool
-    witness: Optional[float] = None
-    grid: int = DEFAULT_GRID
+    __slots__ = __match_args__ = ("name", "verified", "witness", "grid")
+
+    def __init__(self, name: str, verified: bool, witness: Optional[float] = None,
+                 grid: int = DEFAULT_GRID):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "verified", verified)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "grid", grid)
 
 
-@dataclass(frozen=True)
-class SteffensenEll:
+class SteffensenEll(FrozenValue):
     """The comparison-window length ell = a(b-a)/(b^a - a^a) int g d_a t."""
 
-    ell: float
-    alpha: Alpha
-    window: Interval
+    __slots__ = __match_args__ = ("ell", "alpha", "window")
+
+    def __init__(self, ell: float, alpha: Alpha, window: Interval):
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "window", window)
 
 
-@dataclass(frozen=True)
-class MontgomeryKernel:
+class MontgomeryKernel(FrozenValue):
     """Piecewise kernel p(t, s): (s^a - a^a)/a below t, (s^a - b^a)/a above.
 
     The jump at s = t has size (a^a - b^a)/alpha.
     """
 
-    t: float
-    alpha: Alpha
-    window: Interval
+    __slots__ = __match_args__ = ("t", "alpha", "window")
 
-    def __post_init__(self):
-        if not self.window.contains(self.t):
-            raise ValueError(
-                f"t={self.t} outside window [{self.window.a}, {self.window.b}]")
+    def __init__(self, t: float, alpha: Alpha, window: Interval):
+        if not window.contains(t):
+            raise ValueError(f"t={t} outside window [{window.a}, {window.b}]")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "window", window)
 
     def __call__(self, s: float) -> float:
         a = self.alpha.value
@@ -110,18 +114,28 @@ class MontgomeryKernel:
         return (math.pow(self.window.a, a) - math.pow(self.window.b, a)) / a
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    theorem: str
-    alpha: float
-    window: Interval
-    hypotheses: tuple[HypothesisCheck, ...]
-    lower: Optional[float]
-    actual: float
-    upper: Optional[float]
-    slack_low: Optional[float]
-    slack_high: Optional[float]
-    holds: bool
+class InequalityReport(FrozenValue):
+    """One checker's verdict: the sides lower <= actual <= upper (a side may
+    be None), the slacks actual - lower and upper - actual, and the grid
+    evidence for each hypothesis."""
+
+    __slots__ = __match_args__ = ("theorem", "alpha", "window", "hypotheses", "lower",
+                                  "actual", "upper", "slack_low", "slack_high", "holds")
+
+    def __init__(self, theorem: str, alpha: float, window: Interval,
+                 hypotheses: tuple[HypothesisCheck, ...], lower: Optional[float],
+                 actual: float, upper: Optional[float], slack_low: Optional[float],
+                 slack_high: Optional[float], holds: bool):
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "hypotheses", hypotheses)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "slack_low", slack_low)
+        object.__setattr__(self, "slack_high", slack_high)
+        object.__setattr__(self, "holds", holds)
 
     @property
     def hypotheses_ok(self) -> bool:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ._value import FrozenValue
 from .calculus import (Alpha, ConformableFn, QuadratureConfig, frac_integral)
 from .errors import EvalDomainError, SolverError
 from .taylor import cauchy_kernel
@@ -34,37 +34,38 @@ MIN_STEPS = 16
 MAX_DEFAULT_STEPS = 2 ** 20
 
 
-@dataclass(frozen=True)
-class LinearOperator:
+class LinearOperator(FrozenValue):
     """L = D^order + p_1 D^(order-1) + ... + p_order; empty coefficients mean L = D^order."""
 
-    order: int
-    alpha: Alpha
-    coefficients: tuple[ConformableFn, ...] = ()
+    __slots__ = __match_args__ = ("order", "alpha", "coefficients")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"operator order must be >= 1, got {self.order}")
-        if self.coefficients and len(self.coefficients) != self.order:
+    def __init__(self, order: int, alpha: Alpha, coefficients: tuple[ConformableFn, ...] = ()):
+        if order < 1:
+            raise ValueError(f"operator order must be >= 1, got {order}")
+        if coefficients and len(coefficients) != order:
             raise ValueError(
-                f"expected {self.order} coefficient functions, got {len(self.coefficients)}")
+                f"expected {order} coefficient functions, got {len(coefficients)}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "coefficients", coefficients)
 
 
-@dataclass(frozen=True)
-class IvpSpec:
+class IvpSpec(FrozenValue):
     """Forced problem L y = f with initial data D^i y(base_point), i < order."""
 
-    operator: LinearOperator
-    forcing: Optional[ConformableFn]
-    base_point: float
-    initial_values: tuple[float, ...]
+    __slots__ = __match_args__ = ("operator", "forcing", "base_point", "initial_values")
 
-    def __post_init__(self):
-        if self.base_point < 0.0:
-            raise ValueError(f"base point must be >= 0, got {self.base_point}")
-        if len(self.initial_values) != self.operator.order:
+    def __init__(self, operator: LinearOperator, forcing: Optional[ConformableFn],
+                 base_point: float, initial_values: tuple[float, ...]):
+        if base_point < 0.0:
+            raise ValueError(f"base point must be >= 0, got {base_point}")
+        if len(initial_values) != operator.order:
             raise ValueError(
-                f"expected {self.operator.order} initial values, got {len(self.initial_values)}")
+                f"expected {operator.order} initial values, got {len(initial_values)}")
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "forcing", forcing)
+        object.__setattr__(self, "base_point", base_point)
+        object.__setattr__(self, "initial_values", initial_values)
 
 
 def _step_count(us: float, ut: float, steps: Optional[int]) -> int:

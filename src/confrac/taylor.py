@@ -26,9 +26,9 @@ node; taylor_remainder runs the pass node by node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+from ._value import FrozenValue
 from .calculus import (_JET_UNROLL_MAX, Alpha, ConformableFn, Interval, QuadratureConfig,
                        _alpha_value, _chain_derivative, _derivatives, _float_factorials,
                        _top_coefficient, frac_deriv_n, frac_integral)
@@ -62,24 +62,25 @@ def cauchy_kernel(n: int, alpha: AlphaLike, t: float, s: float) -> float:
     return _power(z, n - 1) / math.factorial(n - 1)
 
 
-@dataclass(frozen=True)
-class TaylorExpansion:
+class TaylorExpansion(FrozenValue):
     """Degree-n expansion data around a center point.
 
     coefficients[k] is D^k f evaluated at the center, so evaluating at the
     center returns coefficients[0] exactly (the k = 0 term uses 0^0 = 1).
     """
 
-    center: float
-    degree: int
-    alpha: Alpha
-    coefficients: tuple[float, ...]
+    __slots__ = __match_args__ = ("center", "degree", "alpha", "coefficients")
 
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if len(self.coefficients) != self.degree + 1:
+    def __init__(self, center: float, degree: int, alpha: Alpha,
+                 coefficients: tuple[float, ...]):
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        if len(coefficients) != degree + 1:
             raise ValueError("expected degree + 1 coefficients")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def evaluate(self, t: float) -> float:
         a = self.alpha.value
@@ -102,21 +103,23 @@ def expand(f: ConformableFn, alpha: AlphaLike, n: int, s: float) -> TaylorExpans
     a domain error (at 0: a power t^c with c/alpha not a whole number;
     anywhere: sqrt or abs at a zero argument), each D^k f(s) comes from the
     symbolic chain with its limit handling, and a plain callable takes
-    frac_deriv_n order by order.  A coefficient that overflows raises
-    EvalDomainError, for a symbolic f the value too.
+    frac_deriv_n order by order.  A coefficient that is not finite raises
+    EvalDomainError, the value included.
     """
     a = Alpha(_alpha_value(alpha))
+    # coefficient 0 is checked here, for both kinds of f and at n = 0 too;
+    # the derivative routes raise where a higher one is not finite, and
+    # frac_deriv_n rejects a negative centre
+    value = f.value(s, a.value) if f.is_symbolic else frac_deriv_n(f, a, 0, s)
+    if not math.isfinite(value):
+        raise EvalDomainError(f"derivatives at t={s!r} are not finite")
     if not f.is_symbolic:
-        coeffs = tuple(frac_deriv_n(f, a, k, s) for k in range(n + 1))
+        derivs = [value] + [frac_deriv_n(f, a, k, s) for k in range(1, n + 1)]
     else:
-        value = f.value(s, a.value)
-        if not math.isfinite(value):  # at n = 0 too, where no series is taken
-            raise EvalDomainError(f"derivatives at t={s!r} are not finite")
         derivs = _derivatives(f, a.value, n, s) if n else None
         if derivs is None:
             derivs = [value] + [_chain_derivative(f, a.value, k, s) for k in range(1, n + 1)]
-        coeffs = (value, *derivs[1:])
-    return TaylorExpansion(center=s, degree=n, alpha=a, coefficients=coeffs)
+    return TaylorExpansion(center=s, degree=n, alpha=a, coefficients=(value, *derivs[1:]))
 
 
 def taylor_poly(f: ConformableFn, alpha: AlphaLike, n: int, s: float, t: float) -> float:
@@ -242,12 +245,14 @@ def remainder_split_residual(f: ConformableFn, alpha: AlphaLike, n: int,
     return lhs - rhs
 
 
-@dataclass(frozen=True)
-class EndpointIdentity:
+class EndpointIdentity(FrozenValue):
     """Both sides of an endpoint remainder identity."""
 
-    lhs: float
-    rhs: float
+    __slots__ = __match_args__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: float, rhs: float):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def residual(self) -> float:

@@ -6,10 +6,16 @@ function objects built at import time.  This test installs it, runs one
 traced derivative grid and checks that uninstalling puts every original
 back, and does the same around one solve of a linear IVP, around first
 derivatives of an expression function and around six inequality checks,
-three of them remainder bounds, whose quadrature panels are batched.
+three of them remainder bounds, whose quadrature panels are batched.  In a
+fresh interpreter, where confrac.inequalities is not loaded until the
+tracer imports it, it does the same around one ``check`` command.
 """
 
 import importlib.util
+import io
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -140,3 +146,78 @@ def test_tracer_sees_batched_panels_and_changes_no_report():
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert changed == []
+
+
+# run in a fresh interpreter: confrac.inequalities is loaded on first use,
+# here by Tracer.install, which imports it itself
+_FRESH_CHECK = """
+import importlib.util, io, json, sys
+import confrac, confrac.cli
+
+def bindings():
+    return {(name, attr): value for name, mod in list(sys.modules.items())
+            if name == "confrac" or name.startswith("confrac.")
+            for attr, value in vars(mod).items()}
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = confrac.cli.run(argv, out, err)
+    return [code, out.getvalue(), err.getvalue()]
+
+def traced_code(value):
+    # every wrapper the tracer binds is a function defined in tracing.py
+    return getattr(getattr(value, "__code__", None), "co_filename", None) == TRACING
+
+TRACING, argv = sys.argv[1], sys.argv[2:]
+loaded_at_start = "confrac.inequalities" in sys.modules
+confrac.cli._parser()   # the first command builds it, traced or not
+before = bindings()
+spec = importlib.util.spec_from_file_location("confrac_bench_tracing", TRACING)
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+try:
+    traced = run(argv)
+finally:
+    tracer.uninstall()
+after = bindings()
+fns = [v for v in vars(sys.modules["confrac.inequalities"]).values()
+       if isinstance(v, confrac.ConformableFn)]
+print(json.dumps({
+    "loaded_at_start": loaded_at_start,
+    "checks": tracer.counts["inequalities.checks"],
+    "runs": tracer.calls["cli.run"],
+    "changed": [list(k) for k in before if after[k] is not before[k]],
+    "new_modules": sorted({k[0] for k in after.keys() - before.keys() if k[0] != "confrac"}),
+    "new_in_package": sorted(k[1] for k in after.keys() - before.keys() if k[0] == "confrac"),
+    "wrapped": [list(k) for k, v in after.items() if traced_code(v)]
+               + [f.name for f in fns if traced_code(f._eval) or traced_code(f._frac_compiled[0])]
+               + ["frac_expr"] * traced_code(confrac.ConformableFn.__dict__["frac_expr"]),
+    "traced": traced,
+    "untraced": run(argv),
+}))
+"""
+
+
+def test_tracer_restores_a_module_it_loaded_itself():
+    argv = ["check", "--ineq", "rem-cebysev", "--f", "exp(t)", "--n", "1",
+            "--alpha", "0.5", "--a", "1", "--b", "2", "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    want = [cli.run(argv, out, err), out.getvalue(), err.getvalue()]
+    env = dict(os.environ, PYTHONPATH=str(TRACING.parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", _FRESH_CHECK, str(TRACING), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    got = json.loads(done.stdout)
+    assert got["loaded_at_start"] is False
+    assert (got["checks"], got["runs"]) == (1, 1)
+    assert got["traced"] == got["untraced"] == want
+    assert want[0] == 0
+    # nothing rebound, the package namespace included; what is new is the
+    # modules loaded on first use (the checkers, and the Taylor-mode code
+    # that their derivative grids compile) and their entries in the package
+    assert got["changed"] == []
+    assert "confrac.inequalities" in got["new_modules"]
+    assert got["new_in_package"] == [name.split(".")[1] for name in got["new_modules"]]
+    assert got["wrapped"] == []

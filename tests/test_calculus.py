@@ -322,6 +322,22 @@ class TestOneFinitenessRule:
         assert (taylor.taylor_remainder(f, 0.5, 0, 1.0, 2.0)
                 == taylor.taylor_remainder(ConformableFn.from_expr("t"), 0.5, 0, 1.0, 2.0))
 
+    def test_expand_of_a_plain_callable_checks_its_value_too(self):
+        symbolic = ConformableFn.from_expr("1e308*10 + t")
+        plain = ConformableFn.from_callable(lambda t: 1e308 * 10 + t,
+                                            derivatives=[lambda t: 1.0])
+        for degree in (0, 1):
+            with pytest.raises(EvalDomainError) as want:
+                expand(symbolic, 0.5, degree, 1.0)
+            with pytest.raises(EvalDomainError) as got:
+                expand(plain, 0.5, degree, 1.0)
+            assert str(got.value) == str(want.value) == "derivatives at t=1.0 are not finite"
+        finite = ConformableFn.from_callable(lambda t: t * t, derivatives=[lambda t: 2 * t])
+        assert expand(finite, 0.5, 2, 1.5).coefficients == tuple(
+            frac_deriv_n(finite, 0.5, k, 1.5) for k in range(3))
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            expand(finite, 0.5, 0, -1.0)
+
     def test_an_infinite_top_order_still_raises(self):
         f = ConformableFn.from_expr("t^alpha*(1e308*10)")
         with pytest.raises(EvalDomainError, match="not finite"):

@@ -1035,3 +1035,49 @@ class TestStartUp:
                               capture_output=True, text=True, env=env, timeout=60)
         assert (done.returncode, done.stderr) == (0, "")
         assert float(done.stdout) == pytest.approx(math.cos(1.0), rel=1e-11)
+
+    @staticmethod
+    def fresh(*args):
+        """Run a fresh interpreter on this checkout's package."""
+        src = str(Path(confrac.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=60)
+
+    def test_no_dataclasses_inspect_or_inequality_checkers(self):
+        probe = ("import sys, confrac, confrac.cli; print(sorted({'dataclasses', 'inspect', "
+                 "'confrac.inequalities'} & set(sys.modules)))")
+        done = self.fresh("-c", probe)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    def test_every_public_name_resolves_and_is_listed(self):
+        probe = "\n".join([
+            "import confrac",
+            "lazy = [n for n in confrac.__all__ if n not in vars(confrac)]",
+            "ns = {}",
+            "exec('from confrac import *', ns)",
+            "from confrac import inequalities",
+            "print(sorted(lazy) == sorted(inequalities.__all__),",
+            "      all(ns[n] is getattr(confrac, n) for n in confrac.__all__),",
+            "      all(getattr(confrac, n) is getattr(inequalities, n) for n in lazy),",
+            "      set(confrac.__all__) <= set(dir(confrac)),",
+            "      any(n in vars(confrac) for n in lazy))",
+        ])
+        done = self.fresh("-c", probe)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True True True True False\n",
+                                                               "")
+        assert set(confrac.__all__) <= set(dir(confrac))
+        with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+            confrac.nothing
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--ineq", "hh1", "--f", "exp(-t)", "--alpha", "0.5", "--a", "0.5",
+         "--b", "2"],
+        ["sweep", "--ineq", "hh2", "--f", "t^2", "--alphas", "0.25,0.5,1", "--a", "0.5",
+         "--b", "2", "--json"],
+    ])
+    def test_checks_load_their_module_in_a_fresh_process(self, argv):
+        code, out, err = invoke(argv)
+        assert (code, err) == (EXIT_OK, "")
+        done = self.fresh("-m", "confrac", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
