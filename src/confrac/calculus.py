@@ -9,10 +9,11 @@ With u = t^alpha/alpha the conformable derivative is d/du, so D^k f(t) =
 k! c_k with c_k the Taylor coefficients of f(t(u)) at u(t).  For a function
 with an expression tree one truncated power-series pass over the tree gives
 c_0..c_n (_series), D f = c_1 included; frac_deriv_fn runs the same pass as
-compiled code, one compilation per expression shape and low order.  Where
-that series does not exist, the exact symbolic chain D^1..D^n (frac_expr) is
-the fallback, with its limit handling at t = 0.  Plain callables use finite
-differences.
+compiled code, one compilation per expression shape and low order.  At
+t > 0 the series alone gives D^k f, and where it does not exist D^k f(t)
+raises EvalDomainError.  At t = 0, where the series does not exist, the
+exact symbolic chain D^1..D^n (frac_expr) with its limit handling is the
+fallback.  Plain callables use finite differences.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ class ConformableFn:
     f(t(u)) in u = t^alpha/alpha, which one series pass carries through the
     tree; the derivative functions of frac_deriv_fn compile that pass, once
     per low order, on first use at t > 0.  The exact symbolic chain D^1..D^n is
-    built only on request (frac_expr) and where that series does not exist.
+    built only on request (frac_expr) and at t = 0 where that series does not
+    exist.
     Built from a plain callable it may carry explicit classical-derivative
     callables and a declared smoothness order; beyond those, central finite
     differences are used (iterated conformable derivatives capped at n = 3).
@@ -479,16 +481,21 @@ def _coefficients(f: ConformableFn, a: float, n: int, t: float) -> Optional[list
     Taylor coefficients of f(t(u)) at u0 = t^a/a, and the series pass over
     f's tree carries them from the series of t^c: at t > 0 the binomial
     series t^c (1 + h/u0)^(c/a) in h = u - u0, at t = 0 the monomial of
-    _monomial_seed.  Returns None where the series does not exist or the
-    pass meets a domain error (the symbolic chain may still have values
-    there).  A coefficient may be inf or nan.
+    _monomial_seed.  At t > 0 a series that does not exist or meets a
+    domain error raises EvalDomainError; at t = 0 the result is None there
+    (the symbolic chain's limit may still have a value).  A coefficient may
+    be inf or nan.
     """
     seed = ex.t_power_at(t, a, n) if t > 0.0 else _monomial_seed(a, n)
     try:
         return ex.taylor_series(f.expr, n, a, seed)
-    except (ex.NoTaylorSeries, EvalDomainError, ZeroDivisionError, ValueError,
-            OverflowError):
-        return None
+    except EvalDomainError:
+        if t > 0.0:
+            raise
+    except (ex.NoTaylorSeries, ZeroDivisionError, ValueError, OverflowError) as exc:
+        if t > 0.0:
+            raise EvalDomainError(str(exc)) from exc
+    return None
 
 
 def _series(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float]]:
@@ -500,22 +507,19 @@ def _series(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float
     return coeffs
 
 
-def _top_coefficient(f: ConformableFn, a: float, n: int, t: float) -> Optional[float]:
-    """c_n of the series pass at t, or None where there is no series.  At
-    t > 0 only c_n has to be finite, as in the compiled Taylor-mode code, at
-    t = 0 every c_k, k <= n (see _series); EvalDomainError where one is not."""
-    if t == 0.0:
-        coeffs = _series(f, a, n, t)
-    else:
-        coeffs = _coefficients(f, a, n, t)
-        if coeffs is not None and not math.isfinite(coeffs[n]):
-            raise EvalDomainError(f"derivatives at t={t!r} are not finite")
-    return None if coeffs is None else coeffs[n]
+def _top_coefficient(f: ConformableFn, a: float, n: int, t: float) -> float:
+    """c_n of the series pass at t > 0, where only c_n has to be finite, as
+    in the compiled Taylor-mode code; EvalDomainError where it is not or
+    where there is no series."""
+    c = _coefficients(f, a, n, t)[n]
+    if not math.isfinite(c):
+        raise EvalDomainError(f"derivatives at t={t!r} are not finite")
+    return c
 
 
 def _derivatives(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float]]:
     """D^k f(t) = k! c_k for k = 0..n from one series pass (see _series), or
-    None where there is no series; a D^k out of float range raises
+    None at t = 0 where there is no series; a D^k out of float range raises
     EvalDomainError."""
     coeffs = _series(f, a, n, t)
     if coeffs is None:
@@ -526,11 +530,10 @@ def _derivatives(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[
     return out
 
 
-def _chain_derivative(f: ConformableFn, a: float, n: int, t: float) -> float:
-    """D^n f(t), n >= 1, from the symbolic chain, where the series does not exist.
+def _chain_derivative(f: ConformableFn, a: float, n: int) -> float:
+    """D^n f(0), n >= 1, from the symbolic chain, where the series does not exist.
 
-    At t > 0 the tree walker evaluates the level.  At t = 0 the
-    alpha-specialized level is evaluated first (t-independent zero
+    The alpha-specialized level is evaluated at 0 first (t-independent zero
     coefficients fold away, so regular-at-0 formulas evaluate exactly), and
     the accelerated limit of the level over t -> 0+ is the fallback.  The
     limit samples the same tree, so the fallback is one engine; where the
@@ -538,8 +541,6 @@ def _chain_derivative(f: ConformableFn, a: float, n: int, t: float) -> float:
     those of the noise of that tree.
     """
     tree = f.frac_expr(n)
-    if t > 0.0:
-        return ex.evaluate_at(tree, t, a)
     try:
         v = ex.evaluate_at(ex.substitute_alpha(tree, a), 0.0, a)
         if math.isfinite(v):
@@ -565,10 +566,11 @@ def frac_deriv(f: ConformableFn, alpha: Union[Alpha, float], t: float) -> float:
 def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float) -> float:
     """Iterated conformable derivative D_alpha^n f at t; n = 0 returns f(t).
 
-    A symbolic f takes D^n f(t) = n! c_n from the series pass of _series,
-    and from the symbolic chain (_chain_derivative) where that series does
-    not exist.  At t > 0 only D^n itself has to be finite, as in the
-    compiled functions of frac_deriv_fn; at t = 0 every D^k, k <= n.
+    A symbolic f takes D^n f(t) = n! c_n from the series pass of _series.
+    At t > 0 only D^n itself has to be finite, as in the compiled functions
+    of frac_deriv_fn, and EvalDomainError reports a series that does not
+    exist; at t = 0 every D^k, k <= n, has to be, and where the series does
+    not exist the symbolic chain's limit (_chain_derivative) gives D^n.
     """
     a = _alpha_value(alpha)
     if n < 0:
@@ -584,11 +586,8 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
         return _frac_deriv_n_numeric(f, a, n, t)
     if t == 0.0:
         d = _derivatives(f, a, n, t)
-        return d[n] if d is not None else _chain_derivative(f, a, n, t)
-    c = _top_coefficient(f, a, n, t)
-    if c is None:
-        return _chain_derivative(f, a, n, t)
-    d = _times_factorial(c, n)
+        return d[n] if d is not None else _chain_derivative(f, a, n)
+    d = _times_factorial(_top_coefficient(f, a, n, t), n)
     if not math.isfinite(d):
         raise EvalDomainError(f"a derivative of order <= {n} at {t!r} is out of float range")
     return d
@@ -639,11 +638,11 @@ def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
 
     For a symbolic f and n <= _JET_UNROLL_MAX its point and batch forms at
     t > 0 come from f's compiled Taylor-mode code of order n (compiled on
-    first use), as n! c_n.  Other orders, a point at 0, or one where that
-    series does not exist or leaves float range take frac_deriv_n, and a
-    batch meeting such a point is evaluated point by point, so it always
-    returns what the point form returns.  Derivatives of the result are
-    derivatives of f.
+    first use), as n! c_n.  Other orders, a point at 0, or one where the
+    compiled code raises or leaves float range take frac_deriv_n, which
+    gives the interpreted pass's value or error there, and a batch meeting
+    such a point is evaluated point by point, so it always returns what the
+    point form returns.  Derivatives of the result are derivatives of f.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

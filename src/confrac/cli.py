@@ -13,8 +13,8 @@ shortened to any unique prefix, ``--flag=value`` equals ``--flag value``,
 the last occurrence of a flag wins, and ``-h``/``--help`` prints help from
 the table to stdout (exit 0).  The expression and list flags (``dash_value``
 in the table) take the next argument whatever it is, so their values may
-begin with '-'; the number flags take negative numbers but not arguments
-that look like flags.
+begin with '-'; the number flags take negative numbers (-1, -.5, -1e-3,
+-inf) but not arguments that look like flags.
 
 Every command runs in a fresh interpreter, so importing this module loads
 only what every command uses: the inequality checkers (confrac.inequalities)
@@ -590,7 +590,8 @@ def _build_parser() -> _Table:
     return _Table(commands)
 
 
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+# argparse's negative numbers (-1, -.5), also in exponent form (-1e-3) and -inf
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+|\d*\.\d+)(?:[eE][-+]?\d+)?|inf)$").match
 
 
 def _classify(arg: str, options: dict):

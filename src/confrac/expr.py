@@ -546,7 +546,8 @@ def evaluate_at(e: Expr, t: float, alpha: float = 1.0) -> float:
 class NoTaylorSeries(ArithmeticError):
     """The function has no Taylor series at the point although it may have
     values and some derivatives there: a zero base raised to a non-integer
-    power.  Callers fall back to the symbolic derivatives."""
+    power.  Away from t = 0 callers report it as EvalDomainError; at t = 0
+    they fall back to the symbolic derivatives' limit."""
 
 
 def _jet_of(x, size: int) -> list:

@@ -277,19 +277,16 @@ _ONE = ConformableFn.from_expr("1", name="1")
 
 
 def _product(f: ConformableFn, g: ConformableFn) -> ConformableFn:
-    """f g, with a batch form where both have one."""
+    """f g, with a batch form where both have one, for frac_integral only:
+    where g fails at a point before f's first failure the batch raises f's
+    error, and the quadrature panel then evaluates point by point, which
+    raises g's, as the point form does."""
     point = lambda t, alpha=1.0: f.value(t, alpha) * g.value(t, alpha)
     fb, gb = f._batch, g._batch
     if fb is None or gb is None:
         return ConformableFn(point)
-
-    def batch(ts, alpha=1.0):
-        try:
-            return list(map(operator.mul, fb(ts, alpha), gb(ts, alpha)))
-        except Exception:  # g may fail at a point before f's first failure
-            return [point(t, alpha) for t in ts]
-
-    return ConformableFn(point, batch=batch)
+    return ConformableFn(point, batch=lambda ts, alpha=1.0: list(
+        map(operator.mul, fb(ts, alpha), gb(ts, alpha))))
 
 
 def _span(a: float, window: Interval) -> float:

@@ -12,9 +12,10 @@ coefficients of f(t(u)) at u = s^alpha/alpha.  At every centre s >= 0 and
 at the quadrature nodes of the remainder integrals a symbolic f gets them
 all from one truncated power-series pass over its expression tree (the
 pass behind frac_deriv_n), with no derivative tree built.  Where no such
-series exists (at 0, for instance, t^c with c/alpha not a whole number,
-since t = (alpha u)^(1/alpha)) the symbolic chain with its limit handling
-is the fallback, and plain callables keep finite differences.  The kernel
+series exists they come from frac_deriv_n order by order, as for plain
+callables: at t > 0 it raises EvalDomainError there, and at 0 (t^c with
+c/alpha not a whole number, for instance, since t = (alpha u)^(1/alpha))
+it takes the symbolic chain's limit.  The kernel
 side of the split and endpoint identities is one weighted integral
 (_kernel_integral), which the inequality checkers' remainder bounds use too.
 Up to order _JET_UNROLL_MAX its quadrature panels take c_{n+1} at their 15
@@ -30,8 +31,8 @@ from typing import Callable, Optional, Union
 
 from ._value import FrozenValue
 from .calculus import (_JET_UNROLL_MAX, Alpha, ConformableFn, Interval, QuadratureConfig,
-                       _alpha_value, _chain_derivative, _derivatives, _float_factorials,
-                       _top_coefficient, frac_deriv_n, frac_integral)
+                       _alpha_value, _derivatives, _float_factorials, _top_coefficient,
+                       frac_deriv_n, frac_integral)
 from .errors import EvalDomainError
 
 __all__ = [
@@ -100,25 +101,23 @@ def expand(f: ConformableFn, alpha: AlphaLike, n: int, s: float) -> TaylorExpans
     For a symbolic f every coefficient comes from one truncated power-series
     pass in u = t^alpha/alpha, at s = 0 as at s > 0 (calculus._derivatives;
     coefficient 0 is f's value).  Where that series does not exist or meets
-    a domain error (at 0: a power t^c with c/alpha not a whole number;
-    anywhere: sqrt or abs at a zero argument), each D^k f(s) comes from the
-    symbolic chain with its limit handling, and a plain callable takes
-    frac_deriv_n order by order.  A coefficient that is not finite raises
-    EvalDomainError, the value included.
+    a domain error, each D^k f(s) comes from frac_deriv_n, as for a plain
+    callable: at s > 0 that raises EvalDomainError, at s = 0 (a power t^c
+    with c/alpha not a whole number, say) it takes the symbolic chain's
+    limit.  A coefficient that is not finite raises EvalDomainError, the
+    value included; a negative s raises ValueError.
     """
     a = Alpha(_alpha_value(alpha))
+    if s < 0.0:
+        raise ValueError(f"t must be >= 0, got {s}")
     # coefficient 0 is checked here, for both kinds of f and at n = 0 too;
-    # the derivative routes raise where a higher one is not finite, and
-    # frac_deriv_n rejects a negative centre
-    value = f.value(s, a.value) if f.is_symbolic else frac_deriv_n(f, a, 0, s)
+    # the derivative routes raise where a higher one is not finite
+    value = f.value(s, a.value)
     if not math.isfinite(value):
         raise EvalDomainError(f"derivatives at t={s!r} are not finite")
-    if not f.is_symbolic:
+    derivs = _derivatives(f, a.value, n, s) if f.is_symbolic and n else None
+    if derivs is None:
         derivs = [value] + [frac_deriv_n(f, a, k, s) for k in range(1, n + 1)]
-    else:
-        derivs = _derivatives(f, a.value, n, s) if n else None
-        if derivs is None:
-            derivs = [value] + [_chain_derivative(f, a.value, k, s) for k in range(1, n + 1)]
     return TaylorExpansion(center=s, degree=n, alpha=a, coefficients=(value, *derivs[1:]))
 
 
@@ -130,22 +129,18 @@ def taylor_poly(f: ConformableFn, alpha: AlphaLike, n: int, s: float, t: float) 
 def _scaled_derivative(f: ConformableFn, a: float, m: int) -> Callable[[float], float]:
     """tau -> D^m f(tau) / m!, the integrand factor of the remainder forms.
 
-    A symbolic f takes it as the coefficient c_m of a series pass at each
-    tau, with no factorial, and where it does not exist the chain's value
-    over m!; a plain callable takes frac_deriv_n's value over m!.  At
-    tau > 0 only c_m itself has to be finite, as in frac_deriv_n.
+    A symbolic f takes it at tau > 0 as the coefficient c_m of a series
+    pass, with no factorial, where only c_m has to be finite, as in
+    frac_deriv_n; at a node where tau underflows to 0, and for a plain
+    callable, it is frac_deriv_n's value over m!.
     """
     if m == 0:
         return lambda tau: f.value(tau, a)
     fact = _float_factorials(m)[m]
     if not f.is_symbolic:
         return lambda tau: frac_deriv_n(f, a, m, tau) / fact
-
-    def coefficient(tau: float) -> float:
-        c = _top_coefficient(f, a, m, tau)
-        return _chain_derivative(f, a, m, tau) / fact if c is None else c
-
-    return coefficient
+    return lambda tau: (_top_coefficient(f, a, m, tau) if tau > 0.0
+                        else frac_deriv_n(f, a, m, tau) / fact)
 
 
 def _kernel_integral(f: ConformableFn, a: float, n: int, window: Interval,

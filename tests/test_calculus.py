@@ -338,6 +338,15 @@ class TestOneFinitenessRule:
         with pytest.raises(ValueError, match="t must be >= 0"):
             expand(finite, 0.5, 0, -1.0)
 
+    def test_expand_at_a_negative_centre_raises_for_both_kinds(self):
+        kinds = [ConformableFn.from_expr("t"), ConformableFn.from_expr("exp(t)"),
+                 ConformableFn.from_callable(lambda t: t, derivatives=[lambda t: 1.0])]
+        for f in kinds:
+            for degree in (0, 2):
+                with pytest.raises(ValueError) as exc:
+                    expand(f, 0.5, degree, -1.0)
+                assert str(exc.value) == "t must be >= 0, got -1.0"
+
     def test_an_infinite_top_order_still_raises(self):
         f = ConformableFn.from_expr("t^alpha*(1e308*10)")
         with pytest.raises(EvalDomainError, match="not finite"):
@@ -683,14 +692,19 @@ class TestBatchedPanels:
         with _point_panels():
             assert _remainder_check(check, f, 0.75, n) == report
 
-    def test_product_values_fail_where_the_point_loop_fails(self):
-        # f fails at 2 only, g at every point below 1: g's error comes first
-        product = inequalities._product(ConformableFn.from_expr("1/(t-2)"),
-                                        ConformableFn.from_expr("ln(t-1)"))
-        ts = [0.5, 1.5, 2.0]
-        point = _bits_or_error(lambda: [product.value(t, 0.5) for t in ts][0])
-        assert _bits_or_error(lambda: product.values(ts, 0.5)[0]) == point
-        assert point[1] != "division by zero"
+    def test_product_integrals_fail_where_the_point_loop_fails(self):
+        # on [0.5, 3] the panel's point rule meets g's domain error at its
+        # second node, before f's overflow at its third, while the product's
+        # batch samples f at every node first and raises the overflow; the
+        # panel then evaluates point by point, so the integral raises g's
+        # error, as the point form does
+        product = inequalities._product(ConformableFn.from_expr("exp(245*t)"),
+                                        ConformableFn.from_expr("ln(t-0.7)"))
+        point = _bits_or_error(lambda: frac_integral(ConformableFn(product.value), 1.0,
+                                                     (0.5, 3.0)))
+        assert _bits_or_error(lambda: frac_integral(product, 1.0, (0.5, 3.0))) == point
+        assert point[0] is EvalDomainError
+        assert _bits_or_error(lambda: product.values([0.5, 3.0], 1.0)) != point
 
     def test_grids_still_sample_through_values_only(self):
         # quadrature takes the batch evaluator itself, not the overridable values()

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -739,6 +740,12 @@ class TestEmitReport:
 # the command-line table against the argparse configuration it replaced
 
 class _ReferenceParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's negative numbers, with the CLI's exponent form and -inf
+        self._negative_number_matcher = re.compile(
+            r"^-\d+$|^-\d*\.\d+$|^-(\d+|\d*\.\d+)[eE][-+]?\d+$|^-inf$")
+
     def error(self, message):
         raise cli._UsageError(message)
 
@@ -867,7 +874,7 @@ _FLAGS = sorted({g[0] for groups in _VALID.values() for g in groups}
                    "--csv", "--alphas", "--alpha"})
 _VALUES = ["0.5", "1", "2", "-1", "-0.5", "-.5", "-1e-3", "-x", "--", "x", "", "a b", "t",
            "-exp(-t)", "1,2", "0.25,0.75", "hh1", "gruss", "-3", "x=--", "a=b", "--alpha",
-           "--expr", "-5\n", "1_0", " 2", "inf", "1.5"]
+           "--expr", "-5\n", "1_0", " 2", "inf", "1.5", "-inf", "-2E+1", "-1.e2"]
 _JUNK = ["--", "-", "", "x", "--zz", "-x", "--=x", "--a", "--al", "--c", "--cs", "--js",
          "-5", "--e", "--ex=t", "a b", "--json=1", "--expr", "--json", "--csv", "-h", "-hh",
          "-hx", "--he=1"]
@@ -946,7 +953,11 @@ class TestCommandLineTable:
         (["deriv", "--expr", "t", "--at", "--alpha", "1"],
          "argument --at: expected one argument"),
         (["deriv", "--expr", "t", "--alpha", "1", "--at", "-1e-3"],
+         "--at must be >= 0, got -0.001"),
+        (["deriv", "--expr", "t", "--alpha", "1", "--at", "-1."],
          "argument --at: expected one argument"),
+        (["check", "--ineq", "montgomery", "--f", "sin(t)", "--alpha", "0.5", "--a", "0.5",
+          "--b", "1", "--t", "-inf"], "--t -inf lies outside [0.5, 1.0]"),
         (["deriv", "--expr", "t", "--a", "1"],
          "ambiguous option: --a could match --alpha, --at"),
         (["deriv", "--alpha", "x", "--a", "1"],

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from confrac import functions as fam
-from confrac.calculus import ConformableFn, Interval, frac_deriv_fn
-from confrac.errors import HypothesisError
+from confrac import expr as ex, functions as fam
+from confrac.calculus import (ConformableFn, Interval, QuadratureConfig, frac_deriv_fn,
+                              frac_deriv_n, frac_integral)
+from confrac.errors import ConfracError, EvalDomainError, HypothesisError, QuadratureError
 from confrac.inequalities import (BoundsPair, cebysev, check_sandwich_lemma, gruss,
                                   gruss_montgomery, hermite_hadamard_1,
                                   hermite_hadamard_2, hermite_hadamard_3, jensen,
@@ -13,8 +14,9 @@ from confrac.inequalities import (BoundsPair, cebysev, check_sandwich_lemma, gru
                                   remainder_cebysev, remainder_mm_bounds,
                                   remainder_steffensen, steffensen, steffensen_ell,
                                   verify_hypothesis)
+from confrac.taylor import expand, taylor_remainder
 
-from conftest import quad_oracle
+from conftest import quad_oracle, random_tree
 
 SQ2 = math.sqrt(2.0)
 
@@ -611,3 +613,78 @@ class TestNoChainOnNumericPaths:
             code, out, err = run(argv)
             assert (code, out, err) == expected, argv
             assert code == 0, (argv, err)
+
+    def test_series_routes_at_positive_t_run_without_the_chain(self, monkeypatch):
+        # at t > 0 every route to D^n f is the series pass: its value, bit
+        # for bit, or EvalDomainError where the pass has no finite n! c_n
+        def no_chain(self, n):
+            raise AssertionError("the symbolic chain was built")
+
+        monkeypatch.setattr(ConformableFn, "frac_expr", no_chain)
+        cfg = QuadratureConfig(max_subdivisions=20)
+        rng = random.Random(16)
+        for _ in range(600):
+            f = ConformableFn.from_expr(random_tree(rng))
+            alpha = rng.choice((0.5, 1.0))
+            n = rng.randint(1, 3)
+            t = rng.choice((0.5, 1.0, 1.5, 2.0, 3.0))
+            case = (ex.to_text(f.expr), alpha, n, t)
+            coeffs = _series_at(f, alpha, n, t)
+            want = _times_factorials(coeffs)
+            value = _outcome(f.value, t, alpha)
+            undefined = not isinstance(value, float)    # f.value raised
+            d = frac_deriv_fn(f, n)
+            top = want[n] if want is not None else EvalDomainError
+            for route in (lambda: frac_deriv_n(f, alpha, n, t), lambda: d.value(t, alpha)):
+                got = _outcome(route)
+                assert got == top, case
+                assert not (undefined and isinstance(got, float)), case
+            ts = [t, t + 0.25, t + 0.5]
+            batch = [want[n] if want is not None else None for want in
+                     (_times_factorials(_series_at(f, alpha, n, s)) for s in ts)]
+            got = _outcome(d.values, ts, alpha)
+            assert got == (EvalDomainError if None in batch else batch), case
+            got = _outcome(lambda: expand(f, alpha, n, t).coefficients)
+            if undefined or want is None or not all(map(math.isfinite, [value, *want])):
+                assert got is EvalDomainError, case
+            else:
+                assert got == (value, *want[1:]), case
+            # the small subdivision budget keeps the run short; where it does
+            # not reach the tolerance, both integrals say so
+            got = _outcome(taylor_remainder, f, alpha, n - 1, t, t + 0.25, cfg)
+            assert got == _outcome(_series_remainder, f, alpha, n - 1, t, t + 0.25, cfg), case
+            assert got in (EvalDomainError, QuadratureError) or isinstance(got, float), case
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the ConfracError it raises."""
+    try:
+        return fn(*args)
+    except ConfracError as exc:
+        return type(exc)
+
+
+def _series_at(f, alpha, n, t):
+    """c_0..c_n of the series pass at t > 0, or None where it raises."""
+    try:
+        return ex.taylor_series(f.expr, n, alpha, ex.t_power_at(t, alpha, n))
+    except (ConfracError, ArithmeticError, ValueError):
+        return None
+
+
+def _times_factorials(coeffs):
+    """k! c_k, or None where the series does not exist or c_n is not finite."""
+    if coeffs is None or not math.isfinite(coeffs[-1]):
+        return None
+    return [c * math.factorial(k) for k, c in enumerate(coeffs)]
+
+
+def _series_remainder(f, alpha, n, center, at, cfg):
+    """R_n f(center, at) from an integrand sampling the series pass directly."""
+    def integrand(tau, _alpha=alpha):
+        c = _series_at(f, alpha, n + 1, tau)
+        if c is None or not math.isfinite(c[-1]):
+            raise EvalDomainError("no series")
+        return (n + 1) * c[-1] * ((math.pow(at, alpha) - math.pow(tau, alpha)) / alpha) ** n
+
+    return frac_integral(ConformableFn(integrand), alpha, (center, at), cfg)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from confrac import _taylor_mode as tm, calculus, expr as ex
 from confrac import functions as fam
-from confrac.calculus import Alpha, ConformableFn, Interval, frac_deriv_n
+from confrac.calculus import Alpha, ConformableFn, Interval, frac_deriv_fn, frac_deriv_n
 from confrac.errors import EvalDomainError
 from confrac.taylor import (binomial_identity_residual, cauchy_kernel, expand,
                             remainder_endpoint_integral, remainder_split_residual,
@@ -189,6 +189,17 @@ def _chain_at(f, k, s, alpha):
         return None
 
 
+# D^1..D^4 f(1) of the symbolic chain where f has no series at t = 1, which
+# no route reports: of ln(t-2) and 0*ln(t-2), whose f(1) is undefined, and
+# of three constants, whose exact zeros are lost with the series
+_ZEROS = {0.5: [0.0] * 4, 1.0: [0.0] * 4}
+_CHAIN_ONLY_AT_1 = {
+    "ln(t-2)": {0.5: [-1.0, -1.5, -3.5, -12.75], 1.0: [-1.0, -1.0, -2.0, -6.0]},
+    "sqrt(t-t)": _ZEROS, "0*abs(t-1)": _ZEROS, "(alpha+(alpha-11))^(-(t-t))": _ZEROS,
+    "0*ln(t-2)": _ZEROS,
+}
+
+
 class TestSeriesCoefficients:
     """expand() and frac_deriv_n take every D^k f(s) from one truncated-series
     pass; these tests hold them to the symbolic chain, walked as a tree."""
@@ -199,22 +210,38 @@ class TestSeriesCoefficients:
         # a zero base with an integer exponent has a value, not a division by 0
         ("(t-1)^3", True),
         # identically zero subtrees: the pass meets sqrt or abs at 0, or the
-        # log of a negative base, and falls back to the chain, where d/dt
-        # folds the zero factor away
+        # log of a negative base, so there is no series and every route
+        # raises, while d/dt folds the zero factor away and the chain's
+        # levels are the exact zeros of a constant
         ("sqrt(t-t)", True), ("0*abs(t-1)", True),
         ("(alpha+(alpha-11))^(-(t-t))", True),
-        # f(1) is undefined, but d/dt folds 0*ln(t-2) to 0: D^k f(1) = 0, k >= 1
+        # f(1) is undefined, but d/dt folds 0*ln(t-2) to 0: the chain has
+        # D^k f(1) = 0, k >= 1, and no route reports them
         ("0*ln(t-2)", False),
     ])
     @pytest.mark.parametrize("alpha", (0.5, 1.0))
     def test_domain_parity_with_compiled_levels(self, text, defined, alpha):
         n, s = 4, 1.0
+        g = ConformableFn.from_expr(text)
+        want = [_chain_at(g, k, s, alpha) for k in range(n + 1)]
+        if text in _CHAIN_ONLY_AT_1:
+            # the chain has every level at s, f's value only where defined;
+            # the series routes raise at every order instead
+            assert (want[0] is not None) == defined
+            assert want[1:] == _CHAIN_ONLY_AT_1[text][alpha]
+            f = ConformableFn.from_expr(text)
+            with pytest.raises(EvalDomainError):
+                expand(f, alpha, n, s)
+            for k in range(1, n + 1):
+                with pytest.raises(EvalDomainError):
+                    frac_deriv_n(f, alpha, k, s)
+                with pytest.raises(EvalDomainError):
+                    frac_deriv_fn(f, k).value(s, alpha)
+            return
         try:
             got = expand(ConformableFn.from_expr(text), alpha, n, s).coefficients
         except EvalDomainError:
             got = None
-        g = ConformableFn.from_expr(text)
-        want = [_chain_at(g, k, s, alpha) for k in range(n + 1)]
         assert (got is not None) == (None not in want) == defined
         if defined:
             assert got == pytest.approx(want, rel=1e-9)
@@ -227,8 +254,6 @@ class TestSeriesCoefficients:
             assert (value is None) == (want[k] is None), k
             if value is not None:
                 assert value == pytest.approx(want[k], rel=1e-9, abs=1e-12), k
-        if text == "0*ln(t-2)":
-            assert want[1:] == [0.0] * n
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(text=st.sampled_from(DEEP_TEXTS), alpha=st.floats(0.2, 1.0, exclude_min=True),
@@ -320,7 +345,7 @@ def _loop_at_zero(text, alpha, n):
     g = ConformableFn.from_expr(text)
     try:
         return (g.value(0.0, alpha),) + tuple(
-            calculus._chain_derivative(g, alpha, k, 0.0) for k in range(1, n + 1))
+            calculus._chain_derivative(g, alpha, k) for k in range(1, n + 1))
     except Exception as exc:  # the type is compared, not swallowed
         return type(exc)
 
