@@ -28,15 +28,15 @@ never samples a derivative function would pay.
 from __future__ import annotations
 
 import re
-import threading
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ExprDepthError
-from .expr import (ALPHA, FUNCTIONS, T, Call, Expr, Neg, Num, Pow, _EVAL_GLOBALS, _PY_FUNC,
-                   _PY_OP, _Binary, _as_number, _compiled, _depth_guarded, _jet_pow_const,
-                   _jet_pow_var, _pysource)
+from .expr import (ALPHA, FUNCTIONS, T, Call, CacheInfo, Expr, Neg, Num, Pow, _CACHE_LOCK,
+                   _EVAL_GLOBALS, _PY_FUNC, _PY_OP, _SHAPE_CACHE_SIZE, _Binary, _as_number,
+                   _compiled, _depth_guarded, _jet_pow_const, _jet_pow_var, _pysource,
+                   _remember)
 
-_JET_CACHE_SIZE = 256
+_JET_CACHE_SIZE = _SHAPE_CACHE_SIZE  # the bound of expr._remember
 _POW_UNROLL_MAX = 64  # a whole literal exponent up to this is unrolled
 
 
@@ -343,30 +343,15 @@ def _make_factory(source: str) -> Callable:
     return namespace["make"]
 
 
-class CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
 # Both bounded to _JET_CACHE_SIZE entries, the oldest dropped first.  The
 # slots of a shape and order are the literal exponents its writer met.
 _factories: dict = {}   # (shape, n, unrolled powers) -> the code's make()
 _slots: dict = {}       # (shape, n) -> ((parameter, negated?), ...)
 _counts = [0, 0]        # hits, misses
-_lock = threading.Lock()
 
 
 def _powers(consts: tuple, slots: tuple) -> tuple:
     return tuple(_unrolled(-consts[k] if negated else consts[k]) for k, negated in slots)
-
-
-def _remember(cache: dict, key, value) -> None:
-    with _lock:
-        if len(cache) >= _JET_CACHE_SIZE:
-            del cache[next(iter(cache))]
-        cache[key] = value
 
 
 def cache_info() -> CacheInfo:
@@ -376,7 +361,7 @@ def cache_info() -> CacheInfo:
 
 
 def cache_clear() -> None:
-    with _lock:
+    with _CACHE_LOCK:
         _factories.clear()
         _slots.clear()
         _counts[:] = [0, 0]

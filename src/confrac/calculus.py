@@ -569,14 +569,20 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
     A symbolic f takes D^n f(t) = n! c_n from the series pass of _series.
     At t > 0 only D^n itself has to be finite, as in the compiled functions
     of frac_deriv_fn, and EvalDomainError reports a series that does not
-    exist; at t = 0 every D^k, k <= n, has to be, and where the series does
-    not exist the symbolic chain's limit (_chain_derivative) gives D^n.
+    exist; where f already holds its compiled Taylor mode of order n, c_n
+    comes from that code, which gives the pass's value, and the pass runs
+    only where the code raises or leaves float range, so the errors are the
+    pass's.  At t = 0 every D^k, k <= n, has to be finite, and where the
+    series does not exist the symbolic chain's limit (_chain_derivative)
+    gives D^n.  A t that is negative or not finite raises ValueError.
     """
     a = _alpha_value(alpha)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if n == 0:
         return f.value(t, a)
     if f._derivative_of is not None:
@@ -587,6 +593,15 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
     if t == 0.0:
         d = _derivatives(f, a, n, t)
         return d[n] if d is not None else _chain_derivative(f, a, n)
+    fns = f._frac_compiled
+    if n < len(fns) and fns[n] is not None:
+        try:
+            d = _times_factorial(fns[n].top(t, a), n)
+        except (ex.NoTaylorSeries, EvalDomainError):
+            pass
+        else:
+            if math.isfinite(d):
+                return d
     d = _times_factorial(_top_coefficient(f, a, n, t), n)
     if not math.isfinite(d):
         raise EvalDomainError(f"a derivative of order <= {n} at {t!r} is out of float range")

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import io
 import math
-import re
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
@@ -346,6 +345,8 @@ def _cmd_deriv(args, out, err) -> int:
         raise _UsageError(f"--order must be >= 0, got {args.order}")
     if args.at < 0:
         raise _UsageError(f"--at must be >= 0, got {args.at}")
+    if not math.isfinite(args.at):
+        raise _UsageError(f"--at must be finite, got {args.at}")
     f = _fn(args.expr, "--expr")
     print(_fmt(frac_deriv_n(f, alpha, args.order, args.at)), file=out)
     return EXIT_OK
@@ -365,6 +366,8 @@ def _cmd_taylor(args, out, err) -> int:
         raise _UsageError(f"--degree must be >= 0, got {args.degree}")
     if min(args.center, args.at) < 0:
         raise _UsageError("--center and --at must be >= 0")
+    if not (math.isfinite(args.center) and math.isfinite(args.at)):
+        raise _UsageError("--center and --at must be finite")
     f = _fn(args.expr, "--expr")
     poly = expand(f, alpha, args.degree, args.center).evaluate(args.at)
     if args.remainder:
@@ -590,8 +593,14 @@ def _build_parser() -> _Table:
     return _Table(commands)
 
 
-# argparse's negative numbers (-1, -.5), also in exponent form (-1e-3) and -inf
-_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+|\d*\.\d+)(?:[eE][-+]?\d+)?|inf)$").match
+def _is_number(arg: str) -> bool:
+    """Whether float() reads arg: a negative number (-1, -.5, -1., -1e-3,
+    -inf, -nan) is a value, not a flag."""
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
 
 
 def _classify(arg: str, options: dict):
@@ -619,7 +628,7 @@ def _classify(arg: str, options: dict):
                           f"{', '.join(m[1] for m in matches)}")
     if matches:
         return matches[0]
-    if _NEGATIVE_NUMBER(arg) or " " in arg:
+    if _is_number(arg) or " " in arg:
         return None
     return None, arg, None
 

@@ -47,7 +47,7 @@ import operator
 import re
 import threading
 import weakref
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._value import FrozenValue
 from .errors import EvalDomainError, ExprDepthError, ExprSyntaxError
@@ -205,7 +205,8 @@ ALPHA = Sym("alpha")
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+# the names that stand for a node; pi and e are kept alive here
+_NAMED = {"t": T, "alpha": ALPHA, "pi": Num(math.pi), "e": Num(math.e)}
 
 
 class EvalEnv(FrozenValue):
@@ -225,7 +226,8 @@ class EvalEnv(FrozenValue):
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN = (r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TOKEN = (rf"(?P<num>{_NUMBER})"
           r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
           r"|(?P<op>[-+*/^()])")
 # one token after optional whitespace; a token is the first alternative of
@@ -242,6 +244,7 @@ _LEXICAL_RE = re.compile(rf"(?:(?=(\s|{_TOKEN}))\1)*")
 _PLAIN_RE = re.compile(r"[A-Za-z0-9_+\-*/^() \t\n\r\f\v]*")
 
 MAX_NESTING = 100
+_LITERAL = (Num, None)
 
 
 class _Parser:
@@ -282,6 +285,16 @@ class _Parser:
             raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", off)
         self.depth += 1
 
+    def made(self, node: Expr, op: tuple, arity: int) -> Expr:
+        """Put op, which built node from the last arity subtrees, on the
+        tape; a subtree without literals is one node to push."""
+        tape = self.tape
+        if tape[-1][0] is None and (arity == 1 or tape[-2][0] is None):
+            tape[-arity:] = [(None, node)]
+        else:
+            tape.append(op)
+        return node
+
     def advance(self):
         tok = self.token
         self.token = self.scan()
@@ -291,6 +304,12 @@ class _Parser:
         raise ExprSyntaxError(message, self.token[2])
 
     def parse(self) -> Expr:
+        # the constructor calls made, for _replay: (None, node) pushes a node
+        # without literals, (Num, None) the next literal, Neg and Call (with
+        # the function's name) rebuild the top of the stack, a binary class
+        # the top two
+        self.tape = []
+        self.constants = []  # the values of pi and e where they stand
         try:
             if self.token[0] == "end":
                 self.fail("empty input")
@@ -308,7 +327,8 @@ class _Parser:
         while self.token[1] in ("+", "-"):
             op = self.advance()[1]
             rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+            cls = Add if op == "+" else Sub
+            e = self.made(cls(e, rhs), (cls, None), 2)
         return e
 
     def term(self) -> Expr:
@@ -316,7 +336,8 @@ class _Parser:
         while self.token[1] in ("*", "/"):
             op = self.advance()[1]
             rhs = self.unary()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+            cls = Mul if op == "*" else Div
+            e = self.made(cls(e, rhs), (cls, None), 2)
         return e
 
     def unary(self) -> Expr:
@@ -324,7 +345,7 @@ class _Parser:
             self.descend(self.advance()[2])
             operand = self.unary()
             self.depth -= 1
-            return Neg(operand)
+            return self.made(Neg(operand), (Neg, None), 1)
         return self.power()
 
     def power(self) -> Expr:
@@ -333,7 +354,7 @@ class _Parser:
             self.descend(self.advance()[2])
             exponent = self.unary()
             self.depth -= 1
-            return Pow(base, exponent)
+            return self.made(Pow(base, exponent), (Pow, None), 2)
         return base
 
     def atom(self) -> Expr:
@@ -343,15 +364,16 @@ class _Parser:
             value = float(text)
             if not math.isfinite(value):
                 raise ExprSyntaxError(f"literal {text!r} overflows a double", off)
+            self.tape.append(_LITERAL)
             return Num(value)
         if kind == "name":
             self.advance()
-            if text == "t":
-                return T
-            if text == "alpha":
-                return ALPHA
-            if text in _CONSTANTS:
-                return Num(_CONSTANTS[text])
+            node = _NAMED.get(text)
+            if node is not None:
+                if type(node) is Num:
+                    self.constants.append(node.value)
+                self.tape.append((None, node))
+                return node
             if self.token[1] != "(":
                 raise ExprSyntaxError(f"unknown identifier {text!r}", off)
             if text not in FUNCTIONS:
@@ -362,7 +384,7 @@ class _Parser:
                 self.fail("expected ')'")
             self.advance()
             self.depth -= 1
-            return Call(text, arg)
+            return self.made(Call(text, arg), (Call, text), 1)
         if text == "(":
             self.descend(self.advance()[2])
             e = self.expr()
@@ -376,6 +398,49 @@ class _Parser:
         self.fail(f"unexpected token {text!r}")
 
 
+# Parses by the text's shape up to its numbers: the text with each run that
+# _NUMBER matches replaced by "#".  No name holds a digit, so in a text the
+# parser accepts those runs are its number tokens, and its shape has no
+# digit, no "." and no "#" after a letter or a "#".  A text of that shape
+# without a "#" of its own thus has the same tokens up to their numbers,
+# and the parser would make the same constructor calls: parse replays the
+# entry's tape with the text's literals instead.  Nodes are equal where
+# their literal values are, so each pattern of equal values (constants
+# included) has one _compiled shape, which the entry learns from _compiled
+# (see _attach).  Bounded to _SHAPE_CACHE_SIZE entries, texts of at most
+# _SHAPE_SOURCE_CAP characters.
+_LITERAL_RE = re.compile(f"({_NUMBER})")
+_parses: dict = {}   # shape -> (tape, constants, {pattern: (make, source, parameters)})
+_parse_counts = [0, 0]  # hits, misses
+_CACHE_LOCK = threading.Lock()
+
+
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+def _remember(cache: dict, key, value) -> None:
+    """cache[key] = value, the oldest entry dropped first at _SHAPE_CACHE_SIZE."""
+    with _CACHE_LOCK:
+        if len(cache) >= _SHAPE_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = value
+
+
+def parse_cache_info() -> CacheInfo:
+    """Hits and misses of parse's cache; a miss is one run of the parser."""
+    return CacheInfo(_parse_counts[0], _parse_counts[1], _SHAPE_CACHE_SIZE, len(_parses))
+
+
+def parse_cache_clear() -> None:
+    with _CACHE_LOCK:
+        _parses.clear()
+        _parse_counts[:] = [0, 0]
+
+
 def parse(text: str) -> Expr:
     """Parse expression text into a tree.  Raises ExprSyntaxError with offset.
 
@@ -385,8 +450,66 @@ def parse(text: str) -> Expr:
     parse needs them, so an error stops the reading; a character that starts
     no token is reported before any parse error, as if the whole text had
     been tokenized first.
+
+    A text of a shape parsed before (the same text up to its numbers) is
+    not parsed again but rebuilt, and where its literals are equal where
+    those of a text compiled before were, its tree gets its compiled code
+    with it: compile_expr then calls no compiler and walks no tree.  Every
+    text the parser rejects still goes to the parser.
     """
-    return _Parser(text).parse()
+    if "#" in text or len(text) > _SHAPE_SOURCE_CAP:
+        return _Parser(text).parse()
+    parts = _LITERAL_RE.split(text)
+    key = "#".join(parts[::2])
+    values = list(map(float, parts[1::2]))
+    entry = _parses.get(key)
+    if entry is None or math.inf in values:
+        _parse_counts[1] += 1
+        parser = _Parser(text)
+        root = parser.parse()
+        entry = (parser.tape, parser.constants, {})
+        _remember(_parses, key, entry)
+    else:
+        _parse_counts[0] += 1
+        root = _replay(entry[0], values)
+    if root._code is None:
+        _attach(root, entry, values)
+    return root
+
+
+def _replay(tape: list, values: list) -> Expr:
+    stack = []
+    push = stack.append
+    literals = iter(values)
+    for fn, arg in tape:
+        if fn is None:
+            push(arg)
+        elif fn is Num:
+            push(Num(next(literals)))
+        elif fn is Neg:
+            stack[-1] = Neg(stack[-1])
+        elif fn is Call:
+            stack[-1] = Call(arg, stack[-1])
+        else:
+            right = stack.pop()
+            stack[-1] = fn(stack[-1], right)
+    return stack[0]
+
+
+def _attach(root: Expr, entry: tuple, values: list) -> None:
+    """Give root the compiled code of its pattern of equal values, or,
+    where the entry has not learnt it, what _compiled needs to teach it."""
+    _, constants, patterns = entry
+    values = constants + values
+    first: dict = {}
+    pattern = tuple([first.setdefault(v, k) for k, v in enumerate(values)])
+    known = patterns.get(pattern)
+    if known is None:
+        _SET(root, "_code", [patterns, pattern, values])
+    else:
+        make, source, parameters = known
+        consts = tuple([values[k] for k in parameters])
+        _SET(root, "_code", (*make(*consts), source, consts))
 
 
 # ---------------------------------------------------------------------------
@@ -938,10 +1061,13 @@ def _compiled(e: Expr) -> tuple:
     """The node's (evaluator, batch evaluator, shape, literal values), built
     once per node.  The shape is the literal-free source of _pysource, or
     None where it is over _SHAPE_SOURCE_CAP and so not cached; equal shapes
-    are equal trees up to their literals, which compile_jet keys on."""
+    are equal trees up to their literals, which compile_jet keys on.  A
+    tree from parse that came without its code teaches parse's cache the
+    shape of its pattern of equal literals (see _attach)."""
     code = e._code
-    if code is not None:
+    if type(code) is tuple:
         return code
+    learn = code  # None, or [patterns, pattern, values] from _attach
     source, consts, _ = _pysource(e)
     params = ", ".join(f"c{k}" for k in range(len(consts)))
     cached = len(source) <= _SHAPE_SOURCE_CAP
@@ -955,6 +1081,9 @@ def _compiled(e: Expr) -> tuple:
         _MAKE.format(params=params, source=source, batch=batch))
     code = (*make(*consts), source if cached else None, tuple(consts))
     _SET(e, "_code", code)
+    if learn is not None and cached:
+        patterns, pattern, values = learn
+        _remember(patterns, pattern, (make, source, tuple(map(values.index, consts))))
     return code
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import scipy.integrate
 
@@ -65,6 +66,44 @@ def random_tree(rng: random.Random, depth: int = 4) -> ex.Expr:
     if kind == 5:
         return ex.Pow(random_tree(rng, depth - 1), random_tree(rng, depth - 1))
     return ex.Call(rng.choice(ex.FUNCTIONS), random_tree(rng, depth - 1))
+
+
+# the literals to_text prints: digits, a fraction, an exponent
+_PRINTED_LITERAL = re.compile(r"\d+(?:\.\d+)?(?:e[+-]?\d+)?")
+_LITERALS = ("0", "1", "2", "0.5", "0.7", "1.0", "3.25", "10", "2.5e-3", "1e2", "0.1",
+             "3.141592653589793", "pi", "e")
+
+
+def random_text(rng: random.Random, tree: ex.Expr = None) -> str:
+    """to_text of a random_tree (or of tree) with its literals drawn anew, a
+    third of them repeating one drawn before (0.5*t+0.5 beside 0.5*t+0.7),
+    some the constants pi and e or the value of pi; one text in five is
+    corrupted: a ")" dropped, a "#" inserted, a 1e999 literal, an unknown
+    name or a cut."""
+    text = ex.to_text(random_tree(rng) if tree is None else tree)
+    drawn = []
+
+    def literal(_):
+        drawn.append(rng.choice(drawn) if drawn and rng.random() < 0.33
+                     else rng.choice(_LITERALS))
+        return drawn[-1]
+
+    text = _PRINTED_LITERAL.sub(literal, text)
+    if rng.random() < 0.2:
+        at = rng.randrange(len(text) + 1)
+        kind = rng.randrange(5)
+        if kind == 0 and ")" in text:
+            cut = rng.choice([k for k, c in enumerate(text) if c == ")"])
+            text = text[:cut] + text[cut + 1:]
+        elif kind == 1:
+            text = text[:at] + "#" + text[at:]
+        elif kind == 2:
+            text = text[:at] + "+1e999" + text[at:]
+        elif kind == 3:
+            text = text[:at] + rng.choice(("x", "tan(t)", "t2", "alph")) + text[at:]
+        else:
+            text = text[:at] + text[at + rng.randint(1, 3):]
+    return text
 
 
 def random_safe_tree(rng: random.Random, depth: int = 3) -> ex.Expr:

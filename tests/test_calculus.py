@@ -275,6 +275,46 @@ class TestFracDerivNIgnoresCompiledState:
             assert f._frac_compiled[n] is not None
         assert [_outcome(lambda: frac_deriv_n(f, 0.5, n, t)) for n in range(1, 5)] == before
 
+    @pytest.mark.parametrize("text", ["1e308*10 + t", "exp(-t)*cos(t)", "ln(t-2)"])
+    def test_the_jets_and_the_pass_in_both_orders(self, monkeypatch, text):
+        # a function holding its jets of order n takes D^n from them, and
+        # runs the pass only where they raise or leave float range
+        passes = []
+        top = calculus._top_coefficient
+        monkeypatch.setattr(calculus, "_top_coefficient",
+                            lambda *args: passes.append(args) or top(*args))
+        points = [(n, t) for n in range(1, 5) for t in (0.6, 1.3, 2.5)]
+
+        def outcomes(f):
+            return [_outcome(lambda: frac_deriv_n(f, 0.5, n, t)) for n, t in points]
+
+        def with_jets(f):
+            for n in range(1, 5):
+                f._jets(n)
+            return f
+
+        passed_first = ConformableFn.from_expr(text)
+        by_pass = outcomes(passed_first)
+        assert len(passes) == len(points)
+        assert outcomes(with_jets(passed_first)) == by_pass
+        jets_first = with_jets(ConformableFn.from_expr(text))
+        del passes[:]
+        assert outcomes(jets_first) == outcomes(ConformableFn.from_expr(text)) == by_pass
+        failed = sum(not isinstance(o, str) for o in by_pass)
+        assert len(passes) == len(points) + failed  # the jets ran no pass where they held
+        assert (failed > 0) == (text == "ln(t-2)")
+
+    def test_a_t_that_is_not_finite_raises(self):
+        f = ConformableFn.from_expr("t^2")
+        for t in (math.nan, math.inf):
+            for n in (0, 1, 2):
+                with pytest.raises(ValueError, match="t must be finite"):
+                    frac_deriv_n(f, 1.0, n, t)
+            with pytest.raises(ValueError, match="t must be finite"):
+                frac_deriv(f, 1.0, t)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            frac_deriv_n(f, 1.0, 1, -math.inf)
+
 
 def _same_outcome(first, second) -> bool:
     """Equal values (0.0 and -0.0 alike), or errors of one type and message."""

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import time
@@ -739,12 +738,22 @@ class TestEmitReport:
 # ---------------------------------------------------------------------------
 # the command-line table against the argparse configuration it replaced
 
+class _FloatMatcher:
+    @staticmethod
+    def match(text):
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _ReferenceParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's negative numbers, with the CLI's exponent form and -inf
-        self._negative_number_matcher = re.compile(
-            r"^-\d+$|^-\d*\.\d+$|^-(\d+|\d*\.\d+)[eE][-+]?\d+$|^-inf$")
+        # argparse's negative numbers, widened as the CLI widens them to
+        # whatever float() reads
+        self._negative_number_matcher = _FloatMatcher
 
     def error(self, message):
         raise cli._UsageError(message)
@@ -874,7 +883,8 @@ _FLAGS = sorted({g[0] for groups in _VALID.values() for g in groups}
                    "--csv", "--alphas", "--alpha"})
 _VALUES = ["0.5", "1", "2", "-1", "-0.5", "-.5", "-1e-3", "-x", "--", "x", "", "a b", "t",
            "-exp(-t)", "1,2", "0.25,0.75", "hh1", "gruss", "-3", "x=--", "a=b", "--alpha",
-           "--expr", "-5\n", "1_0", " 2", "inf", "1.5", "-inf", "-2E+1", "-1.e2"]
+           "--expr", "-5\n", "1_0", " 2", "inf", "1.5", "-inf", "-2E+1", "-1.e2", "-1.",
+           "-Infinity", "-nan", "-1_0", "nan"]
 _JUNK = ["--", "-", "", "x", "--zz", "-x", "--=x", "--a", "--al", "--c", "--cs", "--js",
          "-5", "--e", "--ex=t", "a b", "--json=1", "--expr", "--json", "--csv", "-h", "-hh",
          "-hx", "--he=1"]
@@ -955,7 +965,7 @@ class TestCommandLineTable:
         (["deriv", "--expr", "t", "--alpha", "1", "--at", "-1e-3"],
          "--at must be >= 0, got -0.001"),
         (["deriv", "--expr", "t", "--alpha", "1", "--at", "-1."],
-         "argument --at: expected one argument"),
+         "--at must be >= 0, got -1.0"),
         (["check", "--ineq", "montgomery", "--f", "sin(t)", "--alpha", "0.5", "--a", "0.5",
           "--b", "1", "--t", "-inf"], "--t -inf lies outside [0.5, 1.0]"),
         (["deriv", "--expr", "t", "--a", "1"],
@@ -971,6 +981,22 @@ class TestCommandLineTable:
         (["deriv", "--b", "1", "--expr", "t"],
          "the following arguments are required: --alpha, --at"),
         (["deriv", "--alpha", "x", "--expr", "--"], "--expr expects a value, got '--'"),
+        (["deriv", "--expr", "t", "--alpha", "1", "--at", "-Infinity"],
+         "--at must be >= 0, got -inf"),
+        (["deriv", "--expr", "t", "--alpha", "1", "--at", "-1_0"],
+         "--at must be >= 0, got -10.0"),
+        (["deriv", "--expr", "t", "--alpha", "1", "--at", "-nan"],
+         "--at must be finite, got nan"),
+        (["deriv", "--expr", "t^2", "--alpha", "1", "--at", "nan"],
+         "--at must be finite, got nan"),
+        (["deriv", "--expr", "t^2", "--alpha", "1", "--at", "inf"],
+         "--at must be finite, got inf"),
+        (["taylor", "--expr", "exp(t)", "--alpha", "1", "--center", "1", "--degree", "2",
+          "--at", "nan"], "--center and --at must be finite"),
+        (["taylor", "--expr", "exp(t)", "--alpha", "1", "--center", "1", "--degree", "2",
+          "--at", "inf"], "--center and --at must be finite"),
+        (["taylor", "--expr", "exp(t)", "--alpha", "1", "--center", "nan", "--degree", "2",
+          "--at", "1"], "--center and --at must be finite"),
     ])
     def test_usage_errors(self, argv, message):
         assert invoke(argv) == (EXIT_USAGE, "", f"confrac: usage error: {message}\n")

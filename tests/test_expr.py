@@ -1,12 +1,15 @@
 import copy
 import gc
+import importlib.util
 import io
+import itertools
 import math
 import pickle
 import random
 import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from confrac import _taylor_mode as tm, cli, expr as ex
 from confrac.calculus import _JET_UNROLL_MAX, ConformableFn, frac_deriv_fn, frac_deriv_n
 from confrac.errors import EvalDomainError, ExprDepthError, ExprSyntaxError
 
-from conftest import central_fd, random_safe_tree, random_tree
+from conftest import central_fd, random_safe_tree, random_text, random_tree
 
 
 class TestParse:
@@ -222,6 +225,157 @@ class TestTokensOnDemand:
         # of 4,001 tokens: the parentheses up to the one past the limit, and
         # the one after it, read as that one was consumed
         assert len(drawn) == ex.MAX_NESTING + 2
+
+
+def _parser_alone(text):
+    return _outcome(lambda s: ex._Parser(s).parse(), text)
+
+
+def _from_scratch(root):
+    """_compiled(root) as a node that was never compiled computes it."""
+    saved = root._code
+    object.__setattr__(root, "_code", None)
+    try:
+        return ex._compiled(root)
+    finally:
+        object.__setattr__(root, "_code", saved)
+
+
+def _runs(code):
+    """What the point and batch evaluators of a _compiled tuple give."""
+    ts = [0.0, 0.4, 1.7]
+    out = []
+    for alpha in (0.5, 1.0):
+        for run in (lambda: [code[0](t, alpha) for t in ts], lambda: code[1](ts, alpha)):
+            try:
+                out.append(_bits(run()))
+            except EvalDomainError as exc:
+                out.append(str(exc))
+    return out
+
+
+def _workload_texts():
+    """Every string an operation of the four benchmark workloads holds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    texts = []
+    for name, rounds in (("battery", 3), ("taylor-deep", 1), ("ivp", 1), ("cli", 2)):
+        for ops in itertools.islice(workloads.rounds(name, 7), rounds):
+            for op in ops:
+                for value in op.values():
+                    values = value if isinstance(value, (list, tuple)) else [value]
+                    texts += [v for v in values if isinstance(v, str)]
+    return texts
+
+
+class TestParseCache:
+    """parse replays a cached parse for a text of a shape seen before (the
+    same text up to its numbers) and gives it the compiled code of its
+    pattern of equal literals: the parser's tree, the parser's errors."""
+
+    def check(self, text):
+        got, want = _outcome(ex.parse, text), _parser_alone(text)
+        if not isinstance(want, ex.Expr):
+            assert got == want, text
+            return False
+        assert got is want, text
+        attached = type(want._code) is tuple  # compiled code without a compile
+        code = ex._compiled(want)
+        assert code[2:] == _from_scratch(want)[2:], text
+        assert _runs(code) == _runs(_from_scratch(want)), text
+        return attached
+
+    def test_same_trees_errors_and_code_as_the_parser_cold_and_warm(self):
+        rng = random.Random(17)
+        corpus = []
+        for _ in range(800):  # four texts of each tree: its shape warm after the first
+            tree = random_tree(rng)
+            corpus += [random_text(rng, tree) for _ in range(4)]
+        for seed in range(300):  # the CLI fuzz tests' damaged texts
+            text = ex.to_text(random_tree(random.Random(seed)))
+            cut = rng.randrange(len(text) + 1)
+            corpus.append(text[:cut] + text[cut + rng.randint(1, 3):])
+        corpus += _workload_texts()
+        live = 0  # roots compiled before, which need no code attached
+        for text in corpus:  # cold: every text a miss
+            ex.parse_cache_clear()
+            live += self.check(text)
+        assert ex.parse_cache_info().hits == 0
+        attached = sum(map(self.check, corpus))
+        info = ex.parse_cache_info()
+        assert info.hits > 1500 and attached - live > 800, (info, attached, live)
+        assert info.currsize <= info.maxsize == ex._SHAPE_CACHE_SIZE
+
+    @pytest.mark.parametrize("seen, text", [
+        ("1+t", "#+t"), ("2*t+1", "1e999*t+1"), ("2*t+1", "2*t+1#"),
+        ("-" * 100 + "2", "-" * 101 + "2"),
+        ("(" * 100 + "1" + ")" * 100, "(" * 101 + "1" + ")" * 101),
+        ("t+1", "t+1.5.3"), ("t+1", "t.5+1"), ("t+1", "t+1e"), ("t2", "t2"),
+        ("sin(t)", "sin(t"), ("2*t", "2*t 3"), ("t+1", "t+٣"), ("t+1", "t+1\xe9"),
+    ])
+    def test_invalid_texts_get_the_parsers_error(self, seen, text):
+        ex.parse_cache_clear()
+        _outcome(ex.parse, seen)
+        assert _outcome(ex.parse, text) == _parser_alone(text)
+
+    def test_a_second_text_of_a_seen_shape_and_pattern_compiles_nothing(self, monkeypatch):
+        ex.parse_cache_clear()
+        ex._shape_factory.cache_clear()
+        walks = []
+        pysource = ex._pysource
+        monkeypatch.setattr(ex, "_pysource", lambda e: walks.append(e) or pysource(e))
+        compiles = []
+        monkeypatch.setattr(ex, "compile", lambda *a: compiles.append(a) or compile(*a),
+                            raising=False)
+        first = ConformableFn.from_expr("0.25*exp(-0.5*t^alpha/alpha)+0.75")
+        assert ex.parse_cache_info()[:2] == (0, 1) and len(walks) == 1
+        del first
+        factories = ex._shape_factory.cache_info()
+        second = ConformableFn.from_expr("0.125*exp(-1.5*t^alpha/alpha)+2")
+        assert ex.parse_cache_info()[:2] == (1, 1)
+        assert (len(walks), ex._shape_factory.cache_info()) == (1, factories)
+        for t in (0.3, 1.9):
+            assert second.value(t, 0.5) == ex.evaluate_at(second.expr, t, 0.5)
+        # equal literals share a node: another pattern, another shape
+        third = ConformableFn.from_expr("0.5*exp(-0.5*t^alpha/alpha)+2")
+        assert ex.parse_cache_info()[:2] == (2, 1) and len(walks) == 2
+        assert ex._compiled(third.expr)[2] != ex._compiled(second.expr)[2]
+        assert third.value(1.1, 0.5) == ex.evaluate_at(third.expr, 1.1, 0.5)
+        assert len(compiles) == 2  # the first and the third text
+
+    def test_bounded_and_safe_across_threads(self):
+        rng = random.Random(29)
+        texts = [random_text(rng) for _ in range(600)]
+        want = [_parser_alone(text) for text in texts]
+        workers = 4
+        barrier = threading.Barrier(workers)
+        got = [None] * workers
+
+        def work(slot):
+            barrier.wait(timeout=60)
+            built = lambda text: ConformableFn.from_expr(text).expr  # compiles, learns
+            got[slot] = [_outcome(built, text) for text in texts[slot::2] + texts]
+
+        ex.parse_cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for slot in range(workers):
+            expected = want[slot::2] + want
+            assert len(got[slot]) == len(expected)
+            for a, b in zip(got[slot], expected):
+                assert a is b if isinstance(b, ex.Expr) else a == b
+        assert len(ex._parses) <= ex._SHAPE_CACHE_SIZE
 
 
 class TestDeepTrees:

@@ -24,12 +24,16 @@ from confrac import cli, expr as ex
 from confrac.errors import ExprSyntaxError
 
 results = {}
+# the last four are one shape: two literal patterns, then "#" and 1e999 texts of it
 for text in ["exp(-t)*cos(t)", " 2.5e-3 * t ^ 2\t", "\x1ct　+ 1.", "sin(t", "1 2 @",
-             "(" * 150 + "t" + ")" * 150, "(" * 150 + "t" + ")" * 149 + "#", ""]:
+             "(" * 150 + "t" + ")" * 150, "(" * 150 + "t" + ")" * 149 + "#", "",
+             "0.5*t+0.5", "0.5*t+0.7", "#*t+0.7", "1e999*t+0.7"]:
     try:
-        results[text] = ex.to_text(ex.parse(text))
+        tree = ex.parse(text)
+        results[text] = [ex.to_text(tree), ex.compile_expr(tree)(1.5, 0.5)]
     except ExprSyntaxError as exc:
         results[text] = [str(exc), exc.offset]
+results["parse cache"] = list(ex.parse_cache_info())
 out, err = io.StringIO(), io.StringIO()
 code = cli.run(["sweep", "--ineq", "hh2", "--f", "t^0.5", "--alphas", "0.25,0.75,1",
                 "--a", "0", "--b", "1", "--json"], out, err)
@@ -89,6 +93,9 @@ def test_parse_and_sweep_on_python_3_10():
     assert old["results"] == here["results"]
     code, out, _ = here["results"]["sweep"]
     assert code == 4 and len(json.loads(out)) == 3
+    assert here["results"]["0.5*t+0.7"] == ["0.5*t+0.7", 1.45]
+    assert here["results"]["#*t+0.7"] == ["unexpected character '#' (offset 0)", 0]
+    assert here["results"]["parse cache"][:2] == [1, 9]
     assert here["results"][json.dumps(["deriv", "--a", "1"])] == [
         3, "", "confrac: usage error: ambiguous option: --a could match --alpha, --at\n"]
     code, out, _ = here["results"][json.dumps(["deriv", "-h"])]
