@@ -11,8 +11,8 @@ starts, so the values are the pass's own, to the sign of an exact zero
 ch. 13).  Statements whose results nothing reads, such as the
 root's coefficients below n, are left out where they cannot raise, and
 t^alpha reuses the pow(t, alpha) of u0.  The source grows with n^2 per
-node, so calculus.frac_deriv_fn compiles only low orders
-(calculus._JET_UNROLL_MAX) and runs the pass itself above them.
+node, so only low orders are compiled; calculus.ConformableFn._jets
+decides which.
 
 Literals are parameters, named as in the shape that expr._compiled keeps
 for the node, so the code depends on the shape, the order and the whole

@@ -8,11 +8,12 @@ weight t^(alpha-1).
 With u = t^alpha/alpha the conformable derivative is d/du, so D^k f(t) =
 k! c_k with c_k the Taylor coefficients of f(t(u)) at u(t).  For a function
 with an expression tree one truncated power-series pass over the tree gives
-c_0..c_n (_series), D f = c_1 included; frac_deriv_fn runs the same pass as
-compiled code, one compilation per expression shape and low order.  At
-t > 0 the series alone gives D^k f, and where it does not exist D^k f(t)
-raises EvalDomainError.  At t = 0, where the series does not exist, the
-exact symbolic chain D^1..D^n (frac_expr) with its limit handling is the
+c_0..c_n (_coefficients), D f = c_1 included.  At t > 0 the series alone
+gives D^k f: one c_n from _top, a list of points from _tops, and the
+function decides whether compiled code or the pass computes it
+(ConformableFn._jets); where the series does not exist D^k f(t) raises
+EvalDomainError.  At t = 0, where the series does not exist, the exact
+symbolic chain D^1..D^n (frac_expr) with its limit handling is the
 fallback.  Plain callables use finite differences.
 """
 
@@ -121,16 +122,22 @@ class QuadratureConfig(FrozenValue):
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
+# the orders ConformableFn._jets compiles (the source grows with n^2 per
+# node): there the compiled pass is 6-27x faster per point than the
+# interpreted one and compiles in 0.6-2.6 ms, which a 257-point grid repays;
+# the checkers sample orders 1-3
+_JET_UNROLL_MAX = 4
+
+
 class ConformableFn:
     """Evaluatable real function of t, optionally with exact derivatives.
 
     Built from an expression tree the function is symbolic: its conformable
     derivatives D^k f(t) = k! c_k come from the Taylor coefficients c_k of
     f(t(u)) in u = t^alpha/alpha, which one series pass carries through the
-    tree; the derivative functions of frac_deriv_fn compile that pass, once
-    per low order, on first use at t > 0.  The exact symbolic chain D^1..D^n is
-    built only on request (frac_expr) and at t = 0 where that series does not
-    exist.
+    tree, compiled for low orders (_jets).  The exact symbolic chain
+    D^1..D^n is built only on request (frac_expr) and at t = 0 where that
+    series does not exist.
     Built from a plain callable it may carry explicit classical-derivative
     callables and a declared smoothness order; beyond those, central finite
     differences are used (iterated conformable derivatives capped at n = 3).
@@ -247,9 +254,12 @@ class ConformableFn:
         return chain[n]
 
     def _jets(self, n: int):
-        """The Taylor-mode functions of order n >= 1 (symbolic only), a
-        _taylor_mode.Jets."""
+        """The Taylor-mode functions of order n, a _taylor_mode.Jets, compiled
+        on first use; None for a plain callable and outside orders
+        1.._JET_UNROLL_MAX, where the series pass runs instead."""
         fns = self._frac_compiled
+        if fns is None or not 1 <= n <= _JET_UNROLL_MAX:
+            return None
         if len(fns) <= n:
             with self._lock:
                 fns.extend([None] * (n + 1 - len(fns)))
@@ -460,6 +470,18 @@ def _times_factorial(c: float, k: int) -> float:
         return math.copysign(math.inf, c)
 
 
+def _over_factorial(c: float, k: int) -> float:
+    """c / k!, the twin of _times_factorial: past 170! exactly, rounded
+    once, so a quotient that fits a float is not lost to a k! too large for
+    one."""
+    if k <= _FLOAT_FACTORIAL_MAX:
+        return c / _FACTORIALS[k]
+    if c == 0.0 or not math.isfinite(c):
+        return c  # c / k! already
+    num, den = c.as_integer_ratio()
+    return num / (den * math.factorial(k))  # one correctly rounded int division
+
+
 def _monomial_seed(a: float, n: int) -> Callable[[float], list]:
     """t^c in u at u = 0: t = (a u)^(1/a), so t^c = a^r u^r with r = c/a,
     a power series only for a whole r >= 0."""
@@ -498,36 +520,58 @@ def _coefficients(f: ConformableFn, a: float, n: int, t: float) -> Optional[list
     return None
 
 
-def _series(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float]]:
-    """The coefficients of _coefficients, where a coefficient that is not
-    finite raises EvalDomainError."""
+def _derivatives(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float]]:
+    """D^k f(t) = k! c_k for k = 0..n from one series pass (_coefficients),
+    or None at t = 0 where there is no series; a coefficient that is not
+    finite, or a D^k out of float range, raises EvalDomainError."""
     coeffs = _coefficients(f, a, n, t)
-    if coeffs is not None and not all(map(math.isfinite, coeffs)):
+    if coeffs is None:
+        return None
+    if not all(map(math.isfinite, coeffs)):
         raise EvalDomainError(f"derivatives at t={t!r} are not finite")
-    return coeffs
+    out = [_times_factorial(c, k) for k, c in enumerate(coeffs)]
+    if not all(map(math.isfinite, out)):
+        raise EvalDomainError(f"a derivative of order <= {n} at {t!r} is out of float range")
+    return out
 
 
-def _top_coefficient(f: ConformableFn, a: float, n: int, t: float) -> float:
-    """c_n of the series pass at t > 0, where only c_n has to be finite, as
-    in the compiled Taylor-mode code; EvalDomainError where it is not or
-    where there is no series."""
+def _top(f: ConformableFn, a: float, n: int, t: float) -> float:
+    """c_n = D^n f(t) / n! for symbolic f at t > 0, n >= 1, where only c_n
+    has to be finite.  It comes from the Taylor-mode code f holds of order
+    n, which gives the pass's value, and from the series pass where f holds
+    none or the code raises or gives a value that is not finite, so the
+    errors are the pass's: EvalDomainError where c_n is not finite or
+    there is no series."""
+    fns = f._frac_compiled
+    if n < len(fns) and fns[n] is not None:
+        try:
+            c = fns[n].top(t, a)
+        except (ex.NoTaylorSeries, EvalDomainError):
+            pass
+        else:
+            if math.isfinite(c):
+                return c
     c = _coefficients(f, a, n, t)[n]
     if not math.isfinite(c):
         raise EvalDomainError(f"derivatives at t={t!r} are not finite")
     return c
 
 
-def _derivatives(f: ConformableFn, a: float, n: int, t: float) -> Optional[list[float]]:
-    """D^k f(t) = k! c_k for k = 0..n from one series pass (see _series), or
-    None at t = 0 where there is no series; a D^k out of float range raises
-    EvalDomainError."""
-    coeffs = _series(f, a, n, t)
-    if coeffs is None:
+def _tops(f: ConformableFn, a: float, n: int, ts: Sequence[float],
+          scale: float) -> Optional[list[float]]:
+    """[scale * _top(f, a, n, t) for t in ts] from one call of f's compiled
+    Taylor-mode code of order n (ConformableFn._jets), or None where f has
+    no such code or the call raises or gives a value that is not finite:
+    the caller then goes point by point, for the point form's values and
+    errors."""
+    jets = f._jets(n)
+    if jets is None:
         return None
-    out = [_times_factorial(c, k) for k, c in enumerate(coeffs)]
-    if not all(map(math.isfinite, out)):
-        raise EvalDomainError(f"a derivative of order <= {n} at {t!r} is out of float range")
-    return out
+    try:
+        out = jets.batch(ts, a, scale)
+    except (ex.NoTaylorSeries, EvalDomainError):
+        return None
+    return out if all(map(math.isfinite, out)) else None
 
 
 def _chain_derivative(f: ConformableFn, a: float, n: int) -> float:
@@ -566,15 +610,12 @@ def frac_deriv(f: ConformableFn, alpha: Union[Alpha, float], t: float) -> float:
 def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float) -> float:
     """Iterated conformable derivative D_alpha^n f at t; n = 0 returns f(t).
 
-    A symbolic f takes D^n f(t) = n! c_n from the series pass of _series.
-    At t > 0 only D^n itself has to be finite, as in the compiled functions
-    of frac_deriv_fn, and EvalDomainError reports a series that does not
-    exist; where f already holds its compiled Taylor mode of order n, c_n
-    comes from that code, which gives the pass's value, and the pass runs
-    only where the code raises or leaves float range, so the errors are the
-    pass's.  At t = 0 every D^k, k <= n, has to be finite, and where the
-    series does not exist the symbolic chain's limit (_chain_derivative)
-    gives D^n.  A t that is negative or not finite raises ValueError.
+    A symbolic f takes D^n f(t) = n! c_n from its series.  At t > 0 c_n
+    comes from _top, and only D^n itself has to be finite; EvalDomainError
+    reports a series that does not exist.  At t = 0 every D^k, k <= n, has
+    to be finite (_derivatives), and where the series does not exist the
+    symbolic chain's limit (_chain_derivative) gives D^n.  A t that is
+    negative or not finite raises ValueError.
     """
     a = _alpha_value(alpha)
     if n < 0:
@@ -593,16 +634,7 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
     if t == 0.0:
         d = _derivatives(f, a, n, t)
         return d[n] if d is not None else _chain_derivative(f, a, n)
-    fns = f._frac_compiled
-    if n < len(fns) and fns[n] is not None:
-        try:
-            d = _times_factorial(fns[n].top(t, a), n)
-        except (ex.NoTaylorSeries, EvalDomainError):
-            pass
-        else:
-            if math.isfinite(d):
-                return d
-    d = _times_factorial(_top_coefficient(f, a, n, t), n)
+    d = _times_factorial(_top(f, a, n, t), n)
     if not math.isfinite(d):
         raise EvalDomainError(f"a derivative of order <= {n} at {t!r} is out of float range")
     return d
@@ -641,23 +673,15 @@ def _frac_deriv_n_numeric(f: ConformableFn, a: float, n: int, t: float) -> float
     return value
 
 
-# the orders frac_deriv_fn compiles (the source grows with n^2 per node):
-# there the compiled pass is 6-27x faster per point than the interpreted one
-# and compiles in 0.6-2.6 ms, which a 257-point grid repays; the checkers
-# sample orders 1-3
-_JET_UNROLL_MAX = 4
-
-
 def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
     """The n-th conformable derivative as a function object.
 
-    For a symbolic f and n <= _JET_UNROLL_MAX its point and batch forms at
-    t > 0 come from f's compiled Taylor-mode code of order n (compiled on
-    first use), as n! c_n.  Other orders, a point at 0, or one where the
-    compiled code raises or leaves float range take frac_deriv_n, which
-    gives the interpreted pass's value or error there, and a batch meeting
-    such a point is evaluated point by point, so it always returns what the
-    point form returns.  Derivatives of the result are derivatives of f.
+    Its point form is frac_deriv_n.  For a symbolic f the first point
+    t > 0 makes f hold its compiled Taylor-mode code of order n
+    (ConformableFn._jets), which frac_deriv_n then reads, and the batch
+    form is one call of that code (_tops); a batch that code cannot give
+    is evaluated point by point, so it always returns what the point form
+    returns.  Derivatives of the result are derivatives of f.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -666,41 +690,21 @@ def frac_deriv_fn(f: ConformableFn, n: int) -> ConformableFn:
     if f._derivative_of is not None:
         base, k = f._derivative_of
         return frac_deriv_fn(base, k + n)
-    evaluator = lambda t, alpha=1.0: frac_deriv_n(f, alpha, n, t)
     if not f.is_symbolic:
         remaining = None if f.smoothness is None else max(f.smoothness - n, 0)
-        return ConformableFn(evaluator, smoothness=remaining, name=f"D^{n}[{f.name or 'fn'}]")
-    batch = None
-    if n <= _JET_UNROLL_MAX:
-        fact = _FACTORIALS[n]
-        jets = None
+        return ConformableFn(lambda t, alpha=1.0: frac_deriv_n(f, alpha, n, t),
+                             smoothness=remaining, name=f"D^{n}[{f.name or 'fn'}]")
+    # n!, read only where f has compiled code of order n
+    fact = _FACTORIALS[n] if n <= _FLOAT_FACTORIAL_MAX else math.inf
 
-        def evaluator(t: float, alpha: float = 1.0) -> float:
-            nonlocal jets
-            if t > 0.0:
-                if jets is None:
-                    jets = f._jets(n)
-                try:
-                    v = fact * jets.top(t, alpha)
-                except (ex.NoTaylorSeries, EvalDomainError):
-                    pass
-                else:
-                    if math.isfinite(v):
-                        return v
-            return frac_deriv_n(f, alpha, n, t)
+    def evaluator(t: float, alpha: float = 1.0) -> float:
+        if t > 0.0:
+            f._jets(n)  # held from here on, for frac_deriv_n to read
+        return frac_deriv_n(f, alpha, n, t)
 
-        def batch(ts: Sequence[float], alpha: float = 1.0) -> list[float]:
-            nonlocal jets
-            if jets is None:
-                jets = f._jets(n)
-            try:
-                out = jets.batch(ts, alpha, fact)
-            except (ex.NoTaylorSeries, EvalDomainError):
-                pass
-            else:
-                if all(map(math.isfinite, out)):
-                    return out
-            return [evaluator(t, alpha) for t in ts]
+    def batch(ts: Sequence[float], alpha: float = 1.0) -> list[float]:
+        out = _tops(f, alpha, n, ts, fact)
+        return [evaluator(t, alpha) for t in ts] if out is None else out
 
     d = ConformableFn(evaluator, batch=batch)
     d._name = lambda: f"D^{n}[{f.name or ex.to_text(f.expr)}]"

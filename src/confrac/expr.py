@@ -1025,7 +1025,10 @@ def _pysource(root: Expr) -> tuple[str, list, list]:
         name = names[e] = f"v{len(names) - len(literals)}"
         return f"({name}:={code})"
 
-    source = emit(root)
+    try:
+        source = emit(root)
+    finally:
+        del emit  # a recursive closure is a cycle; unlink it to free the tree now
     return source, [node.value for node in literals], literals
 
 

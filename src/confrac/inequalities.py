@@ -25,8 +25,8 @@ from itertools import islice
 from typing import Optional, Union
 
 from ._value import FrozenValue
-from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig,
-                       _alpha_value, frac_deriv_fn, frac_integral)
+from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig, _alpha_value,
+                       _over_factorial, _times_factorial, frac_deriv_fn, frac_integral)
 from .errors import EvalDomainError, HypothesisError
 from .taylor import _kernel_integral, _power
 
@@ -397,7 +397,10 @@ def remainder_steffensen(f: ConformableFn, alpha: AlphaLike, n: int, window,
     ell = window.width / (n + 2)
     lower = dn.value(window.a + ell, a) - dn.value(window.a, a)
     upper = dn.value(window.b, a) - dn.value(window.b - ell, a)
-    scale = math.factorial(n + 1) * _avg_factor(a, window) ** (n + 1)
+    scale = _times_factorial(_power(_avg_factor(a, window), n + 1), n + 1)
+    if not math.isfinite(scale):
+        raise EvalDomainError(f"the scale (n+1)! / ((b^alpha - a^alpha)/alpha)^(n+1) "
+                              f"is out of float range at n={n}")
     actual = scale * _kernel_integral(f, a, n, window, window.b, cfg)
     return _remainder_report("rem-steffensen", a, window, hyps, lower, actual, upper)
 
@@ -444,9 +447,9 @@ def remainder_mm_bounds(f: ConformableFn, alpha: AlphaLike, n: int,
     ell = min(max(ell, 0.0), window.width)
     qb = (math.pow(window.b, a) - math.pow(window.b - ell, a)) / a
     qa = (math.pow(window.b, a) - math.pow(window.a + ell, a)) / a
-    fact = math.factorial(n + 2)
-    lower = m / fact * _power(q, n + 2) + (M - m) / fact * _power(qb, n + 2)
-    upper = M / fact * _power(q, n + 2) + (m - M) / fact * _power(qa, n + 2)
+    k = n + 2
+    lower = _over_factorial(m, k) * _power(q, k) + _over_factorial(M - m, k) * _power(qb, k)
+    upper = _over_factorial(M, k) * _power(q, k) + _over_factorial(m - M, k) * _power(qa, k)
     actual = _kernel_integral(f, a, n, window, window.b, cfg)
     return _remainder_report("mm-bounds", a, window, hyps, lower, actual, upper)
 
@@ -512,10 +515,11 @@ def remainder_cebysev(f: ConformableFn, alpha: AlphaLike, n: int, window,
     hyps = [HypothesisCheck(f"D^{n + 1} f monotone", True, None, grid_n)]
 
     q = (math.pow(window.b, a) - math.pow(window.a, a)) / a
-    fact = math.factorial(n + 2)
     middle = (_kernel_integral(f, a, n, window, window.b, cfg)
-              - (dn.value(window.b, a) - dn.value(window.a, a)) / fact * _power(q, n + 1))
-    edge = (dn1.value(window.a, a) - dn1.value(window.b, a)) / fact * _power(q, n + 2)
+              - _over_factorial(dn.value(window.b, a) - dn.value(window.a, a), n + 2)
+              * _power(q, n + 1))
+    edge = (_over_factorial(dn1.value(window.a, a) - dn1.value(window.b, a), n + 2)
+            * _power(q, n + 2))
     if inc:
         return _remainder_report("rem-cebysev", a, window, hyps, edge, middle, 0.0)
     return _remainder_report("rem-cebysev", a, window, hyps, 0.0, middle, edge)

@@ -8,20 +8,16 @@ integral) are both available here, together with the split and endpoint
 identities that the inequality checkers build on.
 
 Since D_alpha is d/du in u = t^alpha/alpha, D^k f(s)/k! are the Taylor
-coefficients of f(t(u)) at u = s^alpha/alpha.  At every centre s >= 0 and
-at the quadrature nodes of the remainder integrals a symbolic f gets them
-all from one truncated power-series pass over its expression tree (the
-pass behind frac_deriv_n), with no derivative tree built.  Where no such
-series exists they come from frac_deriv_n order by order, as for plain
-callables: at t > 0 it raises EvalDomainError there, and at 0 (t^c with
-c/alpha not a whole number, for instance, since t = (alpha u)^(1/alpha))
-it takes the symbolic chain's limit.  The kernel
-side of the split and endpoint identities is one weighted integral
-(_kernel_integral), which the inequality checkers' remainder bounds use too.
-Up to order _JET_UNROLL_MAX its quadrature panels take c_{n+1} at their 15
-nodes from one batch call of the compiled Taylor-mode code (the code of
-frac_deriv_fn(f, n + 1)), with the values and errors of the pass at each
-node; taylor_remainder runs the pass node by node.
+coefficients of f(t(u)) at u = s^alpha/alpha.  A symbolic f gets them
+from its series (calculus._derivatives at a centre, calculus._top and
+_tops at the quadrature nodes of the remainder integrals), with no
+derivative tree built.  Where no such series exists they come from
+frac_deriv_n order by order, as for plain callables: at t > 0 it raises
+EvalDomainError there, and at 0 (t^c with c/alpha not a whole number, for
+instance, since t = (alpha u)^(1/alpha)) it takes the symbolic chain's
+limit.  The kernel side of the split and endpoint identities is one
+weighted integral (_kernel_integral), which the inequality checkers'
+remainder bounds use too.
 """
 
 from __future__ import annotations
@@ -30,8 +26,8 @@ import math
 from typing import Callable, Optional, Union
 
 from ._value import FrozenValue
-from .calculus import (_JET_UNROLL_MAX, Alpha, ConformableFn, Interval, QuadratureConfig,
-                       _alpha_value, _derivatives, _float_factorials, _top_coefficient,
+from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig, _alpha_value,
+                       _derivatives, _float_factorials, _over_factorial, _top, _tops,
                        frac_deriv_n, frac_integral)
 from .errors import EvalDomainError
 
@@ -60,7 +56,7 @@ def cauchy_kernel(n: int, alpha: AlphaLike, t: float, s: float) -> float:
         raise ValueError("t and s must be >= 0")
     a = _alpha_value(alpha)
     z = (math.pow(t, a) - math.pow(s, a)) / a
-    return _power(z, n - 1) / math.factorial(n - 1)
+    return _over_factorial(_power(z, n - 1), n - 1)
 
 
 class TaylorExpansion(FrozenValue):
@@ -127,20 +123,16 @@ def taylor_poly(f: ConformableFn, alpha: AlphaLike, n: int, s: float, t: float) 
 
 
 def _scaled_derivative(f: ConformableFn, a: float, m: int) -> Callable[[float], float]:
-    """tau -> D^m f(tau) / m!, the integrand factor of the remainder forms.
-
-    A symbolic f takes it at tau > 0 as the coefficient c_m of a series
-    pass, with no factorial, where only c_m has to be finite, as in
-    frac_deriv_n; at a node where tau underflows to 0, and for a plain
-    callable, it is frac_deriv_n's value over m!.
-    """
+    """tau -> D^m f(tau) / m!, the integrand factor of the remainder forms:
+    for a symbolic f at tau > 0 the coefficient c_m of calculus._top, with
+    no factorial; at a node where tau underflows to 0, and for a plain
+    callable, frac_deriv_n's value over m!."""
     if m == 0:
         return lambda tau: f.value(tau, a)
-    fact = _float_factorials(m)[m]
     if not f.is_symbolic:
-        return lambda tau: frac_deriv_n(f, a, m, tau) / fact
-    return lambda tau: (_top_coefficient(f, a, m, tau) if tau > 0.0
-                        else frac_deriv_n(f, a, m, tau) / fact)
+        return lambda tau: _over_factorial(frac_deriv_n(f, a, m, tau), m)
+    return lambda tau: (_top(f, a, m, tau) if tau > 0.0
+                        else _over_factorial(frac_deriv_n(f, a, m, tau), m))
 
 
 def _kernel_integral(f: ConformableFn, a: float, n: int, window: Interval,
@@ -148,12 +140,10 @@ def _kernel_integral(f: ConformableFn, a: float, n: int, window: Interval,
     """int_window D^{n+1} f(s)/(n+1)! ((anchor^a - s^a)/a)^{n+1} d_a s, the
     kernel side of the split and endpoint remainder identities.
 
-    For a symbolic f and 1 <= n + 1 <= _JET_UNROLL_MAX the integrand has a
-    batch form: the coefficients c_{n+1} of a panel's nodes from one call of
-    f's compiled Taylor-mode code of that order (the code frac_deriv_fn(f,
-    n + 1) samples), each times the kernel power as the point form takes
-    it.  Where the batch raises or is not finite, the panel is evaluated
-    point by point, so the values and errors are those of the point form."""
+    A quadrature panel takes its coefficients c_{n+1} from one call of
+    calculus._tops, each times the kernel power as the point form takes
+    it, and goes point by point where that gives none, so the values and
+    errors are those of the point form."""
     m = n + 1
     top = _scaled_derivative(f, a, m)
     anchor_pow = math.pow(anchor, a)
@@ -162,13 +152,13 @@ def _kernel_integral(f: ConformableFn, a: float, n: int, window: Interval,
         z = (anchor_pow - math.pow(s, a)) / a
         return top(s) * _power(z, m)
 
-    batch = None
-    if f.is_symbolic and 1 <= m <= _JET_UNROLL_MAX:
-        def batch(ss, _alpha: float = a) -> list:
-            # an overflowing power raises OverflowError here, and the panel
-            # is evaluated again point by point, where _power maps it
-            return [c * ((anchor_pow - math.pow(s, a)) / a) ** m
-                    for s, c in zip(ss, f._jets(m).batch(ss, a, 1.0))]
+    def batch(ss, _alpha: float = a) -> list:
+        cs = _tops(f, a, m, ss, 1.0)
+        if cs is None:
+            return [integrand(s) for s in ss]
+        # an overflowing power raises OverflowError here, and the panel is
+        # evaluated again point by point, where _power maps it
+        return [c * ((anchor_pow - math.pow(s, a)) / a) ** m for s, c in zip(ss, cs)]
 
     return frac_integral(ConformableFn(integrand, batch=batch), a, window, cfg)
 
@@ -289,8 +279,10 @@ def binomial_identity_residual(n: int, alpha: AlphaLike, t: float, s: float,
     sum_k ((t^a - s^a)/a)^k ((s^a - r^a)/a)^(n-k) / (k! (n-k)!).
 
     Both sides are evaluated from the shared differences x = (t^a - s^a)/a
-    and y = (s^a - r^a)/a (the left side as (x + y)^n/n!), with an exactly
-    rounded summation, so the residual stays at rounding level.
+    and y = (s^a - r^a)/a (the left side as (x + y)^n/n!, each term as
+    (x^k/k!) (y^(n-k)/(n-k)!)), with an exactly rounded summation, so the
+    residual stays at rounding level.  A power out of float range raises
+    EvalDomainError.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -299,7 +291,7 @@ def binomial_identity_residual(n: int, alpha: AlphaLike, t: float, s: float,
     a = _alpha_value(alpha)
     x = (math.pow(t, a) - math.pow(s, a)) / a
     y = (math.pow(s, a) - math.pow(r, a)) / a
-    lhs = (x + y) ** n / math.factorial(n)
-    terms = [x ** k * y ** (n - k) / (math.factorial(k) * math.factorial(n - k))
+    lhs = _over_factorial(_power(x + y, n), n)
+    terms = [_over_factorial(_power(x, k), k) * _over_factorial(_power(y, n - k), n - k)
              for k in range(n + 1)]
     return lhs - math.fsum(terms)

@@ -7,8 +7,14 @@ import random
 import re
 
 import scipy.integrate
+from hypothesis import settings
 
 from confrac import expr as ex
+
+# every run draws the same examples: a fixed sequence per test, and no
+# database of earlier failures to replay
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # ---------------------------------------------------------------------------
 # independent quadrature oracle (scipy, never the package's own integrator)

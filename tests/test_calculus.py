@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -280,9 +281,9 @@ class TestFracDerivNIgnoresCompiledState:
         # a function holding its jets of order n takes D^n from them, and
         # runs the pass only where they raise or leave float range
         passes = []
-        top = calculus._top_coefficient
-        monkeypatch.setattr(calculus, "_top_coefficient",
-                            lambda *args: passes.append(args) or top(*args))
+        coefficients = calculus._coefficients
+        monkeypatch.setattr(calculus, "_coefficients",
+                            lambda *args: passes.append(args) or coefficients(*args))
         points = [(n, t) for n in range(1, 5) for t in (0.6, 1.3, 2.5)]
 
         def outcomes(f):
@@ -304,6 +305,30 @@ class TestFracDerivNIgnoresCompiledState:
         assert len(passes) == len(points) + failed  # the jets ran no pass where they held
         assert (failed > 0) == (text == "ln(t-2)")
 
+    def test_a_failing_point_runs_the_code_once_then_the_pass(self, monkeypatch):
+        # ln(t-2) has no series at t = 1: the derivative function's point
+        # form tries f's compiled code once, then runs the pass for its error
+        counts = {"top": 0, "batch": 0, "pass": 0}
+        compile_jet, coefficients = tm.compile_jet, calculus._coefficients
+
+        def counted(name, fn):
+            return lambda *args: counts.__setitem__(name, counts[name] + 1) or fn(*args)
+
+        def counted_jet(e, n):
+            jets = compile_jet(e, n)
+            return tm.Jets(counted("top", jets.top), counted("batch", jets.batch))
+
+        monkeypatch.setattr(tm, "compile_jet", counted_jet)
+        monkeypatch.setattr(calculus, "_coefficients", counted("pass", coefficients))
+        d = frac_deriv_fn(ConformableFn.from_expr("ln(t-2)"), 2)
+        with pytest.raises(EvalDomainError):
+            d.value(1.0, 0.5)
+        assert counts == {"top": 1, "batch": 0, "pass": 1}
+        counts.update({"top": 0, "pass": 0})
+        with pytest.raises(EvalDomainError):
+            d.values([3.0, 2.5, 1.0], 0.5)
+        assert counts == {"top": 3, "batch": 1, "pass": 1}
+
     def test_a_t_that_is_not_finite_raises(self):
         f = ConformableFn.from_expr("t^2")
         for t in (math.nan, math.inf):
@@ -314,6 +339,20 @@ class TestFracDerivNIgnoresCompiledState:
                 frac_deriv(f, 1.0, t)
         with pytest.raises(ValueError, match="t must be >= 0"):
             frac_deriv_n(f, 1.0, 1, -math.inf)
+
+
+class TestOverFactorial:
+    def test_rounds_once_past_170_and_as_before_up_to_22(self):
+        rng = random.Random(29)
+        for _ in range(400):
+            c = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+            k = rng.choice((rng.randint(0, 22), rng.randint(171, 400)))
+            got = calculus._over_factorial(c, k)
+            if k <= 22:
+                assert got == c / math.factorial(k)
+            else:  # c / k! does not convert k! to a float
+                assert got == float(Fraction(c) / math.factorial(k))
+        assert math.copysign(1.0, calculus._over_factorial(-0.0, 200)) == -1.0
 
 
 def _same_outcome(first, second) -> bool:

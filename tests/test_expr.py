@@ -9,6 +9,7 @@ import random
 import re
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -172,7 +173,7 @@ _TEXTS = st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)
 
 
 class TestTokensOnDemand:
-    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @settings(max_examples=1500, deadline=None)
     @given(text=st.one_of(
         _TEXTS,
         # bad characters, parse errors and valid tails after a deep prefix
@@ -194,7 +195,7 @@ class TestTokensOnDemand:
             ex.parse(text)
         assert str(err.value) == f"{message} (offset {offset})"
 
-    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @settings(max_examples=1500, deadline=None)
     @given(text=_TEXTS, data=st.data())
     def test_plain_text_needs_no_lexical_scan(self, text, data):
         # letters, digits, "_", operators and ASCII whitespace each start or
@@ -568,6 +569,23 @@ class TestInterning:
         del f
         gc.collect()
         assert len(ex._TABLE) - before < 250
+
+    def test_compiling_a_new_shape_leaves_no_cycle_holding_the_tree(self):
+        # with the cycle collector off, a dropped function's tree goes at
+        # once: writing its source (_pysource) leaves no cycle behind
+        gc.collect()
+        gc.disable()
+        try:
+            roots = []
+            for k in range(1, 101):  # 100 shapes, each with literals
+                f = ConformableFn.from_expr(
+                    "+".join(f"t^{j}" if j % 2 else f"sin(t*{j})" for j in range(k + 1)))
+                roots.append(weakref.ref(f.expr))
+            del f
+            alive = sum(root() is not None for root in roots)
+        finally:
+            gc.enable()
+        assert alive == 0
 
 
 class TestPrint:

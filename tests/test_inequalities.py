@@ -14,7 +14,7 @@ from confrac.inequalities import (BoundsPair, cebysev, check_sandwich_lemma, gru
                                   remainder_cebysev, remainder_mm_bounds,
                                   remainder_steffensen, steffensen, steffensen_ell,
                                   verify_hypothesis)
-from confrac.taylor import expand, taylor_remainder
+from confrac.taylor import _kernel_integral, expand, taylor_remainder
 
 from conftest import quad_oracle, random_tree
 
@@ -654,6 +654,16 @@ class TestNoChainOnNumericPaths:
             got = _outcome(taylor_remainder, f, alpha, n - 1, t, t + 0.25, cfg)
             assert got == _outcome(_series_remainder, f, alpha, n - 1, t, t + 0.25, cfg), case
             assert got in (EvalDomainError, QuadratureError) or isinstance(got, float), case
+            # a function that already holds its compiled code of orders 1-4
+            # takes every route to the same bits, or the same error; scaled
+            # by inf, the tree makes that code give values that are not finite
+            for tree in (f.expr, ex.Mul(ex.Mul(ex.Num(1e200), ex.Num(1e200)), f.expr)):
+                held = ConformableFn.from_expr(tree)
+                for k in range(1, 5):
+                    held._jets(k)
+                fresh = ConformableFn.from_expr(tree)
+                assert (_route_bits(held, alpha, n, t, cfg)
+                        == _route_bits(fresh, alpha, n, t, cfg)), case
 
 
 def _outcome(fn, *args):
@@ -662,6 +672,29 @@ def _outcome(fn, *args):
         return fn(*args)
     except ConfracError as exc:
         return type(exc)
+
+
+def _route_bits(f, alpha, n, t, cfg):
+    """The bits, or the error and its message, of each route to D^n f near
+    t > 0, the routes that compile nothing first, so that on a function
+    holding no code they run without it."""
+    window = Interval(t, t + 0.5)
+    d = frac_deriv_fn(f, n)
+    routes = [lambda: frac_deriv_n(f, alpha, n, t),
+              lambda: expand(f, alpha, n, t).coefficients,
+              lambda: taylor_remainder(f, alpha, n - 1, t, t + 0.25, cfg),
+              lambda: _kernel_integral(f, alpha, n - 1, window, window.b, cfg),
+              lambda: d.value(t, alpha),
+              lambda: d.values([t, t + 0.25, t + 0.5], alpha)]
+    out = []
+    for route in routes:
+        try:
+            got = route()
+        except ConfracError as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append([v.hex() for v in got] if isinstance(got, (list, tuple)) else got.hex())
+    return out
 
 
 def _series_at(f, alpha, n, t):

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
 
+import mpmath
 import pytest
 from scipy.integrate import quad, solve_ivp
 
 from confrac import functions as fam
 from confrac import ivp
-from confrac.calculus import Alpha, ConformableFn
+from confrac.calculus import Alpha, ConformableFn, QuadratureConfig
 from confrac.errors import EvalDomainError, SolverError
 from confrac.ivp import IvpSpec, LinearOperator, cauchy_function, solve_full, solve_voc
 from confrac.taylor import taylor_poly
@@ -126,6 +127,14 @@ class TestSolveVoc:
                        0.0, (0.0, 0.0))
         for t in (1.0, 2.0, 3.0):
             assert solve_voc(spec, t) == pytest.approx(t - math.sin(t), abs=1e-6)
+
+    def test_order_past_170_factorial(self):
+        # D^180 y = 1 from 0, at alpha 1/2 and t = 1: y = 2^180/180!; the
+        # tolerance is relative, since the value is about 7.6e-276
+        spec = IvpSpec(op_free(180, 0.5), fam.constant(1.0), 0.0, (0.0,) * 180)
+        cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-13)
+        want = mpmath.mpf(2) ** 180 / mpmath.factorial(180)
+        assert abs(solve_full(spec, 1.0, cfg=cfg) - want) < 1e-12 * want
 
     def test_rejects_nonzero_initial_values(self):
         spec = IvpSpec(op_free(1, 0.5), fam.constant(1.0), 0.0, (1.0,))

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -31,6 +32,11 @@ class TestCauchyKernel:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             cauchy_kernel(0, 0.5, 1.0, 2.0)
+
+    def test_order_past_170_factorial(self):
+        # 2^199/199! is subnormal, about 2e-313: the float nearest to it
+        assert cauchy_kernel(200, 0.5, 1.0, 0.0) == float(Fraction(2 ** 199, math.factorial(199)))
+        assert cauchy_kernel(172, 0.5, 4.0, 0.0) == float(Fraction(4 ** 171, math.factorial(171)))
 
     def test_defining_derivatives_through_expression_pipeline(self):
         # D^i of the kernel at t=s vanishes below order n-1 and equals 1 there
@@ -255,7 +261,7 @@ class TestSeriesCoefficients:
             if value is not None:
                 assert value == pytest.approx(want[k], rel=1e-9, abs=1e-12), k
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=None)
     @given(text=st.sampled_from(DEEP_TEXTS), alpha=st.floats(0.2, 1.0, exclude_min=True),
            s=st.floats(0.05, 3.0, exclude_min=True, exclude_max=True))
     def test_matches_compiled_levels(self, text, alpha, s):
@@ -459,6 +465,14 @@ class TestBinomialIdentity:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             binomial_identity_residual(0, 0.5, 1.0, 2.0, 3.0)
+
+    def test_orders_past_170_factorial(self):
+        # x + y = 2 here: the residual is at rounding level of 2^n/n!
+        for n in (171, 180):
+            lhs = float(Fraction(2 ** n, math.factorial(n)))
+            assert abs(binomial_identity_residual(n, 0.5, 4.0, 2.0, 1.0)) < 1e-14 * lhs
+        with pytest.raises(EvalDomainError):
+            binomial_identity_residual(2000, 0.5, 16.0, 4.0, 0.0)
 
     def test_against_mpmath_oracle(self):
         # high-precision evaluation of both sides straight from the points
