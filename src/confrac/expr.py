@@ -1032,6 +1032,12 @@ def _pysource(root: Expr) -> tuple[str, list, list]:
     return source, [node.value for node in literals], literals
 
 
+def _prefixed(source: str, prefix: str) -> str:
+    """A source of _pysource with prefix before each of its cK and vK
+    names, so that the sources of several trees can share one scope."""
+    return re.sub(r"\b([cv]\d+)\b", prefix + r"\1", source)
+
+
 # a tree's point and batch evaluators, which map arithmetic faults themselves
 _MAKE = """def make({params}):
  def point(t, alpha=1.0):

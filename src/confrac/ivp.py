@@ -5,10 +5,11 @@ coefficients.  Under the substitution u = t^alpha/alpha the conformable
 derivative becomes d/du exactly, so L y = f is the classical linear system
 z' = A(u) z + f(t(u)) e_n in the state z = (y, D y, ..., D^{n-1} y), which
 one fixed-step RK4 pass in u integrates from the initial data.  The pass
-goes in chunks of steps: the forcing and each coefficient are evaluated
-once per chunk as a batch, and a stepper compiled once per order, with one
-local per state component, advances the state over the chunk.  The
-coefficient-free case has the closed-form kernel
+is one generated kernel per operator shape (the order, whether alpha is 1,
+and the compiled shape of the forcing and of each coefficient): it takes
+every step with one local per state component and the functions evaluated
+inline at each node, and calls only the evaluators that are not a tree's
+own compiled code.  The coefficient-free case has the closed-form kernel
 ((t^a - s^a)/a)^(n-1)/(n-1)!: its homogeneous part is the exact fractional
 Taylor sum and its forced part the variation-of-constants integral
 (solve_voc), which also serves as an independent check of the direct solve.
@@ -20,6 +21,7 @@ import functools
 import math
 from typing import Callable, Optional
 
+from . import expr as ex
 from ._value import FrozenValue
 from .calculus import (Alpha, ConformableFn, QuadratureConfig, frac_integral)
 from .errors import EvalDomainError, SolverError
@@ -82,41 +84,92 @@ def _step_count(us: float, ut: float, steps: Optional[int]) -> int:
     return max(64, math.ceil(count))
 
 
-# steps advanced per batch of node evaluations: the node values of one chunk
-# are all that is held, so memory stays bounded however many steps a solve takes
-_CHUNK_STEPS = 256
 _STEPPER_CACHE_SIZE = 64
-_ZEROS = (0.0,) * (2 * _CHUNK_STEPS + 1)  # the forcing of L y = 0 at a chunk's nodes
 
 
-def _stepper_source(n: int, coefficients: bool) -> str:
-    """Python source of step(z, h, ends, f, ps): the RK4 steps of one chunk.
+def _own_code(fn: ConformableFn) -> Optional[tuple]:
+    """The compiled code of fn's tree (see expr._compiled) where fn
+    evaluates through its point form and the code has a shape source, else
+    None: plain callables and wrapped evaluators are called, never inlined."""
+    e = fn.expr
+    if e is None:
+        return None
+    code = e._code
+    if type(code) is tuple and code[0] is fn._eval and code[2] is not None:
+        return code
+    return None
 
-    f holds the forcing and ps[i - 1] the coefficient p_i at the chunk's
-    nodes u, u + h/2, u + h, ...; ends holds the u reached by each step.
-    Every state component is its own local, the top component of each stage
-    subtracts p_i z[n - i] one statement at a time, and every step ends with
-    the finite check, so a high order stays a flat sequence of statements.
+
+def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple) -> str:
+    """Python source of kernel(z, u, h, m, alpha, inv, *args): m RK4 steps
+    of size h in u from u, the state z = (y, D y, ..., D^(n-1) y).
+
+    kinds holds one entry per function, the forcing first where ``forced``,
+    then p_1..p_n: None for a function the kernel calls (its evaluator is
+    one of args), or (shape source, reads t, literal count) for a tree
+    evaluated inline, its literals among args.  At each node the kernel
+    computes t(u), with u clamped at 0 (t = u where ``unit``, alpha 1),
+    then each function in turn, a tree's arithmetic faults mapped as its
+    point form maps them; a tree without t is evaluated once, at the first
+    node.  Every state component is its own local, the top component of
+    each stage subtracts p_i z[n - i] one statement at a time, every step
+    ends with the finite check, and the end node's values are the next
+    step's first, so a high order stays a flat sequence of statements.
     """
-    ps = [f"p{i}" for i in range(1, n + 1)] if coefficients else []
-    columns = ["f"] + ps
+    names = (["f"] if forced else []) + [f"p{i}" for i in range(1, len(kinds) + 1 - forced)]
+    params = ["z", "u", "h", "m", "alpha", "inv"]
+    evaluate = {"0": [], "m": [], "1": []}  # statements at a step's start, midpoint, end
+    carried = []  # functions evaluated at every node: the end value is the next start value
+    for name, kind in zip(names, kinds):
+        if kind is None:
+            params.append(name.upper())
+            nodes = "0m1"
+            for node in nodes:
+                evaluate[node].append(f"{name}_{node} = {name.upper()}(t, alpha)")
+        else:
+            source, reads_t, literals = kind
+            source = ex._prefixed(source, f"{name}_")
+            params += [f"{name}_c{k}" for k in range(literals)]
+            # a source that reads t gives a float already
+            nodes, source = ("0m1", source) if reads_t else ("0", f"float({source})")
+            for node in nodes:
+                evaluate[node] += ["try:", f" {name}_{node} = {source}",
+                                   "except _FAULTS as exc:",
+                                   " raise _domain_error(exc) from None"]
+        if len(nodes) > 1:
+            carried.append(name)
+
+    def value(name: str, node: str) -> str:
+        return f"{name}_{node if name in carried else '0'}"
+
+    def node_time(at: str, indent: str) -> list:
+        lines = [f"t = {at}", "if t < 0.0:", " t = 0.0"]  # max(t, 0.0), -0.0 and nan kept
+        if not unit:
+            lines.append("t = pow(alpha * t, inv)")
+        return [indent + line for line in lines]
+
+    def at(node: str, indent: str) -> list:
+        return [indent + line for line in evaluate[node]]
+
     z = [f"z{j}" for j in range(n)]
-    lines = ["def step(z, h, ends, f, ps):",
+    lines = [f"def kernel({', '.join(params)}):",
              f" {', '.join(z)}, = z",
              " hh = 0.5 * h",
              " h6 = h / 6.0"]
-    if ps:
-        lines.append(f" {', '.join(ps)}, = ps")
-    # per step: each column at the step's start (_0), midpoint (_m) and end (_1)
-    lines.append(f" for {', '.join(f'{c}_{k}' for c in columns for k in '0m1')}, u in zip("
-                 f"{', '.join(f'{c}[{i}::2]' for c in columns for i in range(3))}, ends):")
+    lines += node_time("u", " ") + at("0", " ")
+    lines.append(" for _ in range(m):")
+    lines += node_time("u + hh", "  ") + at("m", "  ")
+    lines.append("  u += h")
+    lines += node_time("u", "  ") + at("1", "  ")
+    ps = names[1:] if forced else names
     ks = []
     state = z
     for stage, (node, scale, nxt) in enumerate(
             (("0", "hh", "y"), ("m", "hh", "w"), ("m", "h", "x"), ("1", None, None)), start=1):
         top = f"q{stage}"
-        lines.append(f"  {top} = f_{node}")
-        lines += [f"  {top} -= {p}_{node} * {state[n - i]}" for i, p in enumerate(ps, start=1)]
+        lines.append(f"  {top} = {value('f', node) if forced else '0.0'}")
+        lines += [f"  {top} -= {value(p, node)} * {state[n - i]}"
+                  for i, p in enumerate(ps, start=1)]
         k = state[1:] + [top]
         ks.append(k)
         if nxt is not None:
@@ -130,40 +183,18 @@ def _stepper_source(n: int, coefficients: bool) -> str:
     # x - x is 0.0 for a finite x and nan (true) for an infinite or nan one
     lines.append(f"  if {' or '.join(f'{v} - {v}' for v in z)}:")
     lines.append('   raise SolverError(f"non-finite state at u={u!r} while stepping")')
+    lines += [f"  {name}_0 = {name}_1" for name in carried]
     lines.append(f" return [{', '.join(z)}]")
     return "\n".join(lines)
 
 
 @functools.lru_cache(maxsize=_STEPPER_CACHE_SIZE)
-def _stepper(n: int, coefficients: bool) -> Callable:
-    """The generated chunk stepper of an order-n operator (see _stepper_source)."""
+def _kernel(n: int, unit: bool, forced: bool, kinds: tuple) -> Callable:
+    """The generated RK4 kernel of one operator shape (see _kernel_source)."""
     namespace: dict = {}
-    exec(compile(_stepper_source(n, coefficients), "<rk4>", "exec"),
-         {"SolverError": SolverError}, namespace)
-    return namespace["step"]
-
-
-def _node_time(u: float, a: float, inv: float) -> float:
-    # stepping back to t = 0 can overshoot u = 0 by a rounding error
-    u = max(u, 0.0)
-    return math.pow(a * u, inv) if a != 1.0 else u
-
-
-def _first_fault(fns: list, us: list, a: float, inv: float):
-    """Evaluate fns at t(u) for u in us point by point, node after node and
-    in the order of fns at each node; return the columns of values up to the
-    first fault, the index of the failing node (None if none fails) and its
-    exception."""
-    cols = [[] for _ in fns]
-    for j, u in enumerate(us):
-        try:
-            tv = _node_time(u, a, inv)
-            row = [fn.value(tv, a) for fn in fns]
-        except Exception as exc:  # re-raised by the caller once it has stepped
-            return cols, j, exc
-        for col, v in zip(cols, row):
-            col.append(v)
-    return cols, None, None
+    exec(compile(_kernel_source(n, unit, forced, kinds), "<rk4>", "exec"),
+         dict(ex._EVAL_GLOBALS, SolverError=SolverError, range=range), namespace)
+    return namespace["kernel"]
 
 
 def _rk4_solve(op: LinearOperator, s: float, t: float, state: list[float],
@@ -175,54 +206,30 @@ def _rk4_solve(op: LinearOperator, s: float, t: float, state: list[float],
 
     An RK4 step samples only u and u + h/2 (k2 and k3 share it, and k4's
     u + h is the next step's k1), so the coefficients and the forcing are
-    evaluated once per distinct node: 2m + 1 times over m steps.  The steps
-    go in chunks of _CHUNK_STEPS: each function is evaluated once per chunk
-    through ConformableFn.values (the chunk's first node is the last one's
-    end), then a stepper generated once per order advances the state over
-    the chunk with the arithmetic of one step at a time.  Where a batch
-    fails, the chunk is evaluated again point by point in the order of a
-    step-by-step loop (the forcing, then p_1..p_n, at each node), the steps
-    whose nodes come before the first fault are taken, and that fault is
-    raised: values and errors are those of the step-by-step loop.
+    evaluated once per distinct node: 2m + 1 times over m steps, node after
+    node and at each node the forcing, then p_1..p_n.  One kernel, generated
+    once per operator shape (the order, whether alpha is 1, and for each
+    function its compiled shape, or that it is called), takes all the steps:
+    the values and errors are those of a step-by-step loop, and the steps
+    before a failing node are taken, so a state gone non-finite before it
+    raises first.
     """
     a = op.alpha.value
     us = math.pow(s, a) / a
     ut = math.pow(t, a) / a
     m = _step_count(us, ut, steps)
-    h = (ut - us) / m
-    hh = 0.5 * h
-    inv = 1.0 / a
-    fns = ([forcing] if forcing is not None else []) + list(op.coefficients)
-    pow_ = math.pow
-    z = list(state)
-    u = us
-    tv = _node_time(u, a, inv)
-    last = [fn.value(tv, a) for fn in fns]
-    step = _stepper(op.order, bool(op.coefficients))
-    for first in range(0, m, _CHUNK_STEPS):
-        nodes = []  # u + h/2 and u + h of each step of the chunk
-        for _ in range(min(_CHUNK_STEPS, m - first)):
-            nodes.append(u + hh)
-            u += h
-            nodes.append(u)
-        try:
-            ts = nodes if min(nodes) >= 0.0 else [max(v, 0.0) for v in nodes]
-            if a != 1.0:
-                ts = [pow_(a * v, inv) for v in ts]
-            cols = [fn.values(ts, a) for fn in fns]
-            fault = None
-        except Exception:
-            cols, j, fault = _first_fault(fns, nodes, a, inv)
-        cols = [[v] + col for v, col in zip(last, cols)]
-        fs, ps = (cols[0], cols[1:]) if forcing is not None else (_ZEROS, cols)
-        if fault is not None:
-            # the steps whose nodes all precede the failing one (nodes[j]),
-            # so that a state gone non-finite before it raises first
-            step(z, h, nodes[1:j:2], fs, ps)
-            raise fault
-        z = step(z, h, nodes[1::2], fs, ps)
-        last = [col[-1] for col in cols]
-    return z
+    kinds = []
+    args = []
+    for fn in ([forcing] if forcing is not None else []) + list(op.coefficients):
+        code = _own_code(fn)
+        if code is None:
+            kinds.append(None)
+            args.append(fn._eval)
+        else:
+            kinds.append((code[2], fn.expr.contains_t, len(code[3])))
+            args += code[3]
+    kernel = _kernel(op.order, a == 1.0, forcing is not None, tuple(kinds))
+    return kernel(state, us, (ut - us) / m, m, a, 1.0 / a, *args)
 
 
 def cauchy_function(op: LinearOperator, s: float, t: float,

@@ -48,6 +48,28 @@ def _power(z: float, k: int) -> float:
         raise EvalDomainError(f"{z!r} ** {k} is out of float range") from None
 
 
+def _power_over_factorial(z: float, k: int) -> float:
+    """z^k / k!: _over_factorial(z ** k, k) wherever z ** k fits a float;
+    where it overflows, the quotient of exact integers, rounded once, so a
+    quotient that fits is not lost to a power that does not.  Only a
+    quotient out of float range raises EvalDomainError."""
+    try:
+        return _over_factorial(z ** k, k)
+    except OverflowError:
+        pass
+    # a quotient far outside float range needs no integers of k * 53 bits
+    log = k * math.log(abs(z)) - math.lgamma(k + 1)
+    if log < -746.0:  # below half the least subnormal: a zero of z^k's sign
+        return math.copysign(0.0, z) if k % 2 else 0.0
+    if log <= 710.0:
+        num, den = z.as_integer_ratio()
+        try:
+            return num ** k / (den ** k * math.factorial(k))  # one correctly rounded int division
+        except OverflowError:
+            pass
+    raise EvalDomainError(f"{z!r} ** {k} / {k}! is out of float range")
+
+
 def cauchy_kernel(n: int, alpha: AlphaLike, t: float, s: float) -> float:
     """Closed-form kernel ((t^a - s^a)/a)^(n-1) / (n-1)! for D_alpha^n = 0."""
     if n < 1:
@@ -56,7 +78,7 @@ def cauchy_kernel(n: int, alpha: AlphaLike, t: float, s: float) -> float:
         raise ValueError("t and s must be >= 0")
     a = _alpha_value(alpha)
     z = (math.pow(t, a) - math.pow(s, a)) / a
-    return _over_factorial(_power(z, n - 1), n - 1)
+    return _power_over_factorial(z, n - 1)
 
 
 class TaylorExpansion(FrozenValue):
@@ -281,8 +303,8 @@ def binomial_identity_residual(n: int, alpha: AlphaLike, t: float, s: float,
     Both sides are evaluated from the shared differences x = (t^a - s^a)/a
     and y = (s^a - r^a)/a (the left side as (x + y)^n/n!, each term as
     (x^k/k!) (y^(n-k)/(n-k)!)), with an exactly rounded summation, so the
-    residual stays at rounding level.  A power out of float range raises
-    EvalDomainError.
+    residual stays at rounding level.  A quotient z^k/k! out of float range
+    raises EvalDomainError; a power that overflows alone does not.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -291,7 +313,7 @@ def binomial_identity_residual(n: int, alpha: AlphaLike, t: float, s: float,
     a = _alpha_value(alpha)
     x = (math.pow(t, a) - math.pow(s, a)) / a
     y = (math.pow(s, a) - math.pow(r, a)) / a
-    lhs = _over_factorial(_power(x + y, n), n)
-    terms = [_over_factorial(_power(x, k), k) * _over_factorial(_power(y, n - k), n - k)
+    lhs = _power_over_factorial(x + y, n)
+    terms = [_power_over_factorial(x, k) * _power_over_factorial(y, n - k)
              for k in range(n + 1)]
     return lhs - math.fsum(terms)

@@ -322,6 +322,15 @@ class TestSolve:
         assert code == EXIT_OK
         assert out.strip() == "-2.56384136012"
 
+    def test_order_whose_kernel_power_overflows(self):
+        # D^201 y = 1 from 0 at alpha 1: y(100) = 100^201/201! = 6.31e24,
+        # whose kernel's 100^200 overflows a float
+        code, out, _ = invoke(["solve", "--order", "201", "--rhs", "1", "--alpha", "1",
+                               "--from", "0", "--to", "100"])
+        assert code == EXIT_OK
+        want = mpmath.mpf(100) ** 201 / mpmath.factorial(201)
+        assert float(out) == pytest.approx(float(want), rel=1e-11)
+
     @pytest.mark.parametrize("alpha", ["5e-324", "1e-306"])
     def test_alpha_too_small_to_step(self, alpha):
         # the default step count, 512 per unit of u = t^alpha/alpha, is

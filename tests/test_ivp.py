@@ -1,16 +1,20 @@
 import math
+import random
 import tracemalloc
 
 import mpmath
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from confrac import expr as ex
 from confrac import functions as fam
 from confrac import ivp
 from confrac.calculus import Alpha, ConformableFn, QuadratureConfig
 from confrac.errors import EvalDomainError, SolverError
 from confrac.ivp import IvpSpec, LinearOperator, cauchy_function, solve_full, solve_voc
 from confrac.taylor import taylor_poly
+
+from conftest import random_tree
 
 
 def op_free(order, alpha):
@@ -200,9 +204,10 @@ def op_02(alpha):
                       ConformableFn.from_expr("0.2*t")))
 
 
-def counting(text):
-    """ConformableFn of an expression that records every evaluation point."""
-    inner = ConformableFn.from_expr(text)
+def counting(source):
+    """ConformableFn of an expression (text or tree) that records every
+    evaluation point."""
+    inner = ConformableFn.from_expr(source)
     points = []
 
     def evaluator(t, alpha=1.0):
@@ -320,7 +325,7 @@ def stepwise_rk4(op, forcing, s, t, init, m):
     """The step-by-step form of the shared-node RK4 pass: each node evaluated
     once, when its step reaches it (the forcing, then p_1..p_n), u clamped at
     0, the state checked after every step.  Kept as the reference for the
-    errors of the chunked pass and for windows that end at t = 0."""
+    errors of the generated kernel and for windows that end at t = 0."""
     a, n = op.alpha.value, op.order
     us, ut = math.pow(s, a) / a, math.pow(t, a) / a
     h = (ut - us) / m
@@ -366,10 +371,10 @@ def operator(alpha, *texts):
                           coefficients=tuple(ConformableFn.from_expr(p) for p in texts))
 
 
-class TestChunkedErrors:
+class TestKernelErrors:
     def test_state_overflow_before_a_later_fault(self):
-        # y grows about 12-fold per step and overflows near u = 0.93, in the
-        # second chunk; ln(1.5 - t) fails from u = 1.5 on, later in that chunk
+        # y grows about 12-fold per step and overflows near u = 0.93;
+        # ln(1.5 - t) fails from u = 1.5 on, later in the pass
         op = operator(1.0, "-800")
         f = ConformableFn.from_expr("ln(1.5-t)")
         want = outcome(stepwise_rk4, op, f, 0.0, 2.0, (1.0,), 600)
@@ -378,8 +383,8 @@ class TestChunkedErrors:
         assert outcome(solve_full, IvpSpec(op, f, 0.0, (1.0,)), 2.0, 600) == want
 
     def test_coefficient_fault_at_an_earlier_node_than_the_forcing(self):
-        # in the second chunk (t in (0.427, 0.853]) p_2 fails from t = 0.6
-        # and the forcing, evaluated first at each node, overflows after 0.81
+        # p_2 fails from t = 0.6 and the forcing, evaluated first at each
+        # node, overflows after 0.81
         op = operator(1.0, "0.4", "ln(0.6-t)")
         f = ConformableFn.from_expr("exp(1000*(t-0.1))")
         want = outcome(stepwise_rk4, op, f, 0.0, 1.0, [0.5, -0.2], 600)
@@ -388,37 +393,39 @@ class TestChunkedErrors:
         with pytest.raises(EvalDomainError, match="overflow"):
             f.value(0.82, 1.0)
 
-    def test_fault_in_the_second_chunk_after_the_first_chunks_steps(self, monkeypatch):
+    def test_fault_after_360_steps_takes_them_first(self):
         # node k sits at t = k/600; the first one past 1.2025 is k = 722, the
-        # end of step 361, so 360 steps come first: 256 in the first chunk
-        taken = []
-        stepper = ivp._stepper
-
-        def spy(n, coefficients):
-            step = stepper(n, coefficients)
-
-            def counted(z, h, ends, fs, ps):
-                taken.append(len(ends))
-                return step(z, h, ends, fs, ps)
-            return counted
-
-        monkeypatch.setattr(ivp, "_stepper", spy)
+        # end of step 361, so the forcing sees nodes 0..722 and the 360 steps
+        # before it are taken: from a state near the float limit they
+        # overflow first
         op = op_02(1.0)
-        f = ConformableFn.from_expr("ln(1.2025-t)")
+        f, points = counting("ln(1.2025-t)")
         want = outcome(stepwise_rk4, op, f, 0.0, 2.0, [0.5, -0.2], 600)
-        assert want[0] == "EvalDomainError"
+        assert want == ("EvalDomainError", "math domain error")
+        want_points = points[:]
+        points.clear()
         assert outcome(ivp._rk4_solve, op, 0.0, 2.0, [0.5, -0.2], 600, f) == want
-        assert taken == [ivp._CHUNK_STEPS, 360 - ivp._CHUNK_STEPS]
+        assert points == want_points and len(points) == 2 * 360 + 3
+        assert points[-2] < 1.2025 < points[-1]
+        huge = outcome(ivp._rk4_solve, op, 0.0, 2.0, [1e308, -1e308], 600, f)
+        assert huge == outcome(stepwise_rk4, op, f, 0.0, 2.0, [1e308, -1e308], 600)
+        assert huge[0] == "SolverError"
 
-    def test_fault_at_the_first_node_takes_no_step(self, monkeypatch):
-        monkeypatch.setattr(ivp, "_stepper", lambda n, c: pytest.fail("stepped"))
-        op = op_02(0.5)
-        f = ConformableFn.from_expr("ln(t)")
+    def test_fault_at_the_first_node_takes_no_step(self):
+        # the forcing, evaluated first at each node, fails at t = 0: the
+        # coefficients are never evaluated and no node past the first is
+        f, f_points = counting("ln(t)")
+        p1, p1_points = counting("0.4")
+        p2, p2_points = counting("0.2*t")
+        op = LinearOperator(order=2, alpha=Alpha(0.5), coefficients=(p1, p2))
         want = outcome(stepwise_rk4, op, f, 0.0, 1.0, [0.0, 0.0], 64)
+        assert want[0] == "EvalDomainError"
+        f_points.clear()
         assert outcome(ivp._rk4_solve, op, 0.0, 1.0, [0.0, 0.0], 64, f) == want
+        assert (f_points, p1_points, p2_points) == ([0.0], [], [])
 
 
-class TestChunkedBitIdentity:
+class TestKernelBitIdentity:
     @pytest.mark.parametrize("order", [1, 3, 4])
     @pytest.mark.parametrize("forcing", [None, "exp(-t)"])
     def test_orders(self, order, forcing):
@@ -454,8 +461,8 @@ class TestChunkedBitIdentity:
         # an explicit count stays the caller's choice
         assert ivp._step_count(0.0, 2 * cap / per_unit, 4 * cap) == 4 * cap
 
-    @pytest.mark.parametrize("steps", [255, 256, 257, 600])
-    def test_step_counts_across_chunk_boundaries(self, steps):
+    @pytest.mark.parametrize("steps", [16, 17, 256, 601])
+    def test_step_counts(self, steps):
         op = op_02(0.5)
         f = ConformableFn.from_expr("exp(-t)")
         for s, t in ((1.0, 2.5), (2.5, 1.0)):
@@ -480,7 +487,7 @@ class TestChunkedBitIdentity:
             assert stepwise_rk4(op, f, s, 0.1, (0.5, -0.2), steps)[0] == \
                 reference_rk4(op, f, s, 0.1, (0.5, -0.2), steps)
 
-    def test_one_evaluation_per_node_across_chunks(self, monkeypatch):
+    def test_one_evaluation_per_node_over_many_steps(self, monkeypatch):
         p1, p1_points = counting("0.4")
         p2, p2_points = counting("0.2*t")
         f, f_points = counting("exp(-t)")
@@ -493,24 +500,117 @@ class TestChunkedBitIdentity:
             return rk4(*args, **kwargs)
 
         monkeypatch.setattr(ivp, "_rk4_solve", counted)
-        m = 2 * ivp._CHUNK_STEPS + 88
+        m = 600
         solve_full(IvpSpec(op, f, 1.0, (0.5, -0.2)), 2.5, steps=m)
         assert len(passes) == 1
         assert len(p1_points) == len(p2_points) == len(f_points) == 2 * m + 1
         assert len(set(f_points)) == len(set(p1_points)) == 2 * m + 1
 
+    def test_t_free_trees_are_evaluated_once(self, monkeypatch):
+        # a tree evaluated inline calls the math functions of expression
+        # code itself: count exp's calls through a kernel compiled anew
+        calls = []
+        monkeypatch.setitem(ex._EVAL_GLOBALS, "exp",
+                            lambda x: calls.append(x) or math.exp(x))
+        ivp._kernel.cache_clear()
+        try:
+            op = LinearOperator(order=2, alpha=Alpha(0.5), coefficients=(
+                ConformableFn.from_expr("0.4"), ConformableFn.from_expr("exp(0.2*alpha)")))
+            m = 600
+            for forcing, per_solve in (("exp(-alpha)", 2), ("exp(-t)", 1 + 2 * m + 1)):
+                f = ConformableFn.from_expr(forcing)
+                want = reference_rk4(op, f, 1.0, 2.5, (0.5, -0.2), m)
+                calls.clear()
+                got = solve_full(IvpSpec(op, f, 1.0, (0.5, -0.2)), 2.5, steps=m)
+                assert (got, len(calls)) == (want, per_solve)
+        finally:
+            ivp._kernel.cache_clear()  # drop the kernels that hold the spy
 
-    def test_t_free_functions_take_their_batch(self, monkeypatch):
-        # a batch that raises is evaluated again point by point, with the
-        # same values: only the fallback itself shows it
-        monkeypatch.setattr(ivp, "_first_fault",
-                            lambda *args: pytest.fail("a chunk fell back to the point loop"))
+
+def drawn_function(rng, alpha):
+    """A forcing or coefficient for the differential test: a random tree,
+    evaluated inline, behind a recording wrapper or as a plain callable, or
+    a t-free tree that fails; returns it and its list of recorded points."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        broken = rng.choice(["1/(alpha-alpha)", "ln(alpha-2)", "exp(1e3/alpha)"])
+        return ConformableFn.from_expr(broken), None
+    tree = random_tree(rng, depth=3)
+    if kind == 1:
+        return counting(tree)
+    if kind == 2:
+        inner = ConformableFn.from_expr(tree)
+        return ConformableFn.from_callable(lambda t: inner.value(t, alpha)), None
+    if kind == 3:
+        c = round(rng.uniform(0.1, 2.0), 3)
+        return ConformableFn.from_callable(lambda t: math.log(c - t)), None
+    return ConformableFn.from_expr(tree), None
+
+
+def bits(result):
+    """A solve's state as hex floats, or the type and message it raised."""
+    return [float(v).hex() for v in result] if isinstance(result, list) else result
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_kernel_equals_the_stepwise_loop(self, order, alpha):
+        rng = random.Random(1000 * order + int(10 * alpha))
+        windows = [(0.5, 2.0), (2.0, 0.5), (0.0, 1.5), (1.5, 0.0), (1.0, 1.0 + 1e-9)]
+        outcomes = set()
+        for case in range(30):
+            s, t = windows[case % len(windows)]
+            drawn = [drawn_function(rng, alpha) for _ in range(order + 1)]
+            forcing = drawn[0][0] if case % 3 else None
+            op = LinearOperator(order=order, alpha=Alpha(alpha),
+                                coefficients=tuple(fn for fn, _ in drawn[1:]))
+            recorders = [points for _, points in drawn if points is not None]
+            init = [rng.uniform(-1.0, 1.0) for _ in range(order)]
+            m = rng.choice([16, 33])
+            want = bits(outcome(stepwise_rk4, op, forcing, s, t, init, m))
+            seen = [points[:] for points in recorders]
+            for points in recorders:
+                points.clear()
+            got = bits(outcome(ivp._rk4_solve, op, s, t, init, m, forcing))
+            assert got == want, (case, op, forcing)
+            assert [points[:] for points in recorders] == seen
+            outcomes.add(want[0] if isinstance(want, tuple) else "value")
+        assert "value" in outcomes and "EvalDomainError" in outcomes
+
+
+class TestCompileOnce:
+    def test_one_compile_per_operator_shape(self, monkeypatch):
+        compiles = []
+        monkeypatch.setattr(ivp, "compile", lambda *a: compiles.append(a) or compile(*a),
+                            raising=False)
+        monkeypatch.setattr(ex, "compile", lambda *a: compiles.append(a) or compile(*a),
+                            raising=False)
+
+        def solve(p1, p2, forcing, t):
+            op = LinearOperator(order=2, alpha=Alpha(0.5), coefficients=(
+                ConformableFn.from_expr(p1), ConformableFn.from_expr(p2)))
+            spec = IvpSpec(op, ConformableFn.from_expr(forcing), 1.0, (0.5, -0.2))
+            return spec, solve_full(spec, t, steps=40)
+
+        ivp._kernel.cache_clear()
+        spec, got = solve("0.4", "0.2*t", "1.5*exp(-t)", 2.5)
+        assert len(compiles) >= 1
+        assert got == reference_rk4(spec.operator, spec.forcing, 1.0, 2.5, (0.5, -0.2), 40)
+        compiles.clear()
+        # the same shapes, other literals: no compiler call at all
+        spec, got = solve("0.7", "0.3*t", "2.5*exp(-t)", 2.0)
+        assert compiles == []
+        assert got == reference_rk4(spec.operator, spec.forcing, 1.0, 2.0, (0.5, -0.2), 40)
+        # one coefficient of a new shape: its tree and one kernel compile
         op = LinearOperator(order=2, alpha=Alpha(0.5), coefficients=(
-            ConformableFn.from_expr("0.4"), ConformableFn.from_expr("0.2*alpha")))
-        f = ConformableFn.from_expr("exp(-alpha)")
-        m = ivp._CHUNK_STEPS + 88
-        got = solve_full(IvpSpec(op, f, 1.0, (0.5, -0.2)), 2.5, steps=m)
-        assert got == reference_rk4(op, f, 1.0, 2.5, (0.5, -0.2), m)
+            ConformableFn.from_expr("0.7"), ConformableFn.from_expr("0.3*t+sin(t)")))
+        spec = IvpSpec(op, ConformableFn.from_expr("2.5*exp(-t)"), 1.0, (0.5, -0.2))
+        compiles.clear()
+        got = solve_full(spec, 2.0, steps=40)
+        assert [a[1] for a in compiles] == ["<rk4>"]
+        assert got == reference_rk4(op, spec.forcing, 1.0, 2.0, (0.5, -0.2), 40)
+        assert ivp._kernel.cache_info().currsize == 2
 
 
 class TestGeneratedStepper:
@@ -524,16 +624,21 @@ class TestGeneratedStepper:
         assert math.isfinite(got) and got != init[0]
 
     def test_cache_is_bounded(self):
-        size = ivp._stepper.cache_info().maxsize
+        size = ivp._kernel.cache_info().maxsize
         assert size == ivp._STEPPER_CACHE_SIZE
+        ivp._kernel.cache_clear()
+        # one operator of a new shape per solve: orders 1..size + 5
         for n in range(1, size + 6):
-            ivp._stepper(n, False)
-        assert ivp._stepper.cache_info().currsize == size
+            op = LinearOperator(order=n, alpha=Alpha(1.0),
+                                coefficients=(ConformableFn.from_expr("0.5"),) * n)
+            ivp._rk4_solve(op, 0.0, 1.0, [0.0] * n, 16)
+        assert ivp._kernel.cache_info().currsize == size
+        assert ivp._kernel.cache_info().misses == size + 5
 
     def test_memory_does_not_grow_with_steps(self):
-        # a chunk holds its nodes, their times and one column per function;
+        # the kernel holds one value per function and node of a step;
         # tracing costs about 10 us per step, so the operator is the cheapest
-        # one that still evaluates a column
+        # one there is
         op, f = op_free(1, 1.0), fam.constant(1.0)
 
         def peak(steps):

@@ -51,6 +51,23 @@ for argv in [["deriv", "--exp", "-t", "--alph", "0.5", "--at=4", "--ord", "1"],
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(argv, out, err)
     results[json.dumps(argv)] = [code, out.getvalue(), err.getvalue()]
+# generated RK4 kernels: t-free coefficients, a t-dependent coefficient and a
+# forcing, alpha 1 stepping back to 0, and a fault partway through
+from confrac.calculus import Alpha, ConformableFn
+from confrac.ivp import LinearOperator, _rk4_solve
+for name, alpha, coeffs, rhs, s, t in [
+        ("t-free", 0.5, ["0.4", "0.2*alpha"], None, 1.0, 2.5),
+        ("forced", 0.7, ["0.4", "0.2*t"], "exp(-t)*cos(t)", 0.0, 2.0),
+        ("alpha 1", 1.0, ["1", "t", "sin(t)"], "t^2", 2.0, 0.0),
+        ("fault", 1.0, ["0.4", "ln(1.2025-t)"], "1", 0.0, 2.0)]:
+    op = LinearOperator(order=len(coeffs), alpha=Alpha(alpha),
+                        coefficients=tuple(map(ConformableFn.from_expr, coeffs)))
+    init = [0.5 - 0.25 * k for k in range(len(coeffs))]
+    try:
+        results["solve " + name] = _rk4_solve(
+            op, s, t, init, 600, ConformableFn.from_expr(rhs) if rhs else None)
+    except Exception as exc:
+        results["solve " + name] = [type(exc).__name__, str(exc)]
 print(json.dumps({"version": sys.version_info[:2], "results": results}, sort_keys=True))
 '''
 
@@ -100,3 +117,6 @@ def test_parse_and_sweep_on_python_3_10():
         3, "", "confrac: usage error: ambiguous option: --a could match --alpha, --at\n"]
     code, out, _ = here["results"][json.dumps(["deriv", "-h"])]
     assert code == 0 and out.startswith("usage: confrac deriv")
+    assert here["results"]["solve fault"] == ["EvalDomainError", "math domain error"]
+    for name in ("t-free", "forced", "alpha 1"):
+        assert len(here["results"]["solve " + name]) in (2, 3)

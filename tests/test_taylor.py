@@ -38,6 +38,19 @@ class TestCauchyKernel:
         assert cauchy_kernel(200, 0.5, 1.0, 0.0) == float(Fraction(2 ** 199, math.factorial(199)))
         assert cauchy_kernel(172, 0.5, 4.0, 0.0) == float(Fraction(4 ** 171, math.factorial(171)))
 
+    def test_power_past_float_range(self):
+        # 100^200 overflows a float and 100^200/200! = 1.27e25 does not
+        assert cauchy_kernel(201, 1.0, 100.0, 0.0) == \
+            float(Fraction(100 ** 200, math.factorial(200)))
+        assert cauchy_kernel(201, 0.5, 2500.0, 0.0) == \
+            float(Fraction(100 ** 200, math.factorial(200)))
+        # 1e4^200/200! = 1.3e425 does not fit
+        with pytest.raises(EvalDomainError, match="out of float range"):
+            cauchy_kernel(201, 1.0, 1e4, 0.0)
+        # (-8)^2001/2001! = -1e-9004 rounds to a zero of its sign
+        got = cauchy_kernel(2002, 1.0, 0.0, 8.0)
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
     def test_defining_derivatives_through_expression_pipeline(self):
         # D^i of the kernel at t=s vanishes below order n-1 and equals 1 there
         for n in (2, 3, 4):
@@ -471,8 +484,15 @@ class TestBinomialIdentity:
         for n in (171, 180):
             lhs = float(Fraction(2 ** n, math.factorial(n)))
             assert abs(binomial_identity_residual(n, 0.5, 4.0, 2.0, 1.0)) < 1e-14 * lhs
-        with pytest.raises(EvalDomainError):
-            binomial_identity_residual(2000, 0.5, 16.0, 4.0, 0.0)
+        # x = y = 4: 8^2000 overflows a float, and 8^2000/2000! and every
+        # term underflow to 0
+        assert binomial_identity_residual(2000, 0.5, 16.0, 4.0, 0.0) == 0.0
+        # x = 50, y = 100: 150^201 overflows a float, 150^201/201! = 1e60 does not
+        lhs = float(Fraction(150 ** 201, math.factorial(201)))
+        assert abs(binomial_identity_residual(201, 1.0, 150.0, 100.0, 0.0)) < 1e-14 * lhs
+        # x + y = 1e4: 1e4^200/200! = 1.3e425 does not fit
+        with pytest.raises(EvalDomainError, match="out of float range"):
+            binomial_identity_residual(200, 0.5, 2.5e7, 4.0, 0.0)
 
     def test_against_mpmath_oracle(self):
         # high-precision evaluation of both sides straight from the points
