@@ -12,9 +12,11 @@ c_0..c_n (_coefficients), D f = c_1 included.  At t > 0 the series alone
 gives D^k f: one c_n from _top, a list of points from _tops, and the
 function decides whether compiled code or the pass computes it
 (ConformableFn._jets); where the series does not exist D^k f(t) raises
-EvalDomainError.  At t = 0, where the series does not exist, the exact
-symbolic chain D^1..D^n (frac_expr) with its limit handling is the
-fallback.  Plain callables use finite differences.
+EvalDomainError.  At t = 0, where the series does not exist, D^n f(0) is
+the accelerated right-hand limit of D^n f(s) (_limit_at_zero), the limit
+plain callables take too.  Plain callables use finite differences.  No
+numeric route builds the exact symbolic chain D^1..D^n; it is an export
+(ConformableFn.frac_expr).
 """
 
 from __future__ import annotations
@@ -135,9 +137,9 @@ class ConformableFn:
     Built from an expression tree the function is symbolic: its conformable
     derivatives D^k f(t) = k! c_k come from the Taylor coefficients c_k of
     f(t(u)) in u = t^alpha/alpha, which one series pass carries through the
-    tree, compiled for low orders (_jets).  The exact symbolic chain
-    D^1..D^n is built only on request (frac_expr) and at t = 0 where that
-    series does not exist.
+    tree, compiled for low orders (_jets); at t = 0, where that series does
+    not exist, D^n f(0) is the accelerated limit of D^n f(s) as s -> 0+.
+    The exact symbolic chain D^1..D^n is built only on request (frac_expr).
     Built from a plain callable it may carry explicit classical-derivative
     callables and a declared smoothness order; beyond those, central finite
     differences are used (iterated conformable derivatives capped at n = 3).
@@ -222,7 +224,8 @@ class ConformableFn:
         return _central_fd(lambda x: self._eval(x, alpha), t)
 
     def frac_expr(self, n: int) -> ex.Expr:
-        """Exact expression for the n-th conformable derivative (symbolic only).
+        """Exact expression for the n-th conformable derivative (symbolic only),
+        an export: no numeric route builds it.
 
         Each level has about twice the distinct nodes of the one before
         (D^12 exp(t) has 20,708), so a level that would exceed
@@ -470,28 +473,44 @@ def _times_factorial(c: float, k: int) -> float:
         return math.copysign(math.inf, c)
 
 
+def _log_over_factorial(log_abs: float, k: int) -> Optional[float]:
+    """log(|c| / k!) from log_abs = log|c|, or None where it is below -746:
+    c / k! is then under half the least subnormal (ln 2^-1075 = -745.1) and
+    rounds to a zero of c's sign."""
+    log = log_abs - math.lgamma(k + 1)
+    return None if log < -746.0 else log
+
+
 def _over_factorial(c: float, k: int) -> float:
     """c / k!, the twin of _times_factorial: past 170! exactly, rounded
     once, so a quotient that fits a float is not lost to a k! too large for
-    one."""
+    one; a quotient that rounds to zero is a signed zero at once, with no k!
+    built (999999! has 5.6 million digits)."""
     if k <= _FLOAT_FACTORIAL_MAX:
         return c / _FACTORIALS[k]
     if c == 0.0 or not math.isfinite(c):
         return c  # c / k! already
+    if _log_over_factorial(math.log(abs(c)), k) is None:
+        return math.copysign(0.0, c)
     num, den = c.as_integer_ratio()
     return num / (den * math.factorial(k))  # one correctly rounded int division
 
 
 def _monomial_seed(a: float, n: int) -> Callable[[float], list]:
     """t^c in u at u = 0: t = (a u)^(1/a), so t^c = a^r u^r with r = c/a,
-    a power series only for a whole r >= 0."""
+    a power series only for a whole r >= 0.  A power r above n, whole or
+    not, is zero through order n, exactly: D^k u^r -> 0 for every k <= n < r,
+    and sums, products, quotients by a nonzero lead and exp, sin, cos or ln
+    of such a term only raise its exponent.  A zero lead still raises where
+    it is divided by or meets sqrt, abs, ln or a non-integer power."""
     def t_power(c: float) -> list:
         r = c / a
+        out = [0.0] * (n + 1)
+        if r > n:
+            return out
         if r < 0.0 or not r.is_integer():
             raise ex.NoTaylorSeries(f"t ^ {c!r} has no series in u at 0")
-        out = [0.0] * (n + 1)
-        if r <= n:
-            out[int(r)] = math.pow(a, r)
+        out[int(r)] = math.pow(a, r)
         return out
     return t_power
 
@@ -505,8 +524,8 @@ def _coefficients(f: ConformableFn, a: float, n: int, t: float) -> Optional[list
     series t^c (1 + h/u0)^(c/a) in h = u - u0, at t = 0 the monomial of
     _monomial_seed.  At t > 0 a series that does not exist or meets a
     domain error raises EvalDomainError; at t = 0 the result is None there
-    (the symbolic chain's limit may still have a value).  A coefficient may
-    be inf or nan.
+    (the limit of D^n f(s) as s -> 0+ may still have a value).  A
+    coefficient may be inf or nan.
     """
     seed = ex.t_power_at(t, a, n) if t > 0.0 else _monomial_seed(a, n)
     try:
@@ -574,26 +593,6 @@ def _tops(f: ConformableFn, a: float, n: int, ts: Sequence[float],
     return out if all(map(math.isfinite, out)) else None
 
 
-def _chain_derivative(f: ConformableFn, a: float, n: int) -> float:
-    """D^n f(0), n >= 1, from the symbolic chain, where the series does not exist.
-
-    The alpha-specialized level is evaluated at 0 first (t-independent zero
-    coefficients fold away, so regular-at-0 formulas evaluate exactly), and
-    the accelerated limit of the level over t -> 0+ is the fallback.  The
-    limit samples the same tree, so the fallback is one engine; where the
-    samples are rounding noise (sin(t)/t at alpha 1/2, D^2), its values are
-    those of the noise of that tree.
-    """
-    tree = f.frac_expr(n)
-    try:
-        v = ex.evaluate_at(ex.substitute_alpha(tree, a), 0.0, a)
-        if math.isfinite(v):
-            return v
-    except EvalDomainError:
-        pass
-    return _limit_at_zero(lambda s: ex.evaluate_at(tree, s, a))
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -613,8 +612,9 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
     A symbolic f takes D^n f(t) = n! c_n from its series.  At t > 0 c_n
     comes from _top, and only D^n itself has to be finite; EvalDomainError
     reports a series that does not exist.  At t = 0 every D^k, k <= n, has
-    to be finite (_derivatives), and where the series does not exist the
-    symbolic chain's limit (_chain_derivative) gives D^n.  A t that is
+    to be finite (_derivatives), and where the series does not exist D^n is
+    the accelerated limit (_limit_at_zero) of D^n f(s), s > 0, the route
+    above; LimitError reports one that does not exist.  A t that is
     negative or not finite raises ValueError.
     """
     a = _alpha_value(alpha)
@@ -633,7 +633,7 @@ def frac_deriv_n(f: ConformableFn, alpha: Union[Alpha, float], n: int, t: float)
         return _frac_deriv_n_numeric(f, a, n, t)
     if t == 0.0:
         d = _derivatives(f, a, n, t)
-        return d[n] if d is not None else _chain_derivative(f, a, n)
+        return d[n] if d is not None else _limit_at_zero(lambda s: frac_deriv_n(f, a, n, s))
     d = _times_factorial(_top(f, a, n, t), n)
     if not math.isfinite(d):
         raise EvalDomainError(f"a derivative of order <= {n} at {t!r} is out of float range")

@@ -19,8 +19,9 @@ class ExprDepthError(ConfracError):
 
 
 class ExprSizeError(ConfracError):
-    """A symbolic derivative would exceed the distinct-node budget of the
-    derivative chain (its size roughly doubles per order)."""
+    """A symbolic derivative exported by ConformableFn.frac_expr would
+    exceed the distinct-node budget of the derivative chain (its size
+    roughly doubles per order)."""
 
 
 class EvalDomainError(ConfracError):

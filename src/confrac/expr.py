@@ -670,7 +670,7 @@ class NoTaylorSeries(ArithmeticError):
     """The function has no Taylor series at the point although it may have
     values and some derivatives there: a zero base raised to a non-integer
     power.  Away from t = 0 callers report it as EvalDomainError; at t = 0
-    they fall back to the symbolic derivatives' limit."""
+    they fall back to the limit of the derivatives at t > 0."""
 
 
 def _jet_of(x, size: int) -> list:

@@ -25,7 +25,7 @@ from . import expr as ex
 from ._value import FrozenValue
 from .calculus import (Alpha, ConformableFn, QuadratureConfig, frac_integral)
 from .errors import EvalDomainError, SolverError
-from .taylor import cauchy_kernel
+from .taylor import TaylorExpansion, cauchy_kernel
 
 __all__ = ["LinearOperator", "IvpSpec", "cauchy_function", "solve_voc", "solve_full"]
 
@@ -287,11 +287,11 @@ def solve_full(spec: IvpSpec, t: float, steps: Optional[int] = None,
     the base point, such as ln(t) from 0) falls back to the homogeneous pass
     plus the variation-of-constants integral (solve_voc), whose quadrature
     never samples the end points.  Coefficient-free operators take the exact
-    fractional Taylor sum as the homogeneous part and add solve_voc for the
-    forcing.  ``cfg`` configures solve_voc's quadrature.
+    fractional Taylor sum of the initial data (TaylorExpansion) as the
+    homogeneous part and add solve_voc for the forcing.  ``cfg`` configures
+    solve_voc's quadrature.
     """
     op = spec.operator
-    a = op.alpha.value
     s = spec.base_point
     init = list(spec.initial_values)
     if op.coefficients:
@@ -302,13 +302,7 @@ def solve_full(spec: IvpSpec, t: float, steps: Optional[int] = None,
                 raise
         hom = _rk4_solve(op, s, t, init, steps)[0]
     else:
-        z = (math.pow(t, a) - math.pow(s, a)) / a
-        hom = 0.0
-        zk = 1.0
-        for k, v in enumerate(init):
-            if k > 0:
-                zk *= z / k
-            hom += v * zk
+        hom = TaylorExpansion(s, op.order - 1, op.alpha, spec.initial_values).evaluate(t)
     if spec.forcing is None:
         return hom
     zero_spec = IvpSpec(op, spec.forcing, s, (0.0,) * op.order)

@@ -13,11 +13,11 @@ from its series (calculus._derivatives at a centre, calculus._top and
 _tops at the quadrature nodes of the remainder integrals), with no
 derivative tree built.  Where no such series exists they come from
 frac_deriv_n order by order, as for plain callables: at t > 0 it raises
-EvalDomainError there, and at 0 (t^c with c/alpha not a whole number, for
-instance, since t = (alpha u)^(1/alpha)) it takes the symbolic chain's
-limit.  The kernel side of the split and endpoint identities is one
-weighted integral (_kernel_integral), which the inequality checkers'
-remainder bounds use too.
+EvalDomainError there, and at 0 (t^c with c/alpha not a whole number and
+at most the order, for instance, since t = (alpha u)^(1/alpha)) it takes
+the accelerated limit of D^k f(s) as s -> 0+.  The kernel side of the
+split and endpoint identities is one weighted integral (_kernel_integral),
+which the inequality checkers' remainder bounds use too.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Callable, Optional, Union
 
 from ._value import FrozenValue
 from .calculus import (Alpha, ConformableFn, Interval, QuadratureConfig, _alpha_value,
-                       _derivatives, _float_factorials, _over_factorial, _top, _tops,
-                       frac_deriv_n, frac_integral)
+                       _derivatives, _float_factorials, _log_over_factorial, _over_factorial,
+                       _top, _tops, frac_deriv_n, frac_integral)
 from .errors import EvalDomainError
 
 __all__ = [
@@ -58,8 +58,8 @@ def _power_over_factorial(z: float, k: int) -> float:
     except OverflowError:
         pass
     # a quotient far outside float range needs no integers of k * 53 bits
-    log = k * math.log(abs(z)) - math.lgamma(k + 1)
-    if log < -746.0:  # below half the least subnormal: a zero of z^k's sign
+    log = _log_over_factorial(k * math.log(abs(z)), k)
+    if log is None:  # a zero of z^k's sign
         return math.copysign(0.0, z) if k % 2 else 0.0
     if log <= 710.0:
         num, den = z.as_integer_ratio()
@@ -121,9 +121,10 @@ def expand(f: ConformableFn, alpha: AlphaLike, n: int, s: float) -> TaylorExpans
     coefficient 0 is f's value).  Where that series does not exist or meets
     a domain error, each D^k f(s) comes from frac_deriv_n, as for a plain
     callable: at s > 0 that raises EvalDomainError, at s = 0 (a power t^c
-    with c/alpha not a whole number, say) it takes the symbolic chain's
-    limit.  A coefficient that is not finite raises EvalDomainError, the
-    value included; a negative s raises ValueError.
+    with c/alpha not a whole number and at most n, say) it takes the
+    accelerated limit of D^k f(t) as t -> 0+.  A coefficient that is not
+    finite raises EvalDomainError, the value included; a negative s raises
+    ValueError.
     """
     a = Alpha(_alpha_value(alpha))
     if s < 0.0:

@@ -47,6 +47,44 @@ def frac_quad_oracle(fn, alpha, a, b):
 
 
 # ---------------------------------------------------------------------------
+# independent oracle for D^k f(0) (sympy's series, never the package's)
+
+
+def u_series_at_zero(text, alpha, top):
+    """The right-hand limits D^k f(0), k = 0..top, of the conformable
+    derivatives of text at a rational alpha (a Fraction, or a string such as
+    "7/10"), None where a limit does not exist.
+
+    With u = t^alpha/alpha, D^k f is d^k/du^k of f((alpha u)^(1/alpha)),
+    whose series at u = 0+ sympy gives as a sum of c_e u^e, a c_e with
+    powers of log u included.  d^k/du^k of one term tends to 0 for e > k;
+    without log u it tends to c_k k! at e = k and to 0 for a whole e < k;
+    otherwise it has no limit.  The series to O(u^(top+1)) so decides every
+    order through top.
+    """
+    import sympy
+
+    a = sympy.Rational(alpha)
+    u = sympy.Symbol("u", positive=True)
+    f = sympy.sympify(text.replace("^", "**"), rational=True,
+                      locals={"t": (a * u) ** (1 / a), "alpha": a, "ln": sympy.log})
+    log_u = sympy.Symbol("log_u")  # log(u) apart, so each term is c u^e
+    series = sympy.expand(sympy.series(f, u, 0, top + 1).removeO().subs(sympy.log(u), log_u))
+    terms: dict = {}
+    for term in sympy.Add.make_args(series):
+        c, e = term.as_coeff_exponent(u)
+        terms[e] = terms.get(e, 0) + c
+    out = []
+    for k in range(top + 1):
+        exists = all(c == 0 or e > k
+                     or (not c.has(log_u) and e.is_integer and e >= 0)
+                     for e, c in terms.items())
+        out.append(float(terms.get(sympy.Integer(k), 0) * sympy.factorial(k))
+                   if exists else None)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # random expression trees (canonical shapes only: literals are non-negative)
 
 

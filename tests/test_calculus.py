@@ -354,6 +354,26 @@ class TestOverFactorial:
                 assert got == float(Fraction(c) / math.factorial(k))
         assert math.copysign(1.0, calculus._over_factorial(-0.0, 200)) == -1.0
 
+    def test_zeros_past_170_without_the_factorial(self):
+        # a quotient under half the least subnormal is a signed zero from
+        # lgamma, with no k! built: at k = 171 on both sides of that edge
+        # against the exact Fraction, at k = 500 for every float c, and at
+        # k = 10^6, where math.factorial alone takes seconds, against the
+        # bound 2^(k-1) <= k!
+        rng = random.Random(21)
+        half_least = Fraction(1, 2 ** 1075)
+        edge = float(math.factorial(171) * half_least)
+        cs = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-40, 308) for _ in range(200)]
+        cs += [edge * (1.0 + d) for d in (-1e-15, -1e-16, 0.0, 1e-16, 1e-15)]
+        cs += [sys.float_info.max, 5e-324]
+        assert Fraction(sys.float_info.max) / 2 ** (10 ** 6 - 1) < half_least
+        for k in (171, 500, 10 ** 6):
+            for c in cs + [-c for c in cs]:
+                got = calculus._over_factorial(c, k)
+                want = (float(Fraction(c) / math.factorial(k)) if k < 10 ** 6
+                        else math.copysign(0.0, c))
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (c, k)
+
 
 def _same_outcome(first, second) -> bool:
     """Equal values (0.0 and -0.0 alike), or errors of one type and message."""

@@ -1,20 +1,26 @@
-"""Iterated conformable derivatives against an independent sympy oracle.
+"""Iterated conformable derivatives against independent sympy oracles.
 
-The oracle applies t^(1-alpha) d/dt n times with sympy's own
+At t > 0 the oracle applies t^(1-alpha) d/dt n times with sympy's own
 differentiation and evaluates the result in 30-digit arithmetic, so it
-shares no code with the package's expression layer.  Both of the package's
-routes are held to it: the Taylor-mode coefficients behind frac_deriv_n and
-expand(), and the symbolic chain (frac_expr), which is the fallback where
-no series exists.
+shares no code with the package's expression layer.  It holds both the
+Taylor-mode coefficients behind frac_deriv_n and expand() and the exported
+symbolic chain (frac_expr).  At t = 0 the oracle is sympy's series of
+f(t(u)) in u (conftest.u_series_at_zero), at alphas whose 1/alpha is not
+whole, where t = (alpha u)^(1/alpha) has no power series in u.
 """
+
+from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy
 
-from confrac import expr as ex
+from confrac import calculus, expr as ex
 from confrac.calculus import ConformableFn, frac_deriv_n
+from confrac.errors import EvalDomainError, LimitError
 from confrac.taylor import expand
+
+from conftest import u_series_at_zero
 
 # the expression pool of the benchmark's Taylor workload
 POOL = (
@@ -91,3 +97,46 @@ def test_exp_chain_grows_by_distinct_nodes():
     assert sizes[12] <= 25_000
     for n in range(9, 13):
         assert sizes[n] <= 2.2 * sizes[n - 1], sizes
+
+
+# natural texts, and the three whose limits at 0 the package only samples
+ZERO_POOL = (
+    "exp(t)", "sin(t)", "cos(t)", "1/(1+t)", "ln(1+t)", "sqrt(t)*sin(t)", "t^0.5*exp(t)",
+    "exp(-t)*cos(t)", "cos(t)^2", "sin(t)/t", "(2*t)^alpha", "t^alpha*cos(t)",
+)
+ZERO_ALPHAS = tuple(Fraction(p, q) for p, q in ((3, 10), (2, 5), (3, 5), (7, 10), (3, 4), (9, 10)))
+# the worst limit measured on the pool is 1.18e-6 off, sin(t)/t at 2/5, D^3
+LIMIT_BOUND = 2e-6
+# cases on the pool whose limit exists but which raise: 11 measured, every
+# one sin(t)/t, (2*t)^alpha or sqrt(t)*sin(t), whose limit the samples do
+# not settle
+MAX_ERRORS = 11
+
+
+def test_limits_at_zero_match_the_u_series():
+    """D^k f(0), k = 1..4: no value where the limit does not exist, the
+    series route's value within 1e-12, and the accelerated limit's within
+    LIMIT_BOUND; an error where the limit exists is counted."""
+    errors, wrong = [], []
+    for text in ZERO_POOL:
+        for alpha in ZERO_ALPHAS:
+            want = u_series_at_zero(text, alpha, 4)
+            f = ConformableFn.from_expr(text)
+            a = float(alpha)
+            for k in range(1, 5):
+                case = (text, str(alpha), k)
+                try:
+                    got = frac_deriv_n(f, a, k, 0.0)
+                except (LimitError, EvalDomainError):
+                    if want[k] is not None:
+                        errors.append(case)
+                    continue
+                if want[k] is None:
+                    wrong.append(case + ("a value where no limit exists", got))
+                    continue
+                series = calculus._derivatives(f, a, k, 0.0) is not None
+                bound = 1e-12 if series else LIMIT_BOUND
+                if abs(got - want[k]) > bound * max(1.0, abs(want[k])):
+                    wrong.append(case + (got, want[k], series))
+    assert wrong == []
+    assert len(errors) <= MAX_ERRORS, errors

@@ -598,29 +598,62 @@ class TestNoChainOnNumericPaths:
             out, err = io.StringIO(), io.StringIO()
             return cli.run(argv, out, err), out.getvalue(), err.getvalue()
 
-        argvs = [["check", "--ineq"] + c + ["--alpha", "0.5", "--a", "0.5", "--b", "2.5"]
-                 for c in self.CHECKS]
-        argvs.append(["deriv", "--expr", "exp(-t)*cos(t)", "--alpha", "0.5",
-                      "--order", "3", "--at", "1.2"])
-        assert len(argvs) - 1 == len(cli._CHECKS) == 14
+        # at t > 0, and from t = 0 at an alpha whose 1/alpha is not whole,
+        # where D^k f(0) is the series' value or the accelerated limit of
+        # D^k f(s) as s -> 0+
+        argvs = [["check", "--ineq"] + c + window for window in
+                 (["--alpha", "0.5", "--a", "0.5", "--b", "2.5"],
+                  ["--alpha", "0.6", "--a", "0", "--b", "2.5"]) for c in self.CHECKS]
+        argvs += [["deriv", "--expr", "exp(-t)*cos(t)", "--alpha", "0.5",
+                   "--order", "3", "--at", "1.2"],
+                  ["deriv", "--expr", "sqrt(t)*sin(t)", "--alpha", "0.75",
+                   "--order", "2", "--at", "0"],
+                  ["deriv", "--expr", "exp(t)", "--alpha", "0.7", "--order", "1", "--at", "0"],
+                  ["taylor", "--expr", "ln(1+t)", "--alpha", "0.7", "--center", "0",
+                   "--degree", "1", "--at", "0.5"]]
+        assert len(argvs) - 4 == 2 * len(cli._CHECKS) == 28
         want = [run(argv) for argv in argvs]
 
-        def no_chain(self, n):
-            raise AssertionError("the symbolic chain was built")
-
-        monkeypatch.setattr(ConformableFn, "frac_expr", no_chain)
+        monkeypatch.setattr(ConformableFn, "frac_expr", _no_chain)
         for argv, expected in zip(argvs, want):
             code, out, err = run(argv)
             assert (code, out, err) == expected, argv
             assert code == 0, (argv, err)
 
+    def test_routes_at_zero_run_without_the_chain(self, monkeypatch):
+        # at t = 0 D^n f is the series' value or the accelerated limit of
+        # D^n f(s) as s -> 0+: the same outcome whether or not the chain can
+        # be built
+        rng = random.Random(21)
+        cases = []
+        for _ in range(400):
+            tree = random_tree(rng)
+            cases.append((tree, rng.choice((0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.9, 1.0)),
+                          rng.randint(1, 4)))
+
+        def outcomes():
+            out = []
+            for tree, alpha, n in cases:
+                f = ConformableFn.from_expr(tree)
+                out.append([repr(_outcome(route)) for route in (
+                    lambda: frac_deriv_n(f, alpha, n, 0.0),
+                    lambda: frac_deriv_fn(f, n).value(0.0, alpha),
+                    lambda: expand(f, alpha, n, 0.0).coefficients)])
+            return out
+
+        want = outcomes()
+
+        monkeypatch.setattr(ConformableFn, "frac_expr", _no_chain)
+        assert outcomes() == want
+        # values and errors both occur
+        flat = [v for row in want for v in row]
+        assert any(v.startswith("<class") for v in flat)
+        assert sum(not v.startswith("<class") for v in flat) > 300
+
     def test_series_routes_at_positive_t_run_without_the_chain(self, monkeypatch):
         # at t > 0 every route to D^n f is the series pass: its value, bit
         # for bit, or EvalDomainError where the pass has no finite n! c_n
-        def no_chain(self, n):
-            raise AssertionError("the symbolic chain was built")
-
-        monkeypatch.setattr(ConformableFn, "frac_expr", no_chain)
+        monkeypatch.setattr(ConformableFn, "frac_expr", _no_chain)
         cfg = QuadratureConfig(max_subdivisions=20)
         rng = random.Random(16)
         for _ in range(600):
@@ -664,6 +697,10 @@ class TestNoChainOnNumericPaths:
                 fresh = ConformableFn.from_expr(tree)
                 assert (_route_bits(held, alpha, n, t, cfg)
                         == _route_bits(fresh, alpha, n, t, cfg)), case
+
+
+def _no_chain(self, n):
+    raise AssertionError("the symbolic chain was built")
 
 
 def _outcome(fn, *args):

@@ -12,7 +12,7 @@ from confrac import ivp
 from confrac.calculus import Alpha, ConformableFn, QuadratureConfig
 from confrac.errors import EvalDomainError, SolverError
 from confrac.ivp import IvpSpec, LinearOperator, cauchy_function, solve_full, solve_voc
-from confrac.taylor import taylor_poly
+from confrac.taylor import TaylorExpansion, taylor_poly
 
 from conftest import random_tree
 
@@ -157,6 +157,26 @@ class TestSolveFull:
         for t in (0.5, 2.0, 3.0):
             want = taylor_poly(g, alpha, n, s, t)
             assert solve_full(spec, t) == pytest.approx(want, rel=1e-12)
+
+    def test_homogeneous_part_is_the_taylor_sum_bit_for_bit(self):
+        # the coefficient-free free solution sums z^k/k! D^k y(s) term by
+        # term, z = (t^a - s^a)/a, as TaylorExpansion.evaluate does
+        rng = random.Random(21)
+        for _ in range(300):
+            order = rng.randint(1, 6)
+            alpha = rng.choice((0.25, 0.5, 0.7, 1.0, rng.uniform(0.05, 1.0)))
+            s = rng.choice((0.0, rng.uniform(0.0, 3.0)))
+            t = rng.uniform(0.0, 5.0)
+            init = tuple(rng.uniform(-5.0, 5.0) for _ in range(order))
+            z = (math.pow(t, alpha) - math.pow(s, alpha)) / alpha
+            want, zk = 0.0, 1.0
+            for k, v in enumerate(init):
+                if k > 0:
+                    zk *= z / k
+                want += v * zk
+            got = solve_full(IvpSpec(op_free(order, alpha), None, s, init), t)
+            expansion = TaylorExpansion(s, order - 1, Alpha(alpha), init).evaluate(t)
+            assert got.hex() == want.hex() == expansion.hex(), (order, alpha, s, t)
 
     def test_zero_data_matches_voc(self):
         spec = IvpSpec(op_free(2, 0.5), ConformableFn.from_expr("exp(-t)"),

@@ -47,7 +47,11 @@ for argv in [["deriv", "--exp", "-t", "--alph", "0.5", "--at=4", "--ord", "1"],
              ["deriv", "--expr", "t", "--alpha", "1", "--at", "1", "--order", "2.0"],
              ["check", "--ineq", "hh4"], ["check", "--json", "--csv"], ["taylor", "--rem=1"],
              ["deriv", "-hx"], ["deriv", "--expr", "t", "--alpha", "1", "--at", "1", "x"],
-             ["deriv", "-h"]]:
+             ["deriv", "-h"],
+             # at t = 0: the u-series' exact zero, and the limit of D^n f(s) as s -> 0+
+             ["deriv", "--expr", "exp(t)", "--alpha", "0.7", "--order", "1", "--at", "0"],
+             ["deriv", "--expr", "abs(t)", "--alpha", "1", "--order", "3", "--at", "0"],
+             ["deriv", "--expr", "exp(t)", "--alpha", "0.7", "--order", "24", "--at", "0"]]:
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(argv, out, err)
     results[json.dumps(argv)] = [code, out.getvalue(), err.getvalue()]
@@ -117,6 +121,13 @@ def test_parse_and_sweep_on_python_3_10():
         3, "", "confrac: usage error: ambiguous option: --a could match --alpha, --at\n"]
     code, out, _ = here["results"][json.dumps(["deriv", "-h"])]
     assert code == 0 and out.startswith("usage: confrac deriv")
+    deriv0 = ["deriv", "--expr", "exp(t)", "--alpha", "0.7", "--order", "1", "--at", "0"]
+    assert here["results"][json.dumps(deriv0)] == [0, "0\n", ""]
+    code, out, _ = here["results"][json.dumps(
+        ["deriv", "--expr", "abs(t)", "--alpha", "1", "--order", "3", "--at", "0"])]
+    assert code == 0 and abs(float(out)) <= 1e-12
+    code, _, err = here["results"][json.dumps(deriv0[:6] + ["24", "--at", "0"])]
+    assert code == 4 and "diverges" in err
     assert here["results"]["solve fault"] == ["EvalDomainError", "math domain error"]
     for name in ("t-free", "forced", "alpha 1"):
         assert len(here["results"]["solve " + name]) in (2, 3)

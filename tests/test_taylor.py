@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from confrac import _taylor_mode as tm, calculus, expr as ex
 from confrac import functions as fam
 from confrac.calculus import Alpha, ConformableFn, Interval, frac_deriv_fn, frac_deriv_n
-from confrac.errors import EvalDomainError
+from confrac.errors import EvalDomainError, LimitError
 from confrac.taylor import (binomial_identity_residual, cauchy_kernel, expand,
                             remainder_endpoint_integral, remainder_split_residual,
                             taylor_poly, taylor_remainder)
 
-from conftest import ALPHAS, frac_quad_oracle, random_window
+from conftest import ALPHAS, frac_quad_oracle, random_window, u_series_at_zero
 
 
 class TestCauchyKernel:
@@ -358,15 +358,16 @@ _DEEP_ORACLES = {
 }
 
 
-def _loop_at_zero(text, alpha, n):
-    """The per-order chain: f(0) and D^k f(0) from the symbolic chain with its
-    limit handling, or the error type."""
-    g = ConformableFn.from_expr(text)
+def _oracle_at_zero(text, alpha, n):
+    """f(0) and the limits D^k f(0), k = 1..n, from sympy's series of f(t(u))
+    in u (conftest.u_series_at_zero), or None where f(0) has no value or a
+    limit does not exist."""
     try:
-        return (g.value(0.0, alpha),) + tuple(
-            calculus._chain_derivative(g, alpha, k) for k in range(1, n + 1))
-    except Exception as exc:  # the type is compared, not swallowed
-        return type(exc)
+        value = ConformableFn.from_expr(text).value(0.0, float(alpha))
+    except EvalDomainError:
+        return None
+    limits = u_series_at_zero(text, alpha, n)[1:]
+    return None if None in limits else (value, *limits)
 
 
 class TestCentreZeroSeries:
@@ -403,7 +404,7 @@ class TestCentreZeroSeries:
 
     @pytest.mark.parametrize("text, alpha, via_series", [
         ("exp(t)", 0.7, False),       # t = (0.7 u)^(1/0.7): no series in u
-        ("sqrt(t)", 1.0, False),      # sqrt(t) = u^(1/2): the loop diverges
+        ("sqrt(t)", 1.0, False),      # sqrt(t) = u^(1/2): D^1 has no limit
         ("sqrt(t)", 0.5, True),       # sqrt(t) = u/2
         ("sqrt(t)", 0.25, True),      # sqrt(t) = u^2/16
         ("abs(t)", 0.5, False),       # abs at a zero argument
@@ -413,22 +414,23 @@ class TestCentreZeroSeries:
         ("sin(t)/t", 0.5, False),     # no value at 0 at all
     ])
     def test_fallback_parity(self, text, alpha, via_series):
-        # order 3: from order 4 the loop's limits of sqrt(t) at 0.25 and 0.5
-        # no longer converge, while the series still has the exact values
+        # abs(t) is u at alpha 1 and u^2/4 at alpha 1/2, so its coefficients
+        # are (0, 1, 0, 0) and (0, 0, 0.5, 0), the last from the limit of D^3 f
         n = 3
-        want = _loop_at_zero(text, alpha, n)
+        want = _oracle_at_zero(text, Fraction(alpha).limit_denominator(10), n)
         f = ConformableFn.from_expr(text)
-        if isinstance(want, type):
-            with pytest.raises(want):
+        assert (calculus._derivatives(f, alpha, n, 0.0) is not None) == via_series
+        if want is None:
+            with pytest.raises((LimitError, EvalDomainError)):
                 expand(f, alpha, n, 0.0)
-            return
-        got = expand(f, alpha, n, 0.0).coefficients
-        assert (len(f._frac_chain) == 1) == via_series
-        if via_series:
-            # the loop's values at 0 are Aitken limits, converged to 1e-8
-            assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
         else:
-            assert got == want
+            got = expand(f, alpha, n, 0.0).coefficients
+            if via_series:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            else:
+                # the accelerated limit, converged to 1e-8
+                assert got == pytest.approx(want, rel=1e-8, abs=1e-8)
+        assert len(f._frac_chain) == 1
 
     @pytest.mark.parametrize("alpha, want", [(0.5, (0.0, 0.5, 0.0, 0.0, 0.0, 0.0)),
                                              (0.25, (0.0, 0.0, 0.125, 0.0, 0.0, 0.0))])
