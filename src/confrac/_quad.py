@@ -1,7 +1,10 @@
 """Adaptive quadrature: (G7, K15) Gauss-Kronrod pairs with global bisection.
 
 The worst panel (largest |K15 - G7| discrepancy) is bisected until the summed
-error estimate satisfies ``abs_tol + rel_tol * |value|``.  For smooth
+error estimate satisfies ``abs_tol + rel_tol * |value|``.  An abs_tol of None
+stands for rel_tol times the sum of the panels' |values|, at most rel_tol:
+an integral below 1 in size keeps its relative digits, and one that cancels
+to 0 still converges.  For smooth
 integrands |K15 - G7| is a strongly conservative bound on the K15 error.
 
 Given a batch form of the integrand, a panel evaluates its 15 nodes in one
@@ -83,7 +86,7 @@ def _samples(fn: Callable[[float], float], nodes: list) -> list:
 
 
 def adaptive_integrate(fn: Callable[[float], float], a: float, b: float,
-                       abs_tol: float, rel_tol: float,
+                       abs_tol: Optional[float], rel_tol: float,
                        max_subdivisions: int, batch: Optional[Batch] = None) -> float:
     """Integrate fn over [a, b] (either orientation) to the given tolerance,
     each panel in one call of batch where one is given."""
@@ -100,9 +103,11 @@ def adaptive_integrate(fn: Callable[[float], float], a: float, b: float,
     heap = [(-err, 0, a, b, value)]
     counter = 1
     min_width = 1e-14 * (abs(a) + abs(b) + 1.0)
+    size = abs(value)  # the sum of the panels' |values|, read where abs_tol is None
+    atol = rel_tol * min(size, 1.0) if abs_tol is None else abs_tol
 
     for _ in range(max_subdivisions):
-        if total_err <= abs_tol + rel_tol * abs(total_value):
+        if total_err <= atol + rel_tol * abs(total_value):
             return sign * total_value
         neg_err, _, lo, hi, old_value = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -116,8 +121,11 @@ def adaptive_integrate(fn: Callable[[float], float], a: float, b: float,
         heapq.heappush(heap, (-e1, counter, lo, mid, v1))
         heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2))
         counter += 2
+        if abs_tol is None:
+            size += abs(v1) + abs(v2) - abs(old_value)
+            atol = rel_tol * min(size, 1.0)
 
-    if total_err <= abs_tol + rel_tol * abs(total_value):
+    if total_err <= atol + rel_tol * abs(total_value):
         return sign * total_value
     raise QuadratureError(
         f"tolerance not reached after {max_subdivisions} subdivisions "

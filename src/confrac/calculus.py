@@ -102,14 +102,15 @@ class QuadratureConfig(FrozenValue):
     """Tolerance and refinement policy for the weighted integral.
 
     mode "transformed" substitutes u = t^alpha/alpha, which removes the
-    weight exactly; "direct" integrates f(t) t^(alpha-1) as written.
+    weight exactly; "direct" integrates f(t) t^(alpha-1) as written.  An
+    abs_tol of None follows the integral's size (see _quad).
     """
 
     __slots__ = __match_args__ = ("abs_tol", "rel_tol", "max_subdivisions", "mode")
 
-    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
+    def __init__(self, abs_tol: Optional[float] = 1e-10, rel_tol: float = 1e-10,
                  max_subdivisions: int = 1000, mode: str = "transformed"):
-        if not (abs_tol > 0.0 and rel_tol > 0.0):
+        if not ((abs_tol is None or abs_tol > 0.0) and rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")

@@ -575,7 +575,7 @@ def montgomery_check(f: ConformableFn, alpha: AlphaLike, window, t: float,
     window = _as_window(window)
     used = cfg if cfg is not None else QuadratureConfig()
     residual = montgomery_residual(f, a, window, t, cfg)
-    tol = 10.0 * (used.abs_tol + used.rel_tol * (1.0 + abs(f.value(t, a))))
+    tol = 10.0 * ((used.abs_tol or 0.0) + used.rel_tol * (1.0 + abs(f.value(t, a))))
     return _make_report("montgomery", a, window, [], -tol, residual, tol)
 
 

@@ -4,15 +4,14 @@ The operator is L y = D^n y + sum_i p_i D^{n-i} y with continuous
 coefficients.  Under the substitution u = t^alpha/alpha the conformable
 derivative becomes d/du exactly, so L y = f is the classical linear system
 z' = A(u) z + f(t(u)) e_n in the state z = (y, D y, ..., D^{n-1} y), which
-one fixed-step RK4 pass in u integrates from the initial data.  The pass
-is one generated kernel per operator shape (the order, whether alpha is 1,
-and the compiled shape of the forcing and of each coefficient): it takes
-every step with one local per state component and the functions evaluated
-inline at each node, and calls only the evaluators that are not a tree's
-own compiled code.  The coefficient-free case has the closed-form kernel
-((t^a - s^a)/a)^(n-1)/(n-1)!: its homogeneous part is the exact fractional
-Taylor sum and its forced part the variation-of-constants integral
-(solve_voc), which also serves as an independent check of the direct solve.
+one pass in u integrates from the initial data: by default in adaptive
+Dormand-Prince 5(4) steps under an error estimate, or, given a step count,
+in that many fixed classical RK4 steps.  The pass is one generated kernel
+per method and operator shape.  The coefficient-free case has the
+closed-form kernel ((t^a - s^a)/a)^(n-1)/(n-1)!: its homogeneous part is
+the exact fractional Taylor sum and its forced part the
+variation-of-constants integral (solve_voc), which also serves as an
+independent check of the direct solve.
 """
 
 from __future__ import annotations
@@ -29,11 +28,46 @@ from .taylor import TaylorExpansion, cauchy_kernel
 
 __all__ = ["LinearOperator", "IvpSpec", "cauchy_function", "solve_voc", "solve_full"]
 
-STEPS_PER_UNIT = 512
 MIN_STEPS = 16
-# u = t^alpha/alpha grows as 1/alpha: alpha 1e-4 over [0, 4] would take 5.1
-# million default steps (8 s); explicit steps are the caller's choice
-MAX_DEFAULT_STEPS = 2 ** 20
+MAX_DEFAULT_STEPS = 150_000  # attempted adaptive steps: 0.2-0.6 s at orders 1-2
+_RTOL, _ATOL = 1e-12, 1e-14
+# a method's stages after the first, one a line: node; scale; the weights on
+# k_1, k_2, ... ("1" alone, "p/q" the float p / q) of the stage's state
+# z + scale * sum w k.  RK4's last line, with no node, updates z.  Dormand
+# and Prince (1980): the last stage is the step's fifth-order end, and the
+# next step's first (FSAL); _DOPRI_ERR holds b - b*, the error estimate.
+_RK4 = """u + hh; hh; 1
+u + hh; hh; 0 1
+u + h; h; 0 0 1
+; h6; 1 2.0 2.0 1"""
+_DOPRI = """u + 0.2 * h; h; 1/5
+u + 0.3 * h; h; 3/40 9/40
+u + 0.8 * h; h; 44/45 -56/15 32/9
+u + 0.8888888888888888 * h; h; 19372/6561 -25360/2187 64448/6561 -212/729
+un; h; 9017/3168 -355/33 46732/5247 49/176 -5103/18656
+un; h; 35/384 0 500/1113 125/192 -2187/6784 11/84"""
+_DOPRI_ERR = "71/57600 0 -71/16695 71/1920 -17253/339200 22/525 -1/40"
+_DOPRI_LOOP = """\
+ h = ut - u; tiny = 1e-15 * abs(h); tries = taken = 0; grow = 10.0; cut = 0.001
+{first}
+ while u != ut:
+  tries += 1
+  if tries > m or grow == 1.0 and abs(h) <= tiny + 1e-15 * abs(u):
+   raise SolverError(f"step error above tolerance: {{taken}} steps taken, {{tries - 1 - taken}} "
+                     f"rejected, the last of {{h!r}} at u={{u!r}} on the way to u={{ut!r}}")
+  un = u + h
+  if (un + 0.01 * h - ut) * h >= 0.0: h = ut - u; un = ut
+{step}
+  fac = 0.9 * (err / {n} + 1e-300) ** -0.1
+  if err <= {n}:
+   u = un; {z}, = {new},; q1 = q7; taken += 1
+{accept}
+   if fac > grow: fac = grow
+   grow = 10.0
+  else:
+   if not fac >= cut: fac = cut
+   grow = 1.0; cut = 0.2
+  h *= fac"""
 
 
 class LinearOperator(FrozenValue):
@@ -70,20 +104,6 @@ class IvpSpec(FrozenValue):
         object.__setattr__(self, "initial_values", initial_values)
 
 
-def _step_count(us: float, ut: float, steps: Optional[int]) -> int:
-    if steps is not None:
-        if steps < MIN_STEPS:
-            raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
-        return steps
-    count = STEPS_PER_UNIT * abs(ut - us)
-    if not math.isfinite(count):  # an alpha within rounding of 0
-        raise SolverError(f"cannot step from u={us!r} to u={ut!r}")
-    if count > MAX_DEFAULT_STEPS:
-        raise SolverError(f"stepping from u={us!r} to u={ut!r} takes {math.ceil(count)} steps "
-                          f"by default, more than {MAX_DEFAULT_STEPS}; pass steps (--steps)")
-    return max(64, math.ceil(count))
-
-
 _STEPPER_CACHE_SIZE = 64
 
 
@@ -100,9 +120,10 @@ def _own_code(fn: ConformableFn) -> Optional[tuple]:
     return None
 
 
-def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple) -> str:
-    """Python source of kernel(z, u, h, m, alpha, inv, *args): m RK4 steps
-    of size h in u from u, the state z = (y, D y, ..., D^(n-1) y).
+def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: bool) -> str:
+    """Python source of kernel(z, u, ut, m, alpha, inv, *args): the state
+    z = (y, D y, ..., D^(n-1) y) at u carried to ut in m RK4 steps, or
+    where ``adaptive`` in Dormand-Prince steps, at most m of them attempted.
 
     kinds holds one entry per function, the forcing first where ``forced``,
     then p_1..p_n: None for a function the kernel calls (its evaluator is
@@ -110,20 +131,30 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple) -> str:
     evaluated inline, its literals among args.  At each node the kernel
     computes t(u), with u clamped at 0 (t = u where ``unit``, alpha 1),
     then each function in turn, a tree's arithmetic faults mapped as its
-    point form maps them; a tree without t is evaluated once, at the first
-    node.  Every state component is its own local, the top component of
-    each stage subtracts p_i z[n - i] one statement at a time, every step
-    ends with the finite check, and the end node's values are the next
-    step's first, so a high order stays a flat sequence of statements.
+    point form maps them; a tree without t is evaluated once.  A step
+    evaluates its new nodes, then its stages, a local per state component
+    and a statement per p_i z[n - i], so a high order stays flat.  A step's
+    last node is the next step's first; a step taken ends with the finite
+    check.  An adaptive step is taken where the RMS of its error estimate,
+    component j over _ATOL + _RTOL (|z_j| + |new z_j|) / 2, is at most 1;
+    the next attempt is 0.9 err^(-1/5) times as long, within [1/5, 10]
+    times, at most 1 after a rejection and at least 1/1000 after the first
+    rejection, since the first attempt spans the window: Hairer, Norsett and
+    Wanner, Solving ODEs I, II.4.  More than m attempts, or a step below
+    1e-15 (|u| + window) after a rejection, raise SolverError with the counts.
     """
     names = (["f"] if forced else []) + [f"p{i}" for i in range(1, len(kinds) + 1 - forced)]
-    params = ["z", "u", "h", "m", "alpha", "inv"]
-    evaluate = {"0": [], "m": [], "1": []}  # statements at a step's start, midpoint, end
+    params = ["z", "u", "ut", "m", "alpha", "inv"]
+    rows = [line.split("; ") for line in (_DOPRI if adaptive else _RK4).splitlines()]
+    # one label per distinct node in evaluation order, "0" the step's start
+    labels = {at: str(k) for k, at in enumerate(
+        dict.fromkeys(["u"] + [row[0] for row in rows if row[0]]))}
+    evaluate = {label: [] for label in labels.values()}
     carried = []  # functions evaluated at every node: the end value is the next start value
     for name, kind in zip(names, kinds):
         if kind is None:
             params.append(name.upper())
-            nodes = "0m1"
+            nodes = list(evaluate)
             for node in nodes:
                 evaluate[node].append(f"{name}_{node} = {name.upper()}(t, alpha)")
         else:
@@ -131,7 +162,7 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple) -> str:
             source = ex._prefixed(source, f"{name}_")
             params += [f"{name}_c{k}" for k in range(literals)]
             # a source that reads t gives a float already
-            nodes, source = ("0m1", source) if reads_t else ("0", f"float({source})")
+            nodes, source = (list(evaluate), source) if reads_t else (["0"], f"float({source})")
             for node in nodes:
                 evaluate[node] += ["try:", f" {name}_{node} = {source}",
                                    "except _FAULTS as exc:",
@@ -140,59 +171,69 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple) -> str:
             carried.append(name)
 
     def value(name: str, node: str) -> str:
-        return f"{name}_{node if name in carried else '0'}"
+        return f"{name}_{labels[node] if name in carried else '0'}"
 
-    def node_time(at: str, indent: str) -> list:
-        lines = [f"t = {at}", "if t < 0.0:", " t = 0.0"]  # max(t, 0.0), -0.0 and nan kept
+    def at(node: str, indent: str) -> list:  # nothing where no function reads t
+        lines = [f"t = {node}", "if t < 0.0:", " t = 0.0"]  # max(t, 0.0), -0.0 and nan kept
         if not unit:
             lines.append("t = pow(alpha * t, inv)")
-        return [indent + line for line in lines]
+        body = evaluate[labels[node]]
+        return [indent + line for line in lines + body] if body else []
 
-    def at(node: str, indent: str) -> list:
-        return [indent + line for line in evaluate[node]]
-
-    z = [f"z{j}" for j in range(n)]
-    lines = [f"def kernel({', '.join(params)}):",
-             f" {', '.join(z)}, = z",
-             " hh = 0.5 * h",
-             " h6 = h / 6.0"]
-    lines += node_time("u", " ") + at("0", " ")
-    lines.append(" for _ in range(m):")
-    lines += node_time("u + hh", "  ") + at("m", "  ")
-    lines.append("  u += h")
-    lines += node_time("u", "  ") + at("1", "  ")
     ps = names[1:] if forced else names
-    ks = []
-    state = z
-    for stage, (node, scale, nxt) in enumerate(
-            (("0", "hh", "y"), ("m", "hh", "w"), ("m", "h", "x"), ("1", None, None)), start=1):
-        top = f"q{stage}"
-        lines.append(f"  {top} = {value('f', node) if forced else '0.0'}")
-        lines += [f"  {top} -= {value(p, node)} * {state[n - i]}"
-                  for i, p in enumerate(ps, start=1)]
-        k = state[1:] + [top]
-        ks.append(k)
-        if nxt is not None:
-            state = [f"{nxt}{j}" for j in range(n)]
-            # without coefficients nothing reads a stage's first component
-            lines += [f"  {state[j]} = z{j} + {scale} * {k[j]}"
-                      for j in range(0 if ps else 1, n)]
-    # ascending j reads k1[j] = z[j + 1] before z[j + 1] is updated
-    lines += [f"  z{j} = z{j} + h6 * ({ks[0][j]} + 2.0 * {ks[1][j]} + 2.0 * {ks[2][j]}"
-              f" + {ks[3][j]})" for j in range(n)]
-    # x - x is 0.0 for a finite x and nan (true) for an infinite or nan one
-    lines.append(f"  if {' or '.join(f'{v} - {v}' for v in z)}:")
-    lines.append('   raise SolverError(f"non-finite state at u={u!r} while stepping")')
-    lines += [f"  {name}_0 = {name}_1" for name in carried]
-    lines.append(f" return [{', '.join(z)}]")
-    return "\n".join(lines)
+    z = [f"z{j}" for j in range(n)]
+    states = [z]
+
+    def top(stage: int, node: str, indent: str) -> list:
+        return [f"{indent}q{stage} = {value('f', node) if forced else '0.0'}"] + [
+            f"{indent}q{stage} -= {value(p, node)} * {states[-1][n - i]}"
+            for i, p in enumerate(ps, start=1)]
+
+    def combination(weights: str, j: int) -> str:  # sum w k_i, component j
+        terms = []
+        for i, w in enumerate(weights.split(), start=1):
+            if "/" in w:
+                num, den = w.split("/")
+                w = repr(int(num) / int(den))
+            k = states[i - 1][j + 1] if j < n - 1 else f"q{i}"
+            terms += [] if w == "0" else [k] if w == "1" else [f"{w} * {k}"]
+        return " + ".join(terms)
+
+    first = top(1, "u", " ")  # before the adaptive loop, then carried (FSAL)
+    step = [line for node in list(labels)[1:] for line in at(node, "  ")]
+    step += [] if adaptive else [" " + line for line in first]
+    for stage, (node, scale, weights) in enumerate(rows, start=2):
+        state = [f"s{stage}_{j}" for j in range(n)] if node else z
+        # without coefficients nothing reads an inner stage's first component;
+        # ascending j reads RK4's k1[j] = z[j + 1] before z[j + 1] is updated
+        step += [f"  {state[j]} = z{j} + {scale} * ({combination(weights, j)})"
+                 for j in range(0 if ps or stage > len(rows) else 1, n)]
+        states.append(state)
+        step += top(stage, node, "  ") if node else []
+    finish = [f"  if {' or '.join(f'{v} - {v}' for v in z)}:",  # nan (true) unless finite
+              '   raise SolverError(f"non-finite state at u={u!r} while stepping")']
+    finish += [f"  {name}_0 = {value(name, rows[-1][0] or 'u + h')}" for name in carried]
+    head = [f"def kernel({', '.join(params)}):", f" {', '.join(z)}, = z"] + at("u", " ")
+    if not adaptive:
+        return "\n".join(head + [" h = (ut - u) / m", " hh = 0.5 * h", " h6 = h / 6.0",
+                                 " for _ in range(m):"] + step + ["  u += h"] + finish
+                         + [f" return [{', '.join(z)}]"])
+    for j in range(n):
+        step += [f"  d = h * ({combination(_DOPRI_ERR, j)}) / "
+                 f"({_ATOL!r} + {_RTOL / 2!r} * (abs(z{j}) + abs({states[-1][j]})))",
+                 "  err += d * d" if j else "  err = d * d"]
+    loop = _DOPRI_LOOP.format(first="\n".join(first), step="\n".join(step), n=float(n),
+                              z=", ".join(z), new=", ".join(states[-1]),
+                              accept="\n".join(" " + line for line in finish))
+    return "\n".join(head + [loop, f" return [{', '.join(z)}]"])
 
 
 @functools.lru_cache(maxsize=_STEPPER_CACHE_SIZE)
-def _kernel(n: int, unit: bool, forced: bool, kinds: tuple) -> Callable:
-    """The generated RK4 kernel of one operator shape (see _kernel_source)."""
+def _kernel(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: bool) -> Callable:
+    """The generated kernel of one method and operator shape (see _kernel_source)."""
     namespace: dict = {}
-    exec(compile(_kernel_source(n, unit, forced, kinds), "<rk4>", "exec"),
+    exec(compile(_kernel_source(n, unit, forced, kinds, adaptive),
+                 "<dopri>" if adaptive else "<rk4>", "exec"),
          dict(ex._EVAL_GLOBALS, SolverError=SolverError, range=range), namespace)
     return namespace["kernel"]
 
@@ -202,22 +243,23 @@ def _rk4_solve(op: LinearOperator, s: float, t: float, state: list[float],
                forcing: Optional[ConformableFn] = None) -> list[float]:
     """Integrate L y = forcing (L y = 0 if None) in the u variable from u(s)
     to u(t), starting from ``state`` = (y, D y, ..., D^(n-1) y) at s; returns
-    the state at t.
-
-    An RK4 step samples only u and u + h/2 (k2 and k3 share it, and k4's
-    u + h is the next step's k1), so the coefficients and the forcing are
-    evaluated once per distinct node: 2m + 1 times over m steps, node after
-    node and at each node the forcing, then p_1..p_n.  One kernel, generated
-    once per operator shape (the order, whether alpha is 1, and for each
-    function its compiled shape, or that it is called), takes all the steps:
-    the values and errors are those of a step-by-step loop, and the steps
-    before a failing node are taken, so a state gone non-finite before it
-    raises first.
+    the state at t.  With ``steps`` None in adaptive Dormand-Prince 5(4)
+    steps to a relative tolerance of 1e-12, raising SolverError where that
+    takes more than MAX_DEFAULT_STEPS attempts; given ``steps``, in that
+    many classical RK4 steps, the same floats on every run (the contract of
+    --steps).  Nodes are evaluated one after another, at each the forcing,
+    then p_1..p_n, and the steps before a failing node are taken, so a
+    state gone non-finite before it raises first.  The name dates from when
+    every pass was RK4; the benchmark's tracer counts passes under it.
     """
     a = op.alpha.value
     us = math.pow(s, a) / a
     ut = math.pow(t, a) / a
-    m = _step_count(us, ut, steps)
+    if steps is None:
+        if not math.isfinite(ut - us):  # an alpha within rounding of 0
+            raise SolverError(f"cannot step from u={us!r} to u={ut!r}")
+    elif steps < MIN_STEPS:
+        raise ValueError(f"steps must be >= {MIN_STEPS}, got {steps}")
     kinds = []
     args = []
     for fn in ([forcing] if forcing is not None else []) + list(op.coefficients):
@@ -228,8 +270,8 @@ def _rk4_solve(op: LinearOperator, s: float, t: float, state: list[float],
         else:
             kinds.append((code[2], fn.expr.contains_t, len(code[3])))
             args += code[3]
-    kernel = _kernel(op.order, a == 1.0, forcing is not None, tuple(kinds))
-    return kernel(state, us, (ut - us) / m, m, a, 1.0 / a, *args)
+    kernel = _kernel(op.order, a == 1.0, forcing is not None, tuple(kinds), steps is None)
+    return kernel(state, us, ut, steps or MAX_DEFAULT_STEPS, a, 1.0 / a, *args)
 
 
 def cauchy_function(op: LinearOperator, s: float, t: float,
@@ -239,7 +281,7 @@ def cauchy_function(op: LinearOperator, s: float, t: float,
     For fixed s it solves L y = 0 with D^i y(s) = 0 for i <= n-2 and
     D^(n-1) y(s) = 1.  Coefficient-free operators use the closed form;
     otherwise (or with method="rk4") the defining problem is integrated
-    numerically in the u variable.
+    numerically in the u variable, adaptively unless ``steps`` is given.
     """
     if method not in ("auto", "closed", "rk4"):
         raise ValueError(f"unknown method {method!r}")
@@ -254,13 +296,18 @@ def cauchy_function(op: LinearOperator, s: float, t: float,
     return _rk4_solve(op, s, t, state, steps)[0]
 
 
+_VOC_QUADRATURE = QuadratureConfig(abs_tol=None)
+
+
 def solve_voc(spec: IvpSpec, t: float, steps: Optional[int] = None,
               cfg: Optional[QuadratureConfig] = None) -> float:
     """Variation-of-constants solution for zero initial data.
 
     y(t) = int_s^t y(t, tau) f(tau) tau^(alpha-1) dtau, with y(t, tau) the
     kernel of the operator.  Requires all initial values to be zero (use
-    solve_full otherwise).
+    solve_full otherwise).  Without ``cfg`` the quadrature's absolute
+    tolerance follows the integral's size below 1 (see _quad), so a tiny
+    solution keeps its relative digits.
     """
     if any(v != 0.0 for v in spec.initial_values):
         raise ValueError("solve_voc requires zero initial values; use solve_full")
@@ -273,20 +320,21 @@ def solve_voc(spec: IvpSpec, t: float, steps: Optional[int] = None,
     def integrand(tau: float, _alpha: float = a) -> float:
         return cauchy_function(op, tau, t, steps) * spec.forcing.value(tau, a)
 
-    return frac_integral(ConformableFn(integrand), op.alpha, (s, t), cfg)
+    return frac_integral(ConformableFn(integrand), op.alpha, (s, t), cfg or _VOC_QUADRATURE)
 
 
 def solve_full(spec: IvpSpec, t: float, steps: Optional[int] = None,
                cfg: Optional[QuadratureConfig] = None) -> float:
     """Solution of L y = f with the given initial data, at t.
 
-    Operators with coefficients are integrated directly: one RK4 pass in u
-    from the full initial data, with the forcing evaluated beside the
-    coefficients at every step node, end points included.  A forcing that
-    cannot be evaluated at a node (typically an integrable singularity at
-    the base point, such as ln(t) from 0) falls back to the homogeneous pass
-    plus the variation-of-constants integral (solve_voc), whose quadrature
-    never samples the end points.  Coefficient-free operators take the exact
+    Operators with coefficients are integrated directly: one pass in u from
+    the full initial data (adaptive unless ``steps`` is given, see
+    _rk4_solve), with the forcing evaluated beside the coefficients at
+    every step node, end points included.  A forcing that cannot be
+    evaluated at a node (typically an integrable singularity at the base
+    point, such as ln(t) from 0) falls back to the homogeneous pass plus
+    the variation-of-constants integral (solve_voc), whose quadrature never
+    samples the end points.  Coefficient-free operators take the exact
     fractional Taylor sum of the initial data (TaylorExpansion) as the
     homogeneous part and add solve_voc for the forcing.  ``cfg`` configures
     solve_voc's quadrature.

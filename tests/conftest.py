@@ -6,6 +6,7 @@ import math
 import random
 import re
 
+import mpmath
 import scipy.integrate
 from hypothesis import settings
 
@@ -82,6 +83,101 @@ def u_series_at_zero(text, alpha, top):
         out.append(float(terms.get(sympy.Integer(k), 0) * sympy.factorial(k))
                    if exists else None)
     return out
+
+
+# ---------------------------------------------------------------------------
+# independent IVP oracles (mpmath at 30 digits, never the package's stepping)
+
+_MP_CALLS = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp, "abs": abs,
+             "ln": mpmath.log, "sqrt": mpmath.sqrt}
+
+
+def mp_function(tree):
+    """tree as a function of (t, alpha) in mpmath's working precision.  It
+    raises ValueError where the float evaluators fault: ln or sqrt out of
+    their domain, a division by zero, a negative base to a fractional power
+    or 0 to a negative one."""
+    if isinstance(tree, ex.Num):
+        c = tree.value
+        return lambda t, a: mpmath.mpf(c)
+    if isinstance(tree, ex.Sym):
+        return (lambda t, a: t) if tree.name == "t" else (lambda t, a: a)
+    if isinstance(tree, ex.Neg):
+        f = mp_function(tree.operand)
+        return lambda t, a: -f(t, a)
+    if isinstance(tree, ex.Call):
+        f, name = mp_function(tree.arg), tree.func
+
+        def call(t, a):
+            x = f(t, a)
+            if name == "ln" and x <= 0 or name == "sqrt" and x < 0:
+                raise ValueError(f"{name} of {x}")
+            return _MP_CALLS[name](x)
+        return call
+    if isinstance(tree, ex.Pow):
+        f, g = mp_function(tree.base), mp_function(tree.exponent)
+
+        def power(t, a):
+            x, y = f(t, a), g(t, a)
+            if x < 0 and y != int(y) or x == 0 and y < 0:
+                raise ValueError(f"{x} to the power {y}")
+            return mpmath.power(x, y)
+        return power
+    f, g, kind = mp_function(tree.left), mp_function(tree.right), type(tree)
+
+    def binary(t, a):
+        x, y = f(t, a), g(t, a)
+        if kind is ex.Div and y == 0:
+            raise ValueError("division by zero")
+        return x + y if kind is ex.Add else x - y if kind is ex.Sub else \
+            x * y if kind is ex.Mul else x / y
+    return binary
+
+
+def ivp_reference(coeffs, forcing, alpha, s, t, init):
+    """The state (y, D y, ..., D^(n-1) y) at t of D^n y + sum_i p_i D^(n-i) y
+    = f with D^k y(s) = init[k], in mpmath floats.  In u = t^alpha/alpha the
+    problem is a classical linear system, which mpmath.odefun (a Taylor
+    method; degree 16 and tolerance 1e-20 at 30 digits) integrates, run in
+    -u for a window that goes back.  coeffs and forcing are expression trees
+    (forcing None for 0), which must be analytic in u along the window, at
+    its start too; t(u) takes u clamped at 0 as the package does."""
+    n = len(init)
+    ps = [mp_function(p) for p in coeffs]
+    f = mp_function(forcing) if forcing is not None else None
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        us, ut = mpmath.mpf(s) ** a / a, mpmath.mpf(t) ** a / a
+        sign = 1 if ut >= us else -1
+
+        def rhs(w, z):
+            tt = (a * max(sign * w, 0)) ** (1 / a)
+            top = f(tt, a) if f is not None else 0
+            for i, p in enumerate(ps, start=1):
+                top -= p(tt, a) * z[n - i]
+            return [sign * v for v in list(z[1:]) + [top]]
+
+        solution = mpmath.odefun(rhs, sign * us, [mpmath.mpf(v) for v in init],
+                                 tol=mpmath.mpf(1e-20), degree=16)
+        return solution(sign * ut)
+
+
+def ivp_expm_reference(coeffs, forcing, alpha, s, t, init):
+    """The same state for constant coefficients and a constant forcing
+    (floats, forcing None for 0): the exponential of the companion matrix,
+    with the forcing as one more constant state, over u(t) - u(s)."""
+    n = len(init)
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        span = (mpmath.mpf(t) ** a - mpmath.mpf(s) ** a) / a
+        m = mpmath.zeros(n + 1, n + 1)
+        for j in range(n - 1):
+            m[j, j + 1] = 1
+        for i, p in enumerate(coeffs, start=1):
+            m[n - 1, n - i] = -mpmath.mpf(p)
+        m[n - 1, n] = mpmath.mpf(forcing or 0)
+        z = mpmath.expm(m * span) * mpmath.matrix([mpmath.mpf(v) for v in init] + [1])
+        return [z[j] for j in range(n)]
 
 
 # ---------------------------------------------------------------------------

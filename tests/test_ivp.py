@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import time
 import tracemalloc
 
 import mpmath
@@ -14,7 +16,7 @@ from confrac.errors import EvalDomainError, SolverError
 from confrac.ivp import IvpSpec, LinearOperator, cauchy_function, solve_full, solve_voc
 from confrac.taylor import TaylorExpansion, taylor_poly
 
-from conftest import random_tree
+from conftest import ivp_expm_reference, ivp_reference, mp_function, random_tree
 
 
 def op_free(order, alpha):
@@ -139,6 +141,17 @@ class TestSolveVoc:
         cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-13)
         want = mpmath.mpf(2) ** 180 / mpmath.factorial(180)
         assert abs(solve_full(spec, 1.0, cfg=cfg) - want) < 1e-12 * want
+        # without cfg the absolute tolerance follows the integral's size
+        assert abs(solve_full(spec, 1.0) - want) < 1e-12 * want
+
+    @pytest.mark.parametrize("order, rhs, t", [(1, "sin(t)", 2 * math.pi), (2, "cos(t)", 1.5)])
+    def test_integral_that_cancels_to_zero(self, order, rhs, t):
+        # D y = sin t from 0 to 2 pi, and D^2 y = cos t from 0, whose kernel
+        # integral int_0^t (t - x) cos x dx = 1 - cos t; the size-following
+        # tolerance ends on an exact 0 as on any other value
+        spec = IvpSpec(op_free(order, 1.0), ConformableFn.from_expr(rhs), 0.0, (0.0,) * order)
+        want = 1.0 - math.cos(t)
+        assert abs(solve_voc(spec, t) - want) <= 1e-12
 
     def test_rejects_nonzero_initial_values(self):
         spec = IvpSpec(op_free(1, 0.5), fam.constant(1.0), 0.0, (1.0,))
@@ -473,13 +486,31 @@ class TestKernelBitIdentity:
             assert got == reference_rk4(op, None, s, t, init, 300)
 
     def test_default_step_count_is_capped(self):
-        per_unit = ivp.STEPS_PER_UNIT
-        cap = ivp.MAX_DEFAULT_STEPS
-        assert ivp._step_count(0.0, cap / per_unit, None) == cap
-        with pytest.raises(SolverError, match=f"more than {cap}"):
-            ivp._step_count(0.0, 2 * cap / per_unit, None)
-        # an explicit count stays the caller's choice
-        assert ivp._step_count(0.0, 2 * cap / per_unit, 4 * cap) == 4 * cap
+        # the default route attempts at most MAX_DEFAULT_STEPS adaptive steps:
+        # alpha 1e-10 to t = 4 spans 1e10 units of u, too stiff for explicit
+        # steps, and fails within a second with the counts
+        spec = IvpSpec(operator(1e-10, "1", "t"), ConformableFn.from_expr("cos(t)"), 0.0,
+                       (0.0, 0.0))
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="step error above tolerance") as failed:
+            solve_full(spec, 4.0)
+        assert time.perf_counter() - start < 1.0
+        taken, rejected = map(int, re.search(r"(\d+) steps taken, (\d+) rejected",
+                                             str(failed.value)).groups())
+        assert taken + rejected == ivp.MAX_DEFAULT_STEPS
+        # 3,000 units of u, which the old fixed count (512 a unit, at most
+        # 2^20) refused: a smooth solution takes few steps
+        spec = IvpSpec(operator(1.0, "0.001"), fam.constant(1.0), 0.0, (0.5,))
+        want = ivp_expm_reference([0.001], 1.0, 1.0, 0.0, 3000.0, [0.5])[0]
+        assert abs(solve_full(spec, 3000.0) - want) <= 1e-10 * abs(want)
+
+    def test_step_size_floor(self):
+        # 1/(t - 1.5) has a pole inside the window: the steps shrink toward it
+        # until a rejected one falls below the floor
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match=r"steps taken, \d+ rejected, the last of"):
+            solve_full(IvpSpec(operator(1.0, "1/(t-1.5)"), None, 1.0, (1.0,)), 2.0)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("steps", [16, 17, 256, 601])
     def test_step_counts(self, steps):
@@ -671,3 +702,84 @@ class TestGeneratedStepper:
 
         peak(20_000)  # compiles the stepper
         assert peak(200_000) <= 1.5 * peak(20_000)
+
+
+def branch_free(tree):
+    """True where no sqrt, ln or abs takes t and no power of t is fractional
+    or negative: the tree is analytic in u at u = 0 for alpha 1/2 and 1."""
+    if isinstance(tree, ex.Call) and tree.func in ("sqrt", "ln", "abs") and tree.contains_t:
+        return False
+    if isinstance(tree, ex.Pow) and tree.base.contains_t and not (
+            isinstance(tree.exponent, ex.Num) and float(tree.exponent.value).is_integer()
+            and tree.exponent.value >= 0):
+        return False
+    return all(branch_free(child) for child in ex._children(tree))
+
+
+def moderate_tree(rng, alpha, lo, hi, from_zero=False, constant=False):
+    """A conftest.random_tree that mpmath evaluates on nine points of [lo, hi]
+    without a fault and below 10 in size; free of t where ``constant``, and
+    analytic at u = 0 where ``from_zero`` (the Taylor reference starts
+    there)."""
+    while True:
+        tree = random_tree(rng, depth=3)
+        if constant and tree.contains_t or from_zero and not branch_free(tree):
+            continue
+        fn = mp_function(tree)
+        try:
+            size = max(abs(fn(mpmath.mpf(lo + (hi - lo) * k / 8), mpmath.mpf(alpha)))
+                       for k in range(9))
+        except ValueError:
+            continue
+        if size < 10:
+            return tree
+
+
+def close_to(got, want):
+    """Within 1e-10 relative of want, or 1e-12 absolute below 1e-2: the
+    default route's error control is absolute (1e-14 a step) there, so a
+    solution that decays to 6e-7, say, keeps about nine digits."""
+    return abs(got - want) <= 1e-10 * max(abs(want), 1e-2)
+
+
+class TestAgainstMpmath:
+    """The default route against mpmath at 30 digits, wherever it returns a
+    value (see close_to)."""
+
+    def test_random_operators_against_odefun(self):
+        rng = random.Random(2022)
+        for case in range(6):
+            order = (case // 3 + case) % 3 + 1
+            window = ("forward", "backward", "from 0")[case % 3]
+            alpha = rng.choice((0.5, 1.0) if window == "from 0" else (0.3, 0.45, 0.6, 0.8, 1.0))
+            a = round(rng.uniform(0.3, 1.5), 3)
+            s, t = {"forward": (a, a + rng.uniform(0.3, 1.0)),
+                    "backward": (a + rng.uniform(0.3, 1.0), a), "from 0": (0.0, a)}[window]
+            trees = [moderate_tree(rng, alpha, min(s, t), max(s, t), window == "from 0")
+                     for _ in range(order + 1)]
+            init = [round(rng.uniform(-1.0, 1.0), 3) for _ in range(order)]
+            op = LinearOperator(order, Alpha(alpha), tuple(map(ConformableFn.from_expr, trees[1:])))
+            got = outcome(solve_full, IvpSpec(op, ConformableFn.from_expr(trees[0]), s,
+                                              tuple(init)), t)
+            want = ivp_reference(trees[1:], trees[0], alpha, s, t, init)[0]
+            assert isinstance(got, float), (case, got)
+            assert close_to(got, want), (case, got, want)
+
+    def test_constant_coefficients_against_expm(self):
+        rng = random.Random(2023)
+        for case in range(60):
+            order = case % 3 + 1
+            alpha = rng.uniform(0.3, 1.0)
+            s = rng.choice((0.0, rng.uniform(0.0, 2.0)))
+            t = rng.uniform(0.0, 4.0)
+            trees = [moderate_tree(rng, alpha, 0.0, 1.0, constant=True)
+                     for _ in range(order + 1)]
+            forcing = trees[0] if case % 2 else None
+            init = [round(rng.uniform(-1.0, 1.0), 3) for _ in range(order)]
+            values = [float(mp_function(tree)(0, mpmath.mpf(alpha))) for tree in trees]
+            op = LinearOperator(order, Alpha(alpha), tuple(map(ConformableFn.from_expr, trees[1:])))
+            f = ConformableFn.from_expr(forcing) if forcing is not None else None
+            got = solve_full(IvpSpec(op, f, s, tuple(init)), t)
+            want = ivp_expm_reference(values[1:], values[0] if forcing is not None else None,
+                                      alpha, s, t, init)[0]
+            assert close_to(got, want), (case, got, want)

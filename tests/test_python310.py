@@ -8,6 +8,7 @@ use pytest.
 
 import glob
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -51,25 +52,30 @@ for argv in [["deriv", "--exp", "-t", "--alph", "0.5", "--at=4", "--ord", "1"],
              # at t = 0: the u-series' exact zero, and the limit of D^n f(s) as s -> 0+
              ["deriv", "--expr", "exp(t)", "--alpha", "0.7", "--order", "1", "--at", "0"],
              ["deriv", "--expr", "abs(t)", "--alpha", "1", "--order", "3", "--at", "0"],
-             ["deriv", "--expr", "exp(t)", "--alpha", "0.7", "--order", "24", "--at", "0"]]:
+             ["deriv", "--expr", "exp(t)", "--alpha", "0.7", "--order", "24", "--at", "0"],
+             # adaptive steps on a fast oscillator, cos(1600) at t = 4
+             ["solve", "--order", "2", "--coeffs", "0;160000", "--alpha", "1", "--from", "0",
+              "--to", "4", "--init", "1,0"]]:
     out, err = io.StringIO(), io.StringIO()
     code = cli.run(argv, out, err)
     results[json.dumps(argv)] = [code, out.getvalue(), err.getvalue()]
-# generated RK4 kernels: t-free coefficients, a t-dependent coefficient and a
-# forcing, alpha 1 stepping back to 0, and a fault partway through
+# generated kernels: t-free coefficients, a t-dependent coefficient and a
+# forcing, alpha 1 stepping back to 0, and a fault partway through, in 600
+# RK4 steps; and the default adaptive route on a forced solve from 0
 from confrac.calculus import Alpha, ConformableFn
 from confrac.ivp import LinearOperator, _rk4_solve
-for name, alpha, coeffs, rhs, s, t in [
-        ("t-free", 0.5, ["0.4", "0.2*alpha"], None, 1.0, 2.5),
-        ("forced", 0.7, ["0.4", "0.2*t"], "exp(-t)*cos(t)", 0.0, 2.0),
-        ("alpha 1", 1.0, ["1", "t", "sin(t)"], "t^2", 2.0, 0.0),
-        ("fault", 1.0, ["0.4", "ln(1.2025-t)"], "1", 0.0, 2.0)]:
+for name, alpha, coeffs, rhs, s, t, steps in [
+        ("t-free", 0.5, ["0.4", "0.2*alpha"], None, 1.0, 2.5, 600),
+        ("forced", 0.7, ["0.4", "0.2*t"], "exp(-t)*cos(t)", 0.0, 2.0, 600),
+        ("alpha 1", 1.0, ["1", "t", "sin(t)"], "t^2", 2.0, 0.0, 600),
+        ("fault", 1.0, ["0.4", "ln(1.2025-t)"], "1", 0.0, 2.0, 600),
+        ("adaptive", 0.7, ["0.4", "0.2*t"], "exp(-t)*cos(t)", 0.0, 2.0, None)]:
     op = LinearOperator(order=len(coeffs), alpha=Alpha(alpha),
                         coefficients=tuple(map(ConformableFn.from_expr, coeffs)))
     init = [0.5 - 0.25 * k for k in range(len(coeffs))]
     try:
         results["solve " + name] = _rk4_solve(
-            op, s, t, init, 600, ConformableFn.from_expr(rhs) if rhs else None)
+            op, s, t, init, steps, ConformableFn.from_expr(rhs) if rhs else None)
     except Exception as exc:
         results["solve " + name] = [type(exc).__name__, str(exc)]
 print(json.dumps({"version": sys.version_info[:2], "results": results}, sort_keys=True))
@@ -129,5 +135,9 @@ def test_parse_and_sweep_on_python_3_10():
     code, _, err = here["results"][json.dumps(deriv0[:6] + ["24", "--at", "0"])]
     assert code == 4 and "diverges" in err
     assert here["results"]["solve fault"] == ["EvalDomainError", "math domain error"]
-    for name in ("t-free", "forced", "alpha 1"):
+    for name in ("t-free", "forced", "alpha 1", "adaptive"):
         assert len(here["results"]["solve " + name]) in (2, 3)
+    code, out, _ = here["results"][json.dumps(["solve", "--order", "2", "--coeffs", "0;160000",
+                                               "--alpha", "1", "--from", "0", "--to", "4",
+                                               "--init", "1,0"])]
+    assert code == 0 and abs(float(out) - math.cos(1600)) <= 1e-9
