@@ -508,9 +508,14 @@ class TestKernelBitIdentity:
         # 1/(t - 1.5) has a pole inside the window: the steps shrink toward it
         # until a rejected one falls below the floor
         start = time.perf_counter()
-        with pytest.raises(SolverError, match=r"steps taken, \d+ rejected, the last of"):
+        with pytest.raises(SolverError, match="step error above tolerance") as failed:
             solve_full(IvpSpec(operator(1.0, "1/(t-1.5)"), None, 1.0, (1.0,)), 2.0)
         assert time.perf_counter() - start < 1.0
+        taken, rejected, step, u = re.search(
+            r"(\d+) steps taken, (\d+) rejected, the last of (\S+) at u=(\S+) on",
+            str(failed.value)).groups()
+        assert int(taken) + int(rejected) < ivp.MAX_DEFAULT_STEPS
+        assert 0.0 < float(step) <= 1e-15 * (float(u) + 1.0) and abs(float(u) - 1.5) < 1e-6
 
     @pytest.mark.parametrize("steps", [16, 17, 256, 601])
     def test_step_counts(self, steps):
