@@ -30,7 +30,7 @@ __all__ = ["LinearOperator", "IvpSpec", "cauchy_function", "solve_voc", "solve_f
 
 MIN_STEPS = 16
 MAX_DEFAULT_STEPS = 150_000  # attempted adaptive steps: 0.2-0.6 s at orders 1-2
-_RTOL, _ATOL = 1e-12, 1e-14
+_RTOL, _ATOL, _FLOOR = 1e-12, 1e-14, 1e-2
 # a method's stages after the first, one a line: node; scale; the weights on
 # k_1, k_2, ... ("1" alone, "p/q" the float p / q) of the stage's state
 # z + scale * sum w k.  RK4's last line, with no node, updates z.  Dormand
@@ -48,16 +48,20 @@ un; h; 9017/3168 -355/33 46732/5247 49/176 -5103/18656
 un; h; 35/384 0 500/1113 125/192 -2187/6784 11/84"""
 _DOPRI_ERR = "71/57600 0 -71/16695 71/1920 -17253/339200 22/525 -1/40"
 _DOPRI_LOOP = """\
- h = ut - u; tiny = 1e-15 * abs(h); tries = taken = 0; grow = 10.0; cut = 0.001
+ w = ut - u; hmax = w / {min_steps}; tries = taken = 0; grow = 10.0
 {first}
+ if w:
+{start}
  while u != ut:
   tries += 1
-  if tries > m or grow == 1.0 and abs(h) <= tiny + 1e-15 * abs(u):
+  if tries > m or grow == 1.0 and abs(h) <= 1e-15 * (abs(u) + abs(w)):
    raise SolverError(f"step error above tolerance: {{taken}} steps taken, {{tries - 1 - taken}} "
                      f"rejected, the last of {{h!r}} at u={{u!r}} on the way to u={{ut!r}}")
   un = u + h
   if (un + 0.01 * h - ut) * h >= 0.0: h = ut - u; un = ut
 {step}
+  if err != err:
+   raise SolverError(f"non-finite state at u={{u!r}} while stepping")
   fac = 0.9 * (err / {n} + 1e-300) ** -0.1
   if err <= {n}:
    u = un; {z}, = {new},; q1 = q7; taken += 1
@@ -65,9 +69,10 @@ _DOPRI_LOOP = """\
    if fac > grow: fac = grow
    grow = 10.0
   else:
-   if not fac >= cut: fac = cut
-   grow = 1.0; cut = 0.2
-  h *= fac"""
+   if fac < 0.2: fac = 0.2
+   grow = 1.0
+  h *= fac
+  if abs(h) > abs(hmax): h = hmax"""
 
 
 class LinearOperator(FrozenValue):
@@ -136,12 +141,18 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
     and a statement per p_i z[n - i], so a high order stays flat.  A step's
     last node is the next step's first; a step taken ends with the finite
     check.  An adaptive step is taken where the RMS of its error estimate,
-    component j over _ATOL + _RTOL (|z_j| + |new z_j|) / 2, is at most 1;
-    the next attempt is 0.9 err^(-1/5) times as long, within [1/5, 10]
-    times, at most 1 after a rejection and at least 1/1000 after the first
-    rejection, since the first attempt spans the window: Hairer, Norsett and
-    Wanner, Solving ODEs I, II.4.  More than m attempts, or a step below
-    1e-15 (|u| + window) after a rejection, raise SolverError with the counts.
+    component j over a + _RTOL (|z_j| + |new z_j|) / 2, is at most 1, with
+    a = _RTOL _FLOOR sum |z_k| (plus _ATOL where forced): relative to the
+    state, so a decaying homogeneous solution keeps its digits, and
+    absolute only where forcing lifts a zero state.  The next attempt is
+    0.9 err^(-1/5) times as long, within [1/5, 10] times, at most 1 after a
+    rejection; the first is Hairer's estimate from the slopes at u and
+    u + h0 (Hairer, Norsett and Wanner, Solving ODEs I, II.4), and no step
+    exceeds 1/MIN_STEPS of the window, so the nodes of a window are never
+    sparser than the fixed route's minimum (a feature narrower than that
+    spacing can still fall between them).  A nan error estimate is a
+    non-finite state; more than m attempts, or a step below 1e-15 (|u| +
+    window) after a rejection, raise SolverError with the counts.
     """
     names = (["f"] if forced else []) + [f"p{i}" for i in range(1, len(kinds) + 1 - forced)]
     params = ["z", "u", "ut", "m", "alpha", "inv"]
@@ -206,10 +217,13 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
         state = [f"s{stage}_{j}" for j in range(n)] if node else z
         # without coefficients nothing reads an inner stage's first component;
         # ascending j reads RK4's k1[j] = z[j + 1] before z[j + 1] is updated
-        step += [f"  {state[j]} = z{j} + {scale} * ({combination(weights, j)})"
+        lines = [f"  {state[j]} = z{j} + {scale} * ({combination(weights, j)})"
                  for j in range(0 if ps or stage > len(rows) else 1, n)]
         states.append(state)
-        step += top(stage, node, "  ") if node else []
+        lines += top(stage, node, "  ") if node else []
+        step += lines
+        if stage == 2:  # Dormand-Prince's k_2 at h = 5 h0 is the slope at u + h0 past z + h0 k_1
+            probe = at(node, "  ") + lines
     finish = [f"  if {' or '.join(f'{v} - {v}' for v in z)}:",  # nan (true) unless finite
               '   raise SolverError(f"non-finite state at u={u!r} while stepping")']
     finish += [f"  {name}_0 = {value(name, rows[-1][0] or 'u + h')}" for name in carried]
@@ -218,11 +232,27 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
         return "\n".join(head + [" h = (ut - u) / m", " hh = 0.5 * h", " h6 = h / 6.0",
                                  " for _ in range(m):"] + step + ["  u += h"] + finish
                          + [f" return [{', '.join(z)}]"])
+    atol = _ATOL if forced else 1e-300
+    size = " + ".join(f"abs(z{j})" for j in range(n))
+    step.append(f"  a = {atol!r} + {_RTOL * _FLOOR!r} * ({size})")
     for j in range(n):
         step += [f"  d = h * ({combination(_DOPRI_ERR, j)}) / "
-                 f"({_ATOL!r} + {_RTOL / 2!r} * (abs(z{j}) + abs({states[-1][j]})))",
+                 f"(a + {_RTOL / 2!r} * (abs(z{j}) + abs({states[-1][j]})))",
                  "  err += d * d" if j else "  err = d * d"]
+    slopes = [(f"z{j + 1}", f"s2_{j + 1}") for j in range(n - 1)] + [("q1", "q2")]
+    start = ["  d0 = d1 = d2 = 0.0", f"  a = {atol!r} + {_RTOL * _FLOOR!r} * ({size})"] + [
+        f"  sc{j} = a + {_RTOL!r} * abs(z{j}); d = z{j} / sc{j}; d0 += d * d; "
+        f"d = {k1} / sc{j}; d1 += d * d" for j, (k1, _) in enumerate(slopes)]
+    start += [f"  h = min(0.01 * (d0 / d1) ** 0.5 if d0 > {1e-10 * n!r} and d1 > {1e-10 * n!r} "
+              "else 1e-6 * abs(w), abs(hmax))",
+              "  h0 = h if w > 0 else -h; h = 5.0 * h0"] + probe
+    start += [f"  d = ({k2} - {k1}) / sc{j}; d2 += d * d" for j, (k1, k2) in enumerate(slopes)]
+    start += [f"  d = max(d1, d2 / (h0 * h0 + 1e-300)) / {float(n)!r}",
+              "  h = min(100.0 * abs(h0), (1e-4 / d) ** 0.1 if d > 1e-30 else "
+              "max(1e-6 * abs(w), 1e-3 * abs(h0)), abs(hmax))",
+              "  if w < 0: h = -h"]
     loop = _DOPRI_LOOP.format(first="\n".join(first), step="\n".join(step), n=float(n),
+                              start="\n".join(start), min_steps=MIN_STEPS,
                               z=", ".join(z), new=", ".join(states[-1]),
                               accept="\n".join(" " + line for line in finish))
     return "\n".join(head + [loop, f" return [{', '.join(z)}]"])
@@ -234,7 +264,7 @@ def _kernel(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: bool) -> C
     namespace: dict = {}
     exec(compile(_kernel_source(n, unit, forced, kinds, adaptive),
                  "<dopri>" if adaptive else "<rk4>", "exec"),
-         dict(ex._EVAL_GLOBALS, SolverError=SolverError, range=range), namespace)
+         dict(ex._EVAL_GLOBALS, SolverError=SolverError, range=range, min=min, max=max), namespace)
     return namespace["kernel"]
 
 

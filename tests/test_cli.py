@@ -381,6 +381,30 @@ class TestSolve:
             assert abs(float(out) - want) <= 1e-9
             assert abs(want - math.cos(periods)) <= 1e-15
 
+    @pytest.mark.parametrize("rhs, want", [
+        ("exp(-1000*(t-0.5)^2)", math.sqrt(math.pi / 1000) * math.erf(math.sqrt(1000) / 2)),
+        ("sin(282.743338823081*t)^2", 0.5 - math.sin(565.486677646162) / 1130.973355292324)])
+    def test_forcing_below_1e_17_at_the_nodes_of_one_step(self, rhs, want):
+        # D y = f from 0 to 1 is the integral of f; f is below 1e-17 at 0,
+        # 0.2, 0.3, 0.8, 8/9 and 1, the nodes of one step across the window,
+        # whose error estimate saw nothing and printed about 1e-18; steps of
+        # at most 1/16 of the window see the bump and the oscillation
+        code, out, err = invoke(["solve", "--order", "1", "--coeffs", "0", "--rhs", rhs,
+                                 "--alpha", "1", "--from", "0", "--to", "1"])
+        assert code == EXIT_OK, err
+        assert abs(float(out) - want) <= 1e-10 * want
+
+    def test_overflow_is_a_non_finite_state(self):
+        # y' = 800 y + 1 overflows near t = 0.876: the step whose error
+        # estimate is nan says so at once, rather than cutting the step down
+        # to the floor and blaming the tolerance
+        start = time.perf_counter()
+        code, out, err = invoke(["solve", "--order", "1", "--coeffs", "-800", "--rhs", "1",
+                                 "--alpha", "1", "--from", "0", "--to", "2", "--init", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert re.search(r"non-finite state at u=0\.87\d* while stepping", err), err
+
     def test_order_past_170_factorial(self):
         # the solution is 2^180/180!, about 7.6e-276; 179! does not fit a
         # float, the kernel ((t^a - s^a)/a)^179/179! does, and the quadrature's
