@@ -5,10 +5,10 @@ coefficients.  Under the substitution u = t^alpha/alpha the conformable
 derivative becomes d/du exactly, so L y = f is the classical linear system
 z' = A(u) z + f(t(u)) e_n in the state z = (y, D y, ..., D^{n-1} y), which
 one pass in u integrates from the initial data: by default in adaptive
-Dormand-Prince 5(4) steps under an error estimate, or, given a step count,
-in that many fixed classical RK4 steps.  The pass is one generated kernel
-per method and operator shape.  The coefficient-free case has the
-closed-form kernel ((t^a - s^a)/a)^(n-1)/(n-1)!: its homogeneous part is
+Dormand-Prince 8(5,3) steps (DOP853) under an error estimate, or, given a
+step count, in that many fixed classical RK4 steps.  The pass is one
+generated kernel per method and operator shape.  The coefficient-free case
+has the closed-form kernel ((t^a - s^a)/a)^(n-1)/(n-1)!: its homogeneous part is
 the exact fractional Taylor sum and its forced part the
 variation-of-constants integral (solve_voc), which also serves as an
 independent check of the direct solve.
@@ -29,42 +29,65 @@ from .taylor import TaylorExpansion, cauchy_kernel
 __all__ = ["LinearOperator", "IvpSpec", "cauchy_function", "solve_voc", "solve_full"]
 
 MIN_STEPS = 16
-MAX_DEFAULT_STEPS = 150_000  # attempted adaptive steps: 0.2-0.6 s at orders 1-2
+MAX_DEFAULT_STEPS = 150_000  # attempted adaptive steps: 0.7-1.3 s at orders 1-2
 _RTOL, _ATOL, _FLOOR = 1e-12, 1e-14, 1e-2
-# a method's stages after the first, one a line: node; scale; the weights on
-# k_1, k_2, ... ("1" alone, "p/q" the float p / q) of the stage's state
-# z + scale * sum w k.  RK4's last line, with no node, updates z.  Dormand
-# and Prince (1980): the last stage is the step's fifth-order end, and the
-# next step's first (FSAL); _DOPRI_ERR holds b - b*, the error estimate.
-_RK4 = """u + hh; hh; 1
-u + hh; hh; 0 1
-u + h; h; 0 0 1
+# a method's stages after the first, one a line, a line that starts with two
+# spaces continuing the last: node c; scale; the weights on k_1, k_2, ... of
+# the stage's state z + scale * sum w k at u + c h.  The last line, with no
+# node, is the step's end.
+_RK4 = """0.5; hh; 1
+0.5; hh; 0 1
+1; h; 0 0 1
 ; h6; 1 2.0 2.0 1"""
-_DOPRI = """u + 0.2 * h; h; 1/5
-u + 0.3 * h; h; 3/40 9/40
-u + 0.8 * h; h; 44/45 -56/15 32/9
-u + 0.8888888888888888 * h; h; 19372/6561 -25360/2187 64448/6561 -212/729
-un; h; 9017/3168 -355/33 46732/5247 49/176 -5103/18656
-un; h; 35/384 0 500/1113 125/192 -2187/6784 11/84"""
-_DOPRI_ERR = "71/57600 0 -71/16695 71/1920 -17253/339200 22/525 -1/40"
+# Dormand and Prince's 8(5,3) pair (Hairer, Norsett and Wanner, Solving ODEs
+# I, II.10, their DOP853); _DOP853_ERR holds the weights of its fifth- and
+# third-order error estimates, each b - b^.
+_DOP853 = """0.05260015195876773; h; 0.05260015195876773
+0.0789002279381516; h; 0.0197250569845379 0.0591751709536137
+0.1183503419072274; h; 0.02958758547680685 0 0.08876275643042054
+0.2816496580927726; h; 0.2413651341592667 0 -0.8845494793282861 0.924834003261792
+0.3333333333333333; h; 0.037037037037037035 0 0 0.17082860872947386 0.12546768756682242
+0.25; h; 0.037109375 0 0 0.17025221101954405 0.06021653898045596 -0.017578125
+0.3076923076923077; h; 0.03709200011850479 0 0 0.17038392571223998 0.10726203044637328
+  -0.015319437748624402 0.008273789163814023
+0.6512820512820513; h; 0.6241109587160757 0 0 -3.3608926294469414 -0.868219346841726
+  27.59209969944671 20.154067550477894 -43.48988418106996
+0.6; h; 0.47766253643826434 0 0 -2.4881146199716677 -0.590290826836843 21.230051448181193
+  15.279233632882423 -33.28821096898486 -0.020331201708508627
+0.8571428571428571; h; -0.9371424300859873 0 0 5.186372428844064 1.0914373489967295
+  -8.149787010746927 -18.52006565999696 22.739487099350505 2.4936055526796523
+  -3.0467644718982196
+1; h; 2.273310147516538 0 0 -10.53449546673725 -2.0008720582248625 -17.9589318631188
+  27.94888452941996 -2.8589982771350235 -8.87285693353063 12.360567175794303
+  0.6433927460157636
+; h; 0.054293734116568765 0 0 0 0 4.450312892752409 1.8915178993145003 -5.801203960010585
+  0.3111643669578199 -0.1521609496625161 0.20136540080403034 0.04471061572777259"""
+_DOP853_ERR = """0.01312004499419488 0 0 0 0 -1.2251564463762044 -0.4957589496572502
+  1.6643771824549864 -0.35032884874997366 0.3341791187130175 0.08192320648511571
+  -0.022355307863886294
+-0.18980075407240762 0 0 0 0 4.450312892752409 1.8915178993145003 -5.801203960010585
+  -0.4226823213237919 -0.1521609496625161 0.20136540080403034 0.02265179219836082"""
+_DOP853_ORDER = 8  # the step factor's exponent is -1/8
 _DOPRI_LOOP = """\
- w = ut - u; hmax = w / {min_steps}; tries = taken = 0; grow = 10.0
+ w = ut - u; hmax = w * {spacing!r}; tries = taken = 0; grow = 10.0; held = 1e300
 {first}
  if w:
 {start}
  while u != ut:
-  tries += 1
-  if tries > m or grow == 1.0 and abs(h) <= 1e-15 * (abs(u) + abs(w)):
+  tries += 1; floor = 1e-15 * (abs(u) + abs(w))
+  if tries > m or grow == 1.0 and abs(h) <= floor:
    raise SolverError(f"step error above tolerance: {{taken}} steps taken, {{tries - 1 - taken}} "
                      f"rejected, the last of {{h!r}} at u={{u!r}} on the way to u={{ut!r}}")
   un = u + h
   if (un + 0.01 * h - ut) * h >= 0.0: h = ut - u; un = ut
 {step}
+  err = abs(h) * e5 / ((e5 + 0.01 * e3) * {n!r} + 1e-300) ** 0.5
   if err != err:
    raise SolverError(f"non-finite state at u={{u!r}} while stepping")
-  fac = 0.9 * (err / {n} + 1e-300) ** -0.1
-  if err <= {n}:
-   u = un; {z}, = {new},; q1 = q7; taken += 1
+  if grow == 1.0 and abs(h) * {closest!r} <= floor: err = 1e300
+  fac = 0.9 * (err + 1e-300) ** {exponent!r}
+  if err <= 1.0:
+   u = un; {z}, = {new},; taken += 1
 {accept}
    if fac > grow: fac = grow
    grow = 10.0
@@ -73,6 +96,17 @@ _DOPRI_LOOP = """\
    grow = 1.0
   h *= fac
   if abs(h) > abs(hmax): h = hmax"""
+
+
+def _rows(tableau: str) -> list:
+    """A tableau's lines as [node c, scale, weights] (see _RK4)."""
+    return [line.split("; ") for line in tableau.replace("\n  ", " ").splitlines()]
+
+
+def _gaps(rows: list) -> list:
+    """The gaps between the distinct nodes of one step, over the step's length."""
+    cs = sorted({0.0, 1.0}.union(float(c) for c, _, _ in rows if c))
+    return [b - a for a, b in zip(cs, cs[1:])]
 
 
 class LinearOperator(FrozenValue):
@@ -128,7 +162,7 @@ def _own_code(fn: ConformableFn) -> Optional[tuple]:
 def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: bool) -> str:
     """Python source of kernel(z, u, ut, m, alpha, inv, *args): the state
     z = (y, D y, ..., D^(n-1) y) at u carried to ut in m RK4 steps, or
-    where ``adaptive`` in Dormand-Prince steps, at most m of them attempted.
+    where ``adaptive`` in DOP853 steps, at most m of them attempted.
 
     kinds holds one entry per function, the forcing first where ``forced``,
     then p_1..p_n: None for a function the kernel calls (its evaluator is
@@ -140,23 +174,38 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
     evaluates its new nodes, then its stages, a local per state component
     and a statement per p_i z[n - i], so a high order stays flat.  A step's
     last node is the next step's first; a step taken ends with the finite
-    check.  An adaptive step is taken where the RMS of its error estimate,
-    component j over a + _RTOL (|z_j| + |new z_j|) / 2, is at most 1, with
-    a = _RTOL _FLOOR sum |z_k| (plus _ATOL where forced): relative to the
-    state, so a decaying homogeneous solution keeps its digits, and
-    absolute only where forcing lifts a zero state.  The next attempt is
-    0.9 err^(-1/5) times as long, within [1/5, 10] times, at most 1 after a
+    check.  An adaptive step is taken where DOP853's combined error
+    estimate |h| e5^2 / sqrt(n (e5^2 + 0.01 e3^2)) is at most 1, e5 and e3
+    the norms of its two estimates, component j over a + _RTOL (|z_j| +
+    |new z_j|) / 2, with a = _RTOL _FLOOR sum |z_k| (plus _ATOL where
+    forced): relative to the state, so a decaying homogeneous solution
+    keeps its digits, and absolute only where forcing lifts a zero state.
+    The step's slope at its end, the next step's first, is taken from the
+    new state and the end node's values.  The next attempt is
+    0.9 err^(-1/8) times as long, within [1/5, 10] times, at most 1 after a
     rejection; the first is Hairer's estimate from the slopes at u and
-    u + h0 (Hairer, Norsett and Wanner, Solving ODEs I, II.4), and no step
-    exceeds 1/MIN_STEPS of the window, so the nodes of a window are never
-    sparser than the fixed route's minimum (a feature narrower than that
-    spacing can still fall between them).  A nan error estimate is a
-    non-finite state; more than m attempts, or a step below 1e-15 (|u| +
-    window) after a rejection, raise SolverError with the counts.
+    u + h0, h0 = c_2 h (Hairer, Norsett and Wanner, Solving ODEs I, II.4).
+    No step is longer than the widest gap between its nodes allows, so the
+    nodes of a window are never sparser than the fixed route's are at
+    MIN_STEPS steps, 1/32 of the window (a feature narrower than that can
+    still fall between them).  A nan error estimate is a non-finite state.
+    SolverError, with the counts, ends more than m attempts, and a step
+    below 1e-15 (|u| + window) after a rejection; after a rejection, a
+    step whose closest nodes lie within that floor of each other is
+    rejected too, so such steps fall to the floor by fifths.  Where a step
+    is held (no growth asked) past DOP853's stability bound by Hairer's
+    estimate, h lambda = |h| |k - k'| / |z - z'| over the two stages at
+    u + h above 6.1, and the rest of the window needs more steps of its
+    size than attempts remain, the steps left are projected from the least
+    such step at the rate the steps have grown since; where that is still
+    more than the attempts left, they are spent at once.
     """
     names = (["f"] if forced else []) + [f"p{i}" for i in range(1, len(kinds) + 1 - forced)]
     params = ["z", "u", "ut", "m", "alpha", "inv"]
-    rows = [line.split("; ") for line in (_DOPRI if adaptive else _RK4).splitlines()]
+    tableau = _rows(_DOP853 if adaptive else _RK4)
+    end = "un" if adaptive else "u + h"  # the step's end, clipped to ut where adaptive
+    rows = [(c and (end if c == "1" else f"u + {c} * h"), scale, weights)
+            for c, scale, weights in tableau]
     # one label per distinct node in evaluation order, "0" the step's start
     labels = {at: str(k) for k, at in enumerate(
         dict.fromkeys(["u"] + [row[0] for row in rows if row[0]]))}
@@ -203,18 +252,15 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
     def combination(weights: str, j: int) -> str:  # sum w k_i, component j
         terms = []
         for i, w in enumerate(weights.split(), start=1):
-            if "/" in w:
-                num, den = w.split("/")
-                w = repr(int(num) / int(den))
             k = states[i - 1][j + 1] if j < n - 1 else f"q{i}"
             terms += [] if w == "0" else [k] if w == "1" else [f"{w} * {k}"]
         return " + ".join(terms)
 
-    first = top(1, "u", " ")  # before the adaptive loop, then carried (FSAL)
+    first = top(1, "u", " ")  # the slope at the step's start, from its carried node values
     step = [line for node in list(labels)[1:] for line in at(node, "  ")]
     step += [] if adaptive else [" " + line for line in first]
     for stage, (node, scale, weights) in enumerate(rows, start=2):
-        state = [f"s{stage}_{j}" for j in range(n)] if node else z
+        state = [f"s{stage}_{j}" for j in range(n)] if node or adaptive else z
         # without coefficients nothing reads an inner stage's first component;
         # ascending j reads RK4's k1[j] = z[j + 1] before z[j + 1] is updated
         lines = [f"  {state[j]} = z{j} + {scale} * ({combination(weights, j)})"
@@ -222,11 +268,11 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
         states.append(state)
         lines += top(stage, node, "  ") if node else []
         step += lines
-        if stage == 2:  # Dormand-Prince's k_2 at h = 5 h0 is the slope at u + h0 past z + h0 k_1
+        if stage == 2:  # k_2 at h = h0 / c_2 is the slope at u + h0 past z + h0 k_1
             probe = at(node, "  ") + lines
     finish = [f"  if {' or '.join(f'{v} - {v}' for v in z)}:",  # nan (true) unless finite
               '   raise SolverError(f"non-finite state at u={u!r} while stepping")']
-    finish += [f"  {name}_0 = {value(name, rows[-1][0] or 'u + h')}" for name in carried]
+    finish += [f"  {name}_0 = {value(name, end)}" for name in carried]
     head = [f"def kernel({', '.join(params)}):", f" {', '.join(z)}, = z"] + at("u", " ")
     if not adaptive:
         return "\n".join(head + [" h = (ut - u) / m", " hh = 0.5 * h", " h6 = h / 6.0",
@@ -235,24 +281,46 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
     atol = _ATOL if forced else 1e-300
     size = " + ".join(f"abs(z{j})" for j in range(n))
     step.append(f"  a = {atol!r} + {_RTOL * _FLOOR!r} * ({size})")
+    e5, e3 = _rows(_DOP853_ERR)
     for j in range(n):
-        step += [f"  d = h * ({combination(_DOPRI_ERR, j)}) / "
-                 f"(a + {_RTOL / 2!r} * (abs(z{j}) + abs({states[-1][j]})))",
-                 "  err += d * d" if j else "  err = d * d"]
+        step += [f"  sc = a + {_RTOL / 2!r} * (abs(z{j}) + abs({states[-1][j]}))",
+                 f"  d = ({combination(e5[0], j)}) / sc; e5 {'+' if j else ''}= d * d",
+                 f"  d = ({combination(e3[0], j)}) / sc; e3 {'+' if j else ''}= d * d"]
+    finish += [" " + line for line in first]
+    if ps:  # Hairer's h lambda from the two slopes at u + h: |h| |k - k'| / |z - z'|
+        last = max(stage for stage, row in enumerate(rows, start=2) if row[0] == end)
+        pairs = [(f"z{j}", f"s{last}_{j}") for j in range(n)]
+        slopes = pairs[1:] + [("q1", f"q{last}")]
+        finish += ["  if fac <= 1.0 and abs(ut - u) > abs(h) * (m - tries):",
+                   "   num = den = 0.0"] + [
+            f"   d = {k} - {k_}; num += d * d; d = {y} - {y_}; den += d * d"
+            for (k, k_), (y, y_) in zip(slopes, pairs)]
+        # past DOP853's stability bound, 6.1 (Hairer's), steps grow only as
+        # the stiffness eases: from the least such step on, project the steps
+        # left at the growth seen since, and spend the attempts if too few
+        finish += ["   if h * h * num > 37.21 * den:",
+                   "    if abs(h) < held: held = abs(h); uh = u",
+                   "    else:",
+                   "     g = (abs(h) - held) / abs(u - uh); left = abs(ut - u) / abs(h)",
+                   "     if (log(1.0 + g * left) / g if g else left) > m - tries: m = tries"]
     slopes = [(f"z{j + 1}", f"s2_{j + 1}") for j in range(n - 1)] + [("q1", "q2")]
     start = ["  d0 = d1 = d2 = 0.0", f"  a = {atol!r} + {_RTOL * _FLOOR!r} * ({size})"] + [
         f"  sc{j} = a + {_RTOL!r} * abs(z{j}); d = z{j} / sc{j}; d0 += d * d; "
         f"d = {k1} / sc{j}; d1 += d * d" for j, (k1, _) in enumerate(slopes)]
     start += [f"  h = min(0.01 * (d0 / d1) ** 0.5 if d0 > {1e-10 * n!r} and d1 > {1e-10 * n!r} "
               "else 1e-6 * abs(w), abs(hmax))",
-              "  h0 = h if w > 0 else -h; h = 5.0 * h0"] + probe
+              f"  h0 = h if w > 0 else -h; h = h0 / {float(tableau[0][0])!r}"] + probe
     start += [f"  d = ({k2} - {k1}) / sc{j}; d2 += d * d" for j, (k1, k2) in enumerate(slopes)]
     start += [f"  d = max(d1, d2 / (h0 * h0 + 1e-300)) / {float(n)!r}",
-              "  h = min(100.0 * abs(h0), (1e-4 / d) ** 0.1 if d > 1e-30 else "
-              "max(1e-6 * abs(w), 1e-3 * abs(h0)), abs(hmax))",
+              f"  h = min(100.0 * abs(h0), (1e-4 / d) ** {0.5 / _DOP853_ORDER!r} "
+              "if d > 1e-30 else max(1e-6 * abs(w), 1e-3 * abs(h0)), abs(hmax))",
               "  if w < 0: h = -h"]
+    # hmax: a step's widest node gap spans at most the fixed route's at MIN_STEPS
+    gaps = _gaps(tableau)
     loop = _DOPRI_LOOP.format(first="\n".join(first), step="\n".join(step), n=float(n),
-                              start="\n".join(start), min_steps=MIN_STEPS,
+                              start="\n".join(start), exponent=-1.0 / _DOP853_ORDER,
+                              spacing=max(_gaps(_rows(_RK4))) / MIN_STEPS / max(gaps),
+                              closest=min(gaps),
                               z=", ".join(z), new=", ".join(states[-1]),
                               accept="\n".join(" " + line for line in finish))
     return "\n".join(head + [loop, f" return [{', '.join(z)}]"])
@@ -273,14 +341,15 @@ def _rk4_solve(op: LinearOperator, s: float, t: float, state: list[float],
                forcing: Optional[ConformableFn] = None) -> list[float]:
     """Integrate L y = forcing (L y = 0 if None) in the u variable from u(s)
     to u(t), starting from ``state`` = (y, D y, ..., D^(n-1) y) at s; returns
-    the state at t.  With ``steps`` None in adaptive Dormand-Prince 5(4)
+    the state at t.  With ``steps`` None in adaptive Dormand-Prince 8(5,3)
     steps to a relative tolerance of 1e-12, raising SolverError where that
-    takes more than MAX_DEFAULT_STEPS attempts; given ``steps``, in that
-    many classical RK4 steps, the same floats on every run (the contract of
-    --steps).  Nodes are evaluated one after another, at each the forcing,
-    then p_1..p_n, and the steps before a failing node are taken, so a
-    state gone non-finite before it raises first.  The name dates from when
-    every pass was RK4; the benchmark's tracer counts passes under it.
+    takes, or is projected to take, more than MAX_DEFAULT_STEPS attempts;
+    given ``steps``, in that many classical RK4 steps, the same floats on
+    every run (the contract of --steps).  Nodes are evaluated one after
+    another, at each the forcing, then p_1..p_n, and the steps before a
+    failing node are taken, so a state gone non-finite before it raises
+    first.  The name dates from when every pass was RK4; the benchmark's
+    tracer counts passes under it.
     """
     a = op.alpha.value
     us = math.pow(s, a) / a

@@ -458,6 +458,32 @@ class TestKernelErrors:
         assert (f_points, p1_points, p2_points) == ([0.0], [], [])
 
 
+class TestTableau:
+    def test_dop853_order_conditions(self):
+        rows = ivp._rows(ivp._DOP853)
+        c = [0.0] + [float(node) for node, _, _ in rows[:-1]]
+        for ci, (_, _, weights) in zip(c[1:], rows):
+            assert sum(map(float, weights.split())) == pytest.approx(ci, abs=1e-14)
+        # the last stage sits at the step's end, where the next step starts
+        assert (c[-1], rows[-1][0]) == (1.0, "")
+        b = [float(w) for w in rows[-1][2].split()]
+        for k in range(ivp._DOP853_ORDER):
+            assert sum(bi * ci ** k for bi, ci in zip(b, c)) == pytest.approx(
+                1.0 / (k + 1), abs=1e-14)
+        for (weights,) in ivp._rows(ivp._DOP853_ERR):  # E5, then E3
+            assert abs(sum(map(float, weights.split()))) <= 1e-14
+
+    @pytest.mark.parametrize("s, t", [(1.0, 2.5), (2.5, 1.0), (0.0, 3.0)])
+    def test_nodes_never_sparser_than_the_fixed_route(self, s, t):
+        # the fixed route's nodes, at MIN_STEPS steps, lie (t - s) / 32 apart
+        f, points = counting("exp(-t)")
+        solve_full(IvpSpec(op_02(1.0), f, s, (0.5, -0.2)), t)
+        nodes = sorted(set(points))
+        assert (nodes[0], nodes[-1]) == (min(s, t), max(s, t))
+        widest = max(b - a for a, b in zip(nodes, nodes[1:]))
+        assert widest <= abs(t - s) / (2 * ivp.MIN_STEPS) * (1 + 1e-12)
+
+
 class TestKernelBitIdentity:
     @pytest.mark.parametrize("order", [1, 3, 4])
     @pytest.mark.parametrize("forcing", [None, "exp(-t)"])
@@ -488,21 +514,33 @@ class TestKernelBitIdentity:
     def test_default_step_count_is_capped(self):
         # the default route attempts at most MAX_DEFAULT_STEPS adaptive steps:
         # alpha 1e-10 to t = 4 spans 1e10 units of u, too stiff for explicit
-        # steps, and fails within a second with the counts
+        # steps, and fails within a second with the counts, as soon as its
+        # steps are held at the stability bound that leaves more of the
+        # window than the remaining attempts can cross
         spec = IvpSpec(operator(1e-10, "1", "t"), ConformableFn.from_expr("cos(t)"), 0.0,
                        (0.0, 0.0))
         start = time.perf_counter()
         with pytest.raises(SolverError, match="step error above tolerance") as failed:
             solve_full(spec, 4.0)
         assert time.perf_counter() - start < 1.0
-        taken, rejected = map(int, re.search(r"(\d+) steps taken, (\d+) rejected",
-                                             str(failed.value)).groups())
-        assert taken + rejected == ivp.MAX_DEFAULT_STEPS
+        taken, rejected, step, u, ut = re.search(
+            r"(\d+) steps taken, (\d+) rejected, the last of (\S+) at u=(\S+) on the way to "
+            r"u=(\S+)$", str(failed.value)).groups()
+        left = ivp.MAX_DEFAULT_STEPS - int(taken) - int(rejected)
+        assert left > 0 and float(ut) - float(u) > left * float(step)
         # 3,000 units of u, which the old fixed count (512 a unit, at most
         # 2^20) refused: a smooth solution takes few steps
         spec = IvpSpec(operator(1.0, "0.001"), fam.constant(1.0), 0.0, (0.5,))
         want = ivp_expm_reference([0.001], 1.0, 1.0, 0.0, 3000.0, [0.5])[0]
         assert abs(solve_full(spec, 3000.0) - want) <= 1e-10 * abs(want)
+
+    def test_stiffness_that_eases_is_crossed(self):
+        # y' + 1000/(1+t) y = 1 is stiff near t = 0, but its steps grow with
+        # 1 + t: 10^4 units of u take about 1,600 of them, where steps of the
+        # first size held at the stability bound would need over a million
+        spec = IvpSpec(operator(1.0, "1000/(1+t)"), fam.constant(1.0), 0.0, (1.0,))
+        want = 10001.0 / 1001.0 + 1000.0 / 1001.0 * 10001.0 ** -1000
+        assert solve_full(spec, 1e4) == pytest.approx(want, rel=1e-10)
 
     def test_step_size_floor(self):
         # 1/(t - 1.5) has a pole inside the window: the steps shrink toward it
