@@ -29,7 +29,7 @@ from .taylor import TaylorExpansion, cauchy_kernel
 __all__ = ["LinearOperator", "IvpSpec", "cauchy_function", "solve_voc", "solve_full"]
 
 MIN_STEPS = 16
-MAX_DEFAULT_STEPS = 150_000  # attempted adaptive steps: 0.7-1.3 s at orders 1-2
+MAX_DEFAULT_STEPS = 75_000  # attempted adaptive steps: 0.4-0.7 s at orders 1-2
 _RTOL, _ATOL, _FLOOR = 1e-12, 1e-14, 1e-2
 # a method's stages after the first, one a line, a line that starts with two
 # spaces continuing the last: node c; scale; the weights on k_1, k_2, ... of
@@ -84,7 +84,7 @@ _DOPRI_LOOP = """\
   err = abs(h) * e5 / ((e5 + 0.01 * e3) * {n!r} + 1e-300) ** 0.5
   if err != err:
    raise SolverError(f"non-finite state at u={{u!r}} while stepping")
-  if grow == 1.0 and abs(h) * {closest!r} <= floor: err = 1e300
+  if grow == 1.0 and abs(h) * {closest!r} <= 1e-15 * abs(u): err = 1e300
   fac = 0.9 * (err + 1e-300) ** {exponent!r}
   if err <= 1.0:
    u = un; {z}, = {new},; taken += 1
@@ -191,14 +191,17 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
     still fall between them).  A nan error estimate is a non-finite state.
     SolverError, with the counts, ends more than m attempts, and a step
     below 1e-15 (|u| + window) after a rejection; after a rejection, a
-    step whose closest nodes lie within that floor of each other is
-    rejected too, so such steps fall to the floor by fifths.  Where a step
-    is held (no growth asked) past DOP853's stability bound by Hairer's
-    estimate, h lambda = |h| |k - k'| / |z - z'| over the two stages at
-    u + h above 6.1, and the rest of the window needs more steps of its
-    size than attempts remain, the steps left are projected from the least
-    such step at the rate the steps have grown since; where that is still
-    more than the attempts left, they are spent at once.
+    step whose closest nodes lie within 1e-15 |u| of each other, where
+    rounding blurs them and the error estimate is noise, is rejected too,
+    so such steps fall to the floor by fifths.  Where a step is held (no
+    growth asked) past DOP853's stability bound by Hairer's estimate,
+    h lambda = |h| |k - k'| / |z - z'| over the two stages at u + h above
+    6.1, and the rest of the window needs 32 times more steps of its size
+    than attempts remain, the steps left are projected from the least such
+    step at the rate the steps have grown since; where that is still 32
+    times the attempts left, they are spent at once.  The margin keeps a
+    stiffness that eases faster than that rate, such as (1 + u)^-2, from
+    ending a pass the attempts would finish.
     """
     names = (["f"] if forced else []) + [f"p{i}" for i in range(1, len(kinds) + 1 - forced)]
     params = ["z", "u", "ut", "m", "alpha", "inv"]
@@ -291,18 +294,21 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
         last = max(stage for stage, row in enumerate(rows, start=2) if row[0] == end)
         pairs = [(f"z{j}", f"s{last}_{j}") for j in range(n)]
         slopes = pairs[1:] + [("q1", f"q{last}")]
-        finish += ["  if fac <= 1.0 and abs(ut - u) > abs(h) * (m - tries):",
+        finish += ["  if fac <= 1.0 and abs(ut - u) > abs(h) * 32.0 * (m - tries):",
                    "   num = den = 0.0"] + [
             f"   d = {k} - {k_}; num += d * d; d = {y} - {y_}; den += d * d"
             for (k, k_), (y, y_) in zip(slopes, pairs)]
         # past DOP853's stability bound, 6.1 (Hairer's), steps grow only as
         # the stiffness eases: from the least such step on, project the steps
-        # left at the growth seen since, and spend the attempts if too few
+        # left at the growth seen since, and spend the attempts where that is
+        # 32 times more than remain: growth linear in u overestimates the
+        # steps of a stiffness easing as (1 + u)^-k, R units of u from the
+        # end, about (1 - 1/k) ln(k R / (1 + u)) times, under 32 for k R < 7e13
         finish += ["   if h * h * num > 37.21 * den:",
                    "    if abs(h) < held: held = abs(h); uh = u",
                    "    else:",
                    "     g = (abs(h) - held) / abs(u - uh); left = abs(ut - u) / abs(h)",
-                   "     if (log(1.0 + g * left) / g if g else left) > m - tries: m = tries"]
+                   "     if (log(1.0 + g * left) / g if g else left) > 32.0 * (m - tries): m = tries"]
     slopes = [(f"z{j + 1}", f"s2_{j + 1}") for j in range(n - 1)] + [("q1", "q2")]
     start = ["  d0 = d1 = d2 = 0.0", f"  a = {atol!r} + {_RTOL * _FLOOR!r} * ({size})"] + [
         f"  sc{j} = a + {_RTOL!r} * abs(z{j}); d = z{j} / sc{j}; d0 += d * d; "
@@ -343,8 +349,8 @@ def _rk4_solve(op: LinearOperator, s: float, t: float, state: list[float],
     to u(t), starting from ``state`` = (y, D y, ..., D^(n-1) y) at s; returns
     the state at t.  With ``steps`` None in adaptive Dormand-Prince 8(5,3)
     steps to a relative tolerance of 1e-12, raising SolverError where that
-    takes, or is projected to take, more than MAX_DEFAULT_STEPS attempts;
-    given ``steps``, in that many classical RK4 steps, the same floats on
+    takes more than MAX_DEFAULT_STEPS attempts or is projected to take far
+    more; given ``steps``, in that many classical RK4 steps, the same floats on
     every run (the contract of --steps).  Nodes are evaluated one after
     another, at each the forcing, then p_1..p_n, and the steps before a
     failing node are taken, so a state gone non-finite before it raises

@@ -513,26 +513,38 @@ class TestKernelBitIdentity:
 
     def test_default_step_count_is_capped(self):
         # the default route attempts at most MAX_DEFAULT_STEPS adaptive steps:
-        # alpha 1e-10 to t = 4 spans 1e10 units of u, too stiff for explicit
-        # steps, and fails within a second with the counts, as soon as its
-        # steps are held at the stability bound that leaves more of the
-        # window than the remaining attempts can cross
-        spec = IvpSpec(operator(1e-10, "1", "t"), ConformableFn.from_expr("cos(t)"), 0.0,
-                       (0.0, 0.0))
+        # y' + cos(400 t) y = 1 to t = 40000 needs more steps of the size its
+        # accuracy allows than that, and fails within a second with the counts
+        spec = IvpSpec(operator(1.0, "cos(400*t)"), fam.constant(1.0), 0.0, (0.0,))
         start = time.perf_counter()
         with pytest.raises(SolverError, match="step error above tolerance") as failed:
-            solve_full(spec, 4.0)
+            solve_full(spec, 40000.0)
         assert time.perf_counter() - start < 1.0
-        taken, rejected, step, u, ut = re.search(
-            r"(\d+) steps taken, (\d+) rejected, the last of (\S+) at u=(\S+) on the way to "
-            r"u=(\S+)$", str(failed.value)).groups()
-        left = ivp.MAX_DEFAULT_STEPS - int(taken) - int(rejected)
-        assert left > 0 and float(ut) - float(u) > left * float(step)
+        taken, rejected = map(int, re.search(r"(\d+) steps taken, (\d+) rejected",
+                                             str(failed.value)).groups())
+        assert taken + rejected == ivp.MAX_DEFAULT_STEPS
         # 3,000 units of u, which the old fixed count (512 a unit, at most
         # 2^20) refused: a smooth solution takes few steps
         spec = IvpSpec(operator(1.0, "0.001"), fam.constant(1.0), 0.0, (0.5,))
         want = ivp_expm_reference([0.001], 1.0, 1.0, 0.0, 3000.0, [0.5])[0]
         assert abs(solve_full(spec, 3000.0) - want) <= 1e-10 * abs(want)
+
+    def test_stiff_range_fails_fast(self):
+        # alpha 1e-10 to t = 4 spans 1e10 units of u, too stiff for explicit
+        # steps: the pass ends, with the counts, as soon as its steps are held
+        # at the stability bound that leaves far more of the window than the
+        # remaining attempts can cross
+        spec = IvpSpec(operator(1e-10, "1", "t"), ConformableFn.from_expr("cos(t)"), 0.0,
+                       (0.0, 0.0))
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="step error above tolerance") as failed:
+            solve_full(spec, 4.0)
+        assert time.perf_counter() - start < 0.25
+        taken, rejected, step, u, ut = re.search(
+            r"(\d+) steps taken, (\d+) rejected, the last of (\S+) at u=(\S+) on the way to "
+            r"u=(\S+)$", str(failed.value)).groups()
+        left = ivp.MAX_DEFAULT_STEPS - int(taken) - int(rejected)
+        assert left > 0 and float(ut) - float(u) > left * float(step)
 
     def test_stiffness_that_eases_is_crossed(self):
         # y' + 1000/(1+t) y = 1 is stiff near t = 0, but its steps grow with
@@ -541,6 +553,21 @@ class TestKernelBitIdentity:
         spec = IvpSpec(operator(1.0, "1000/(1+t)"), fam.constant(1.0), 0.0, (1.0,))
         want = 10001.0 / 1001.0 + 1000.0 / 1001.0 * 10001.0 ** -1000
         assert solve_full(spec, 1e4) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("c, t", [(3e5, 1e4), (2e5, 1e8)])
+    def test_stiffness_that_eases_faster_is_crossed(self, c, t):
+        # y' + c/(1+t)^2 y = 1 from y(0) = 0: the steps held at the stability
+        # bound grow as (1 + t)^2, faster than a projection linear in t
+        # assumes, and up to 50,000 of them cross the stiff start; over 1e8
+        # units of u the step floor, 1e-7, lies close to their node gaps.
+        # With x = 1 + t and z = c/x, y = x - c e^z E1(z) + e^(z-c) (c E1(c) - 1)
+        spec = IvpSpec(operator(1.0, f"{c!r}/(1+t)^2"), fam.constant(1.0), 0.0, (0.0,))
+        with mpmath.workdps(40):
+            x, c_ = 1 + mpmath.mpf(t), mpmath.mpf(c)
+            z = c_ / x
+            want = float(x - c_ * mpmath.exp(z) * mpmath.e1(z)
+                         + mpmath.exp(z - c_) * (c_ * mpmath.e1(c_) - 1))
+        assert solve_full(spec, t) == pytest.approx(want, rel=1e-10)
 
     def test_step_size_floor(self):
         # 1/(t - 1.5) has a pole inside the window: the steps shrink toward it
