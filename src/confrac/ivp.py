@@ -69,13 +69,12 @@ _DOP853_ERR = """0.01312004499419488 0 0 0 0 -1.2251564463762044 -0.495758949657
   -0.4226823213237919 -0.1521609496625161 0.20136540080403034 0.02265179219836082"""
 _DOP853_ORDER = 8  # the step factor's exponent is -1/8
 _DOPRI_LOOP = """\
- w = ut - u; hmax = w * {spacing!r}; tries = taken = 0; grow = 10.0; held = 1e300
+ hmax = (ut - u) * {spacing!r}; tries = taken = 0; grow = 10.0; held = 1e300
 {first}
- if w:
-{start}
+ h = hmax
  while u != ut:
-  tries += 1; floor = 1e-15 * (abs(u) + abs(w))
-  if tries > m or grow == 1.0 and abs(h) <= floor:
+  tries += 1
+  if tries > m or grow == 1.0 and abs(h) * {closest!r} <= 1e-15 * abs(u):
    raise SolverError(f"step error above tolerance: {{taken}} steps taken, {{tries - 1 - taken}} "
                      f"rejected, the last of {{h!r}} at u={{u!r}} on the way to u={{ut!r}}")
   un = u + h
@@ -84,7 +83,6 @@ _DOPRI_LOOP = """\
   err = abs(h) * e5 / ((e5 + 0.01 * e3) * {n!r} + 1e-300) ** 0.5
   if err != err:
    raise SolverError(f"non-finite state at u={{u!r}} while stepping")
-  if grow == 1.0 and abs(h) * {closest!r} <= 1e-15 * abs(u): err = 1e300
   fac = 0.9 * (err + 1e-300) ** {exponent!r}
   if err <= 1.0:
    u = un; {z}, = {new},; taken += 1
@@ -181,22 +179,19 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
     forced): relative to the state, so a decaying homogeneous solution
     keeps its digits, and absolute only where forcing lifts a zero state.
     The step's slope at its end, the next step's first, is taken from the
-    new state and the end node's values.  The next attempt is
-    0.9 err^(-1/8) times as long, within [1/5, 10] times, at most 1 after a
-    rejection; the first is Hairer's estimate from the slopes at u and
-    u + h0, h0 = c_2 h (Hairer, Norsett and Wanner, Solving ODEs I, II.4).
-    No step is longer than the widest gap between its nodes allows, so the
-    nodes of a window are never sparser than the fixed route's are at
-    MIN_STEPS steps, 1/32 of the window (a feature narrower than that can
-    still fall between them).  A nan error estimate is a non-finite state.
-    SolverError, with the counts, ends more than m attempts, and a step
-    below 1e-15 (|u| + window) after a rejection; after a rejection, a
-    step whose closest nodes lie within 1e-15 |u| of each other, where
-    rounding blurs them and the error estimate is noise, is rejected too,
-    so such steps fall to the floor by fifths.  Where a step is held (no
-    growth asked) past DOP853's stability bound by Hairer's estimate,
-    h lambda = |h| |k - k'| / |z - z'| over the two stages at u + h above
-    6.1, and the rest of the window needs 32 times more steps of its size
+    new state and the end node's values.  No step is longer than the widest
+    gap between its nodes allows, so the nodes of a window are never
+    sparser than the fixed route's are at MIN_STEPS steps, 1/32 of the
+    window (a feature narrower than that can still fall between them); the
+    first attempt is that longest step.  The next is 0.9 err^(-1/8) times
+    as long, within [1/5, 10] times, at most 1 after a rejection.  A nan
+    error estimate is a non-finite state.  SolverError, with the counts,
+    ends more than m attempts, and, after a rejection, a step whose closest
+    nodes lie within 1e-15 |u| of each other, where rounding blurs them and
+    the error estimate is noise.  Where a step is held (no growth asked)
+    past DOP853's stability bound by Hairer's estimate, h lambda =
+    |h| |k - k'| / |z - z'| over the two stages at u + h above 6.1, and
+    the rest of the window needs 32 times more steps of its size
     than attempts remain, the steps left are projected from the least such
     step at the rate the steps have grown since; where that is still 32
     times the attempts left, they are spent at once.  The margin keeps a
@@ -271,8 +266,6 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
         states.append(state)
         lines += top(stage, node, "  ") if node else []
         step += lines
-        if stage == 2:  # k_2 at h = h0 / c_2 is the slope at u + h0 past z + h0 k_1
-            probe = at(node, "  ") + lines
     finish = [f"  if {' or '.join(f'{v} - {v}' for v in z)}:",  # nan (true) unless finite
               '   raise SolverError(f"non-finite state at u={u!r} while stepping")']
     finish += [f"  {name}_0 = {value(name, end)}" for name in carried]
@@ -309,22 +302,10 @@ def _kernel_source(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: boo
                    "    else:",
                    "     g = (abs(h) - held) / abs(u - uh); left = abs(ut - u) / abs(h)",
                    "     if (log(1.0 + g * left) / g if g else left) > 32.0 * (m - tries): m = tries"]
-    slopes = [(f"z{j + 1}", f"s2_{j + 1}") for j in range(n - 1)] + [("q1", "q2")]
-    start = ["  d0 = d1 = d2 = 0.0", f"  a = {atol!r} + {_RTOL * _FLOOR!r} * ({size})"] + [
-        f"  sc{j} = a + {_RTOL!r} * abs(z{j}); d = z{j} / sc{j}; d0 += d * d; "
-        f"d = {k1} / sc{j}; d1 += d * d" for j, (k1, _) in enumerate(slopes)]
-    start += [f"  h = min(0.01 * (d0 / d1) ** 0.5 if d0 > {1e-10 * n!r} and d1 > {1e-10 * n!r} "
-              "else 1e-6 * abs(w), abs(hmax))",
-              f"  h0 = h if w > 0 else -h; h = h0 / {float(tableau[0][0])!r}"] + probe
-    start += [f"  d = ({k2} - {k1}) / sc{j}; d2 += d * d" for j, (k1, k2) in enumerate(slopes)]
-    start += [f"  d = max(d1, d2 / (h0 * h0 + 1e-300)) / {float(n)!r}",
-              f"  h = min(100.0 * abs(h0), (1e-4 / d) ** {0.5 / _DOP853_ORDER!r} "
-              "if d > 1e-30 else max(1e-6 * abs(w), 1e-3 * abs(h0)), abs(hmax))",
-              "  if w < 0: h = -h"]
     # hmax: a step's widest node gap spans at most the fixed route's at MIN_STEPS
     gaps = _gaps(tableau)
     loop = _DOPRI_LOOP.format(first="\n".join(first), step="\n".join(step), n=float(n),
-                              start="\n".join(start), exponent=-1.0 / _DOP853_ORDER,
+                              exponent=-1.0 / _DOP853_ORDER,
                               spacing=max(_gaps(_rows(_RK4))) / MIN_STEPS / max(gaps),
                               closest=min(gaps),
                               z=", ".join(z), new=", ".join(states[-1]),
@@ -338,7 +319,7 @@ def _kernel(n: int, unit: bool, forced: bool, kinds: tuple, adaptive: bool) -> C
     namespace: dict = {}
     exec(compile(_kernel_source(n, unit, forced, kinds, adaptive),
                  "<dopri>" if adaptive else "<rk4>", "exec"),
-         dict(ex._EVAL_GLOBALS, SolverError=SolverError, range=range, min=min, max=max), namespace)
+         dict(ex._EVAL_GLOBALS, SolverError=SolverError, range=range), namespace)
     return namespace["kernel"]
 
 

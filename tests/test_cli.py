@@ -387,8 +387,8 @@ class TestSolve:
     def test_forcing_below_1e_17_at_the_nodes_of_one_step(self, rhs, want):
         # D y = f from 0 to 1 is the integral of f; f is below 1e-17 at 0,
         # 0.2, 0.3, 0.8, 8/9 and 1, the nodes of one step across the window,
-        # whose error estimate saw nothing and printed about 1e-18; steps of
-        # at most 1/16 of the window see the bump and the oscillation
+        # whose error estimate saw nothing and printed about 1e-18; nodes at
+        # most 1/32 of the window apart see the bump and the oscillation
         code, out, err = invoke(["solve", "--order", "1", "--coeffs", "0", "--rhs", rhs,
                                  "--alpha", "1", "--from", "0", "--to", "1"])
         assert code == EXIT_OK, err

@@ -399,6 +399,15 @@ def outcome(call, *args):
         return type(exc).__name__, str(exc)
 
 
+def step_failure(error):
+    """Steps taken, steps rejected, the last step, its u and the target u
+    from the message of a pass that gave up."""
+    taken, rejected, step, u, ut = re.search(
+        r"(\d+) steps taken, (\d+) rejected, the last of (\S+) at u=(\S+) on the way to "
+        r"u=(\S+)$", str(error)).groups()
+    return int(taken), int(rejected), float(step), float(u), float(ut)
+
+
 def operator(alpha, *texts):
     return LinearOperator(order=len(texts), alpha=Alpha(alpha),
                           coefficients=tuple(ConformableFn.from_expr(p) for p in texts))
@@ -478,6 +487,11 @@ class TestTableau:
         # the fixed route's nodes, at MIN_STEPS steps, lie (t - s) / 32 apart
         f, points = counting("exp(-t)")
         solve_full(IvpSpec(op_02(1.0), f, s, (0.5, -0.2)), t)
+        # the first attempt is the longest step that spacing allows
+        rows = ivp._rows(ivp._DOP853)
+        hmax = (t - s) * (max(ivp._gaps(ivp._rows(ivp._RK4))) / ivp.MIN_STEPS
+                          / max(ivp._gaps(rows)))
+        assert points[1] == s + float(rows[0][0]) * hmax
         nodes = sorted(set(points))
         assert (nodes[0], nodes[-1]) == (min(s, t), max(s, t))
         widest = max(b - a for a, b in zip(nodes, nodes[1:]))
@@ -520,8 +534,7 @@ class TestKernelBitIdentity:
         with pytest.raises(SolverError, match="step error above tolerance") as failed:
             solve_full(spec, 40000.0)
         assert time.perf_counter() - start < 1.0
-        taken, rejected = map(int, re.search(r"(\d+) steps taken, (\d+) rejected",
-                                             str(failed.value)).groups())
+        taken, rejected, _, _, _ = step_failure(failed.value)
         assert taken + rejected == ivp.MAX_DEFAULT_STEPS
         # 3,000 units of u, which the old fixed count (512 a unit, at most
         # 2^20) refused: a smooth solution takes few steps
@@ -540,11 +553,9 @@ class TestKernelBitIdentity:
         with pytest.raises(SolverError, match="step error above tolerance") as failed:
             solve_full(spec, 4.0)
         assert time.perf_counter() - start < 0.25
-        taken, rejected, step, u, ut = re.search(
-            r"(\d+) steps taken, (\d+) rejected, the last of (\S+) at u=(\S+) on the way to "
-            r"u=(\S+)$", str(failed.value)).groups()
-        left = ivp.MAX_DEFAULT_STEPS - int(taken) - int(rejected)
-        assert left > 0 and float(ut) - float(u) > left * float(step)
+        taken, rejected, step, u, ut = step_failure(failed.value)
+        left = ivp.MAX_DEFAULT_STEPS - taken - rejected
+        assert left > 0 and ut - u > left * step
 
     def test_stiffness_that_eases_is_crossed(self):
         # y' + 1000/(1+t) y = 1 is stiff near t = 0, but its steps grow with
@@ -554,12 +565,13 @@ class TestKernelBitIdentity:
         want = 10001.0 / 1001.0 + 1000.0 / 1001.0 * 10001.0 ** -1000
         assert solve_full(spec, 1e4) == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("c, t", [(3e5, 1e4), (2e5, 1e8)])
+    @pytest.mark.parametrize("c, t", [(3e5, 1e4), (2e5, 1e8), (2e5, 1e12)])
     def test_stiffness_that_eases_faster_is_crossed(self, c, t):
         # y' + c/(1+t)^2 y = 1 from y(0) = 0: the steps held at the stability
         # bound grow as (1 + t)^2, faster than a projection linear in t
-        # assumes, and up to 50,000 of them cross the stiff start; over 1e8
-        # units of u the step floor, 1e-7, lies close to their node gaps.
+        # assumes, and up to 50,000 of them cross the stiff start; the step
+        # floor is rounding at u, not a share of the window, so the stable
+        # steps of about 3e-5 at u = 0 stand above it on a window of 1e12.
         # With x = 1 + t and z = c/x, y = x - c e^z E1(z) + e^(z-c) (c E1(c) - 1)
         spec = IvpSpec(operator(1.0, f"{c!r}/(1+t)^2"), fam.constant(1.0), 0.0, (0.0,))
         with mpmath.workdps(40):
@@ -571,16 +583,16 @@ class TestKernelBitIdentity:
 
     def test_step_size_floor(self):
         # 1/(t - 1.5) has a pole inside the window: the steps shrink toward it
-        # until a rejected one falls below the floor
+        # until, after a rejection, the closest nodes of a step lie within
+        # rounding of u; a rejection cuts a step by at most 5
         start = time.perf_counter()
         with pytest.raises(SolverError, match="step error above tolerance") as failed:
             solve_full(IvpSpec(operator(1.0, "1/(t-1.5)"), None, 1.0, (1.0,)), 2.0)
         assert time.perf_counter() - start < 1.0
-        taken, rejected, step, u = re.search(
-            r"(\d+) steps taken, (\d+) rejected, the last of (\S+) at u=(\S+) on",
-            str(failed.value)).groups()
-        assert int(taken) + int(rejected) < ivp.MAX_DEFAULT_STEPS
-        assert 0.0 < float(step) <= 1e-15 * (float(u) + 1.0) and abs(float(u) - 1.5) < 1e-6
+        taken, rejected, step, u, _ = step_failure(failed.value)
+        assert taken + rejected < ivp.MAX_DEFAULT_STEPS
+        g = min(ivp._gaps(ivp._rows(ivp._DOP853)))
+        assert step * g <= 1e-15 * u < 5 * step * g and abs(u - 1.5) < 1e-6
 
     @pytest.mark.parametrize("steps", [16, 17, 256, 601])
     def test_step_counts(self, steps):
